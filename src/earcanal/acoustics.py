@@ -143,8 +143,11 @@ def simulate_measurement(
     charge-up transient; every later period equals the circular
     convolution of one excitation period with the plant, which is what
     the recovery step relies on after discarding the first period.
-    Additive white Gaussian noise of the given RMS models the microphone
-    chain.
+    The noiseless recording is the convolution alone; :func:`add_noise`
+    then models the microphone chain.  Takes of one plant differ only in
+    their noise, so a caller simulating many takes can compute the
+    noiseless recording once (``noise_rms=0``) and add each take's noise
+    to it, with the same result as one full call per take.
     """
     h = plant.samples if isinstance(plant, ImpulseResponse) else np.asarray(plant, dtype=np.float64)
     length = excitation.length
@@ -157,15 +160,25 @@ def simulate_measurement(
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     x = np.tile(excitation.samples, repeats + 1)
-    y = fftconvolve(x, h)[: x.shape[0]]
+    return add_noise(fftconvolve(x, h)[: x.shape[0]], noise_rms, rng)
+
+
+def add_noise(recording: np.ndarray, noise_rms: float, rng=None) -> np.ndarray:
+    """Additive white Gaussian noise of the given RMS, drawn from ``rng``
+    (a seed or Generator); a new array unless ``noise_rms`` is 0, in
+    which case the recording itself is returned."""
     if noise_rms < 0:
         raise ValueError("noise_rms must be nonnegative")
-    if noise_rms > 0:
-        if rng is None:
-            raise ValueError("noise_rms > 0 requires an rng seed or Generator")
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        y = y + gen.normal(0.0, noise_rms, size=y.shape)
-    return y
+    if noise_rms == 0:
+        return recording
+    if rng is None:
+        raise ValueError("noise_rms > 0 requires an rng seed or Generator")
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    # added into the noise buffer; addition commutes, so this is
+    # recording + noise bit for bit without a second full-size array
+    noisy = gen.normal(0.0, noise_rms, size=recording.shape)
+    noisy += recording
+    return noisy
 
 
 def recover_impulse_response(
@@ -228,7 +241,10 @@ def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseRespo
 
     The log magnitude and the phase of a minimum-phase system form a
     Hilbert-transform pair; folding the real cepstrum onto its causal
-    half realizes that relation without an explicit Hilbert kernel.
+    half realizes that relation without an explicit Hilbert kernel (the
+    homomorphic construction of Oppenheim & Schafer, *Discrete-Time
+    Signal Processing*, ch. 13).  Every signal in the construction is
+    real, so it runs on half spectra (``rfft``/``irfft``), in place.
     Magnitude bins below ``MIN_PHASE_FLOOR`` of the peak are clamped
     before the log, the standard safeguard against true spectral nulls.
 
@@ -243,18 +259,28 @@ def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseRespo
         n_fft = max(4096, _next_pow2(8 * n))
     elif n_fft < n:
         raise ValueError(f"n_fft {n_fft} is shorter than the response ({n} samples)")
-    mag = np.abs(np.fft.fft(ir.samples, n_fft))
+    spec = np.fft.rfft(ir.samples, n_fft)
+    mag = np.abs(spec)
     peak = mag.max()
     if peak == 0.0:
         raise ValueError("cannot take the minimum phase of a zero-energy response")
-    cep = np.fft.ifft(np.log(np.maximum(mag, MIN_PHASE_FLOOR * peak))).real
-    fold = np.zeros(n_fft)
-    fold[0] = cep[0]
-    fold[1 : (n_fft + 1) // 2] = 2.0 * cep[1 : (n_fft + 1) // 2]
-    if n_fft % 2 == 0:
-        fold[n_fft // 2] = cep[n_fft // 2]
-    out = np.fft.ifft(np.exp(np.fft.fft(fold))).real
-    return ImpulseResponse(out, ir.sample_rate, "min_phase")
+    # Callers run this on several takes at once, so each buffer is freed
+    # as soon as the next exists.  The log magnitude goes into the
+    # spectrum's real part, which spares irfft a real-to-complex copy.
+    np.maximum(mag, MIN_PHASE_FLOOR * peak, out=mag)
+    np.log(mag, out=spec.real)
+    spec.imag = 0.0
+    del mag
+    cep = np.fft.irfft(spec, n_fft)
+    del spec
+    # fold: keep c[0] (and c[n_fft/2] for even n_fft), double the causal
+    # half, zero the anticausal half
+    cep[1 : (n_fft + 1) // 2] *= 2.0
+    cep[n_fft // 2 + 1 :] = 0.0
+    spec = np.fft.rfft(cep)
+    del cep
+    np.exp(spec, out=spec)
+    return ImpulseResponse(np.fft.irfft(spec, n_fft), ir.sample_rate, "min_phase")
 
 
 def applied_band(sample_rate: int, low_hz: float, high_hz: float) -> tuple:
@@ -323,16 +349,21 @@ def response_feature(
     """Full feature chain: trim, minimum phase, bandpass, fixed length,
     unit power.
 
-    Truncation to ``feature_length`` (zero-padding if shorter) happens
-    before normalization so the finished feature has unit power over a
-    time axis shared by every take.
+    Truncation to ``feature_length`` happens before the bandpass, so the
+    filter runs only over the samples the feature keeps; zero-padding (if
+    the response is shorter) follows the bandpass, and normalization
+    comes last so the finished feature has unit power over a time axis
+    shared by every take.
     """
     if feature_length < 1:
         raise ValueError(f"feature_length must be positive, got {feature_length}")
     out = trim_pre_rise(ir, trim_threshold)
     out = minimum_phase(out, n_fft)
+    # the bandpass is causal, so filtering only the kept prefix gives
+    # the same samples as filtering everything and truncating afterwards
+    out = ImpulseResponse(out.samples[:feature_length], out.sample_rate, out.stage)
     out = butterworth_bandpass(out, low_hz, high_hz, filter_order)
-    x = out.samples[:feature_length]
+    x = out.samples
     if x.shape[0] < feature_length:
         x = np.concatenate([x, np.zeros(feature_length - x.shape[0])])
     return normalize_power(

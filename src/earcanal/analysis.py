@@ -38,6 +38,7 @@ class SimilarityMatrix:
     values: np.ndarray
     kind: str = "shape"
     stds: np.ndarray | None = None
+    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = tuple(str(s) for s in self.ids)
@@ -57,6 +58,7 @@ class SimilarityMatrix:
             raise ValueError(f"kind must be 'shape' or 'acoustic', got {self.kind!r}")
         v.flags.writeable = False
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "_rows", {sid: i for i, sid in enumerate(ids)})
         object.__setattr__(self, "values", v)
         s = self.stds
         if s is not None:
@@ -74,8 +76,8 @@ class SimilarityMatrix:
 
     def index(self, subject_id: str) -> int:
         try:
-            return self.ids.index(subject_id)
-        except ValueError:
+            return self._rows[subject_id]
+        except KeyError:
             raise KeyError(f"unknown subject id {subject_id!r}") from None
 
     def cell(self, a: str, b: str) -> float:

@@ -21,15 +21,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
 
 from earcanal.acoustics import (
+    STAGES,
     ImpulseResponse,
     acoustic_similarity_matrix,
+    add_noise,
     generate_mls,
     recover_impulse_response,
     response_feature,
@@ -39,7 +43,12 @@ from earcanal.analysis import SimilarityMatrix, emit_report
 from earcanal.config import PipelineConfig
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import shape_center_fn, shape_similarity_matrix
-from earcanal.synth import generate_canal_mesh, generate_plant, make_subject_family
+from earcanal.synth import (
+    PlantGenerator,
+    generate_canal_mesh,
+    generate_plant,
+    make_subject_family,
+)
 
 
 class InputError(Exception):
@@ -148,27 +157,24 @@ def cmd_shape(args) -> int:
     return 0
 
 
-def _features_from_plant(sid, sidx, plant_spec: dict, cfg: PipelineConfig, excitation):
+def _plant(sid, plant_spec: dict, cfg: PipelineConfig) -> ImpulseResponse:
     if "taps" in plant_spec:
-        plant = ImpulseResponse(np.asarray(plant_spec["taps"], dtype=np.float64), cfg.sample_rate, "raw")
-    elif plant_spec.get("schema") == "plant/1":
-        from earcanal.synth import PlantGenerator
-
-        plant = generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
-    else:
-        raise InputError(
-            f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
-        )
-    feats = []
-    for take in range(cfg.takes):
-        rng = np.random.default_rng([cfg.seed, sidx, take])
-        rec = simulate_measurement(excitation, plant, cfg.repeats, cfg.noise_rms, rng)
-        raw = recover_impulse_response(rec, excitation, cfg.repeats)
-        feats.append((take, _feature(raw, cfg, sid, take)))
-    return feats
+        return ImpulseResponse(np.asarray(plant_spec["taps"], dtype=np.float64), cfg.sample_rate, "raw")
+    if plant_spec.get("schema") == "plant/1":
+        return generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
+    raise InputError(
+        f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
+    )
 
 
-def _feature(raw: ImpulseResponse, cfg: PipelineConfig, sid: str, take: int):
+def _take_feature(recording, take: int, cfg: PipelineConfig, excitation, sid: str):
+    """One take: recording -> impulse response -> feature.
+
+    ``recording`` maps the take index to its samples, so a simulated
+    recording is made on the worker thread and freed once its impulse
+    response is recovered.
+    """
+    raw = recover_impulse_response(recording(take), excitation, cfg.repeats)
     return response_feature(
         raw,
         trim_threshold=cfg.trim_threshold,
@@ -181,6 +187,12 @@ def _feature(raw: ImpulseResponse, cfg: PipelineConfig, sid: str, take: int):
     )
 
 
+def _workers(takes: int) -> int:
+    """One thread per take, at most one per core this process may use."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(takes, cores or 1))
+
+
 def cmd_acoustic(args) -> int:
     cfg = _load_config(args)
     manifest_path = Path(args.manifest)
@@ -190,21 +202,37 @@ def cmd_acoustic(args) -> int:
 
     all_feats = []
     for sidx, (sid, entry) in enumerate(subjects.items()):
+        # Inputs are read and checked here, before any take runs.  A
+        # plant's noiseless recording is simulated once; each take adds
+        # its own seeded noise to it on its worker thread.
         if isinstance(entry, dict) and "plant" in entry:
             spec = _load_json((manifest_path.parent / entry["plant"]).resolve())
-            feats = _features_from_plant(sid, sidx, spec, cfg, excitation)
+            clean = simulate_measurement(excitation, _plant(sid, spec, cfg), cfg.repeats)
+            n_takes = cfg.takes
+
+            def recording(take):
+                rng = np.random.default_rng([cfg.seed, sidx, take])
+                return add_noise(clean, cfg.noise_rms, rng)
         elif isinstance(entry, dict) and "takes" in entry:
-            feats = []
-            for take, rel in enumerate(entry["takes"]):
-                rec = _read_wav((manifest_path.parent / rel).resolve(), cfg.sample_rate)
-                raw = recover_impulse_response(rec, excitation, cfg.repeats)
-                feats.append((take, _feature(raw, cfg, sid, take)))
+            wavs = [
+                _read_wav((manifest_path.parent / rel).resolve(), cfg.sample_rate)
+                for rel in entry["takes"]
+            ]
+            n_takes = len(wavs)
+            recording = wavs.__getitem__
         else:
             raise InputError(
                 f"subject {sid!r}: manifest entry needs a 'plant' path or a 'takes' list"
             )
-        for take, feat in feats:
-            all_feats.append((sid, take, feat))
+        # numpy's FFTs and ufuncs release the GIL, so one subject's takes
+        # run in parallel; map yields them in take order and re-raises
+        # the first failing take's error.
+        with ThreadPoolExecutor(_workers(n_takes)) as pool:
+            feats = pool.map(
+                lambda take: _take_feature(recording, take, cfg, excitation, sid),
+                range(n_takes),
+            )
+            all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))
 
     outputs = {}
     for sid, take, feat in all_feats:
@@ -216,7 +244,7 @@ def cmd_acoustic(args) -> int:
             "take_index": take,
             "sample_rate": feat.sample_rate,
             "length": len(feat),
-            "stages": ["raw", "trimmed", "min_phase", "bandpassed", "normalized"],
+            "stages": list(STAGES),
             "parameters": {
                 "mls_order": cfg.mls_order,
                 "repeats": cfg.repeats,

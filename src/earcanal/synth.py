@@ -347,6 +347,15 @@ def _plant_from_latent(u: np.ndarray, phase_seed: int) -> PlantGenerator:
     )
 
 
+def _letters(n: int) -> str:
+    """Bijective base-26 letters: 1 -> a, 26 -> z, 27 -> aa, 28 -> ab."""
+    out = ""
+    while n > 0:
+        n, r = divmod(n - 1, 26)
+        out = chr(ord("a") + r) + out
+    return out
+
+
 def make_subject_family(
     base_seed: int,
     perturbation: float = 0.02,
@@ -359,6 +368,8 @@ def make_subject_family(
     perturbation of the given relative size; independents get fresh
     draws.  All plants in the family share one phase seed, so acoustic
     differences come only from the latent-driven resonance parameters.
+    Independent subjects are named ``subject_c`` through ``subject_z``,
+    then ``subject_aa``, ``subject_ab``, and so on.
     """
     if not (0.0 <= perturbation <= 0.5):
         raise ValueError(f"perturbation must be within [0, 0.5], got {perturbation}")
@@ -372,7 +383,7 @@ def make_subject_family(
     direction = rng.normal(size=6)
     latents = [("twin_a", u_base), ("twin_b", u_base + perturbation * direction)]
     for k in range(n_independent):
-        latents.append((f"subject_{chr(ord('c') + k)}", rng.normal(size=6)))
+        latents.append((f"subject_{_letters(k + 3)}", rng.normal(size=6)))
 
     subjects = []
     for idx, (sid, u) in enumerate(latents):

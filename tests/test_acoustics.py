@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from earcanal.acoustics import (
+    MIN_PHASE_FLOOR,
     AcousticFeature,
     ExcitationSignal,
     ImpulseResponse,
     acoustic_similarity,
     acoustic_similarity_matrix,
+    add_noise,
     applied_band,
     butterworth_bandpass,
     generate_mls,
@@ -60,6 +62,19 @@ def test_mls_is_reproducible():
     np.testing.assert_array_equal(generate_mls(10).samples, generate_mls(10).samples)
 
 
+def complex_fft_minimum_phase(x, n_fft):
+    """Reference cepstral fold on full complex spectra, the construction
+    ``minimum_phase`` computes on half spectra."""
+    mag = np.abs(np.fft.fft(x, n_fft))
+    cep = np.fft.ifft(np.log(np.maximum(mag, MIN_PHASE_FLOOR * mag.max()))).real
+    fold = np.zeros(n_fft)
+    fold[0] = cep[0]
+    fold[1 : (n_fft + 1) // 2] = 2.0 * cep[1 : (n_fft + 1) // 2]
+    if n_fft % 2 == 0:
+        fold[n_fft // 2] = cep[n_fft // 2]
+    return np.fft.ifft(np.exp(np.fft.fft(fold))).real
+
+
 def test_excitation_validation():
     with pytest.raises(ValueError):
         ExcitationSignal(np.ones(6), order=3)  # 2**3 - 1 = 7
@@ -96,6 +111,24 @@ def test_simulate_noise_is_seed_deterministic():
     b = simulate_measurement(mls, ir([1.0, 0.3]),
                              noise_rms=0.1, rng=np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
+
+
+def test_simulate_is_the_noiseless_recording_plus_noise():
+    mls = generate_mls(8)
+    plant = ir(0.7 ** np.arange(40))
+    clean = simulate_measurement(mls, plant, repeats=3)
+    for seed in range(3):
+        full = simulate_measurement(mls, plant, repeats=3, noise_rms=0.2, rng=seed)
+        np.testing.assert_array_equal(full, add_noise(clean, 0.2, np.random.default_rng(seed)))
+
+
+def test_add_noise_validation():
+    rec = np.ones(8)
+    assert add_noise(rec, 0.0) is rec
+    with pytest.raises(ValueError):
+        add_noise(rec, 0.1)  # rng required
+    with pytest.raises(ValueError):
+        add_noise(rec, -0.1, rng=1)
 
 
 def test_recovery_is_exact_without_noise():
@@ -225,6 +258,21 @@ def test_minimum_phase_default_fft_length():
     assert len(out) == 8192  # 8 * 801 rounds up to 8192
 
 
+def test_minimum_phase_matches_the_complex_fft_fold():
+    rng = np.random.default_rng(7)
+    cases = [(rng.normal(size=n) * np.exp(-np.arange(n) / (n / 4)), n_fft)
+             for n, n_fft in ((10, None), (300, None), (300, 4097), (1001, 1001),
+                              (64, 1025), (2048, 16384))]
+    cases.append((np.array([1.0, -1.0]), None))  # a true null at DC: the floor applies
+    worst = 0.0
+    for x, n_fft in cases:
+        out = minimum_phase(ir(x, stage="trimmed"), n_fft).samples
+        ref = complex_fft_minimum_phase(x, len(out))
+        assert len(out) == (n_fft or len(out))
+        worst = max(worst, float(np.abs(out - ref).max()))
+    assert worst <= 1e-12
+
+
 def test_minimum_phase_validation():
     with pytest.raises(ValueError):
         minimum_phase(ir(np.ones(16), stage="trimmed"), n_fft=8)
@@ -317,6 +365,19 @@ def test_response_feature_pads_when_requested_longer():
     feat = response_feature(ir([1.0, 0.4, 0.2]), feature_length=5000)
     assert len(feat) == 5000
     np.testing.assert_array_equal(feat.samples[4096:], np.zeros(904))
+
+
+def test_response_feature_bandpasses_only_the_kept_prefix():
+    rng = np.random.default_rng(11)
+    raw = ir(np.concatenate([np.zeros(30), rng.normal(size=400) * 0.98 ** np.arange(400)]))
+    for feature_length in (1, 256, 2048, 4096, 5000):
+        got = response_feature(raw, feature_length=feature_length)
+        # reference: bandpass the whole minimum-phase output, then truncate
+        full = butterworth_bandpass(minimum_phase(trim_pre_rise(raw)))
+        x = full.samples[:feature_length]
+        x = np.concatenate([x, np.zeros(feature_length - len(x))])
+        want = normalize_power(ir(x, stage="bandpassed"))
+        np.testing.assert_array_equal(got.samples, want.samples)
 
 
 def test_response_feature_validation():

@@ -13,9 +13,18 @@ import pytest
 from scipy.io import wavfile
 
 import earcanal
-from earcanal.acoustics import ImpulseResponse, generate_mls, simulate_measurement
+from earcanal import cli
+from earcanal.acoustics import (
+    ImpulseResponse,
+    acoustic_similarity_matrix,
+    generate_mls,
+    recover_impulse_response,
+    response_feature,
+    simulate_measurement,
+)
 from earcanal.analysis import SimilarityMatrix
 from earcanal.cli import main, write_wav
+from earcanal.synth import PlantGenerator, generate_plant
 
 # small but structurally complete: MLS period 4095 still covers the
 # 2048-tap synthetic plants
@@ -229,6 +238,109 @@ def test_wav_takes_route(tmp_path, fast_cfg):
     matrix = SimilarityMatrix.from_csv((out / "acoustic_similarity.csv").read_text())
     # identical takes, identical features
     assert matrix.cell("wav_a", "wav_b") == pytest.approx(1.0, abs=1e-9)
+
+
+def serial_features(cfg, recordings):
+    """Reference for ``acoustic``: each take's feature computed one after
+    another, from ``recordings`` = [(subject, [recording, ...]), ...]."""
+    excitation = generate_mls(cfg["mls_order"], 44100)
+    feats = []
+    for sid, takes in recordings:
+        for take, rec in enumerate(takes):
+            raw = recover_impulse_response(rec, excitation, cfg["repeats"])
+            feats.append((sid, take, response_feature(raw, subject_id=sid, take_index=take)))
+    return feats
+
+
+def assert_acoustic_output(out, feats):
+    for sid, take, feat in feats:
+        stored = (out / f"feature_{sid}_{take:02d}.f32").read_bytes()
+        assert stored == feat.samples.astype("<f4").tobytes(), (sid, take)
+        assert (out / f"feature_{sid}_{take:02d}.json").is_file()
+    expected = acoustic_similarity_matrix(feats).to_csv()
+    assert (out / "acoustic_similarity.csv").read_text() == expected
+
+
+@pytest.fixture(params=["machine", "thread_per_take"])
+def workers(request, monkeypatch):
+    """The worker count the machine gives, and one thread per take with
+    frequent thread switches."""
+    if request.param == "machine":
+        yield
+        return
+    monkeypatch.setattr(cli, "_workers", lambda takes: takes)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threaded_plant_takes_match_serial_reference(tmp_path, corpus, workers):
+    cfg = {**FAST, "takes": 4, "noise_rms": 0.3, "seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    manifest = corpus / "acoustic_manifest.json"
+    out = tmp_path / "out"
+    code = main(["acoustic", "--config", str(cfg_path), "--out", str(out),
+                 "--manifest", str(manifest)])
+    assert code == 0
+    # every take simulated in full with its own seeded noise
+    excitation = generate_mls(cfg["mls_order"], 44100)
+    recordings = []
+    for sidx, (sid, entry) in enumerate(json.loads(manifest.read_text())["subjects"].items()):
+        spec = json.loads((corpus / entry["plant"]).read_text())
+        plant = generate_plant(PlantGenerator.from_dict(spec))
+        recordings.append((sid, [
+            simulate_measurement(excitation, plant, cfg["repeats"], cfg["noise_rms"],
+                                 np.random.default_rng([cfg["seed"], sidx, take]))
+            for take in range(cfg["takes"])
+        ]))
+    assert_acoustic_output(out, serial_features(cfg, recordings))
+
+
+def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
+    excitation = generate_mls(FAST["mls_order"], 44100)
+    subjects, recordings = {}, []
+    for k, sid in enumerate(("wav_a", "wav_b", "wav_c")):
+        plant = ImpulseResponse((0.8 + 0.05 * k) ** np.arange(200), 44100, "raw")
+        names, takes = [], []
+        for take in range(3):
+            rec = simulate_measurement(excitation, plant, FAST["repeats"], 0.01, [k, take])
+            names.append(f"{sid}_{take}.wav")
+            write_wav(tmp_path / names[-1], rec)
+            takes.append(wavfile.read(tmp_path / names[-1])[1].astype(np.float64) / 32768.0)
+        subjects[sid] = {"takes": names}
+        recordings.append((sid, takes))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": subjects}))
+    out = tmp_path / "out"
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(out),
+                 "--manifest", str(manifest)])
+    assert code == 0
+    assert_acoustic_output(out, serial_features(FAST, recordings))
+
+
+def test_failing_take_exits_one_and_writes_nothing(tmp_path, fast_cfg, workers, capsys):
+    excitation = generate_mls(FAST["mls_order"], 44100)
+    good = simulate_measurement(excitation, 0.5 ** np.arange(8), FAST["repeats"])
+    write_wav(tmp_path / "good.wav", good)
+    # a silent take recovers an all-zero response; a short one cannot be recovered
+    wavfile.write(tmp_path / "silent.wav", 44100, np.zeros(good.shape[0], dtype=np.int16))
+    write_wav(tmp_path / "short.wav", good[:1000])
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {
+        "a": {"takes": ["good.wav", "good.wav"]},
+        "b": {"takes": ["good.wav", "silent.wav", "short.wav", "good.wav"]},
+    }}))
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    # the first failing take in take order is the one reported
+    assert err == "error: cannot trim an all-zero response\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_wav_with_wrong_rate_is_rejected(tmp_path, fast_cfg, capsys):

@@ -1,5 +1,7 @@
 """Synthetic canal meshes and matched acoustic plants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,15 @@ def test_family_structure():
     assert len(seeds) == 1  # family-shared phase draw
     canal_seeds = {s.canal.seed for s in fam}
     assert len(canal_seeds) == len(ids)
+
+
+def test_independent_subject_ids_continue_past_z():
+    ids = [s.subject_id for s in make_subject_family(0, n_independent=30)]
+    assert len(set(ids)) == len(ids) == 32
+    assert all(re.fullmatch(r"subject_[a-z]+", sid) for sid in ids[2:])
+    letters = [chr(c) for c in range(ord("c"), ord("z") + 1)]
+    assert ids[:26] == ["twin_a", "twin_b"] + [f"subject_{c}" for c in letters]
+    assert ids[26:] == [f"subject_a{c}" for c in "abcdef"]
 
 
 def test_family_round_trip():
