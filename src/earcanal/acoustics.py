@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, fftconvolve, lfilter, max_len_seq
 
-SAMPLE_RATE = 44100
+from earcanal.analysis import SimilarityMatrix
+from earcanal.config import DEFAULTS
 
 STAGES = ("raw", "trimmed", "min_phase", "bandpassed", "normalized")
 _STAGE_ORDER = {s: i for i, s in enumerate(STAGES)}
@@ -41,7 +42,7 @@ class ExcitationSignal:
 
     samples: np.ndarray
     order: int
-    sample_rate: int = SAMPLE_RATE
+    sample_rate: int = DEFAULTS.sample_rate
 
     def __post_init__(self) -> None:
         s = np.ascontiguousarray(self.samples, dtype=np.float64)
@@ -66,7 +67,7 @@ class ImpulseResponse:
     """Real impulse response at a known processing stage."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    sample_rate: int = DEFAULTS.sample_rate
     stage: str = "raw"
 
     def __post_init__(self) -> None:
@@ -91,7 +92,7 @@ class AcousticFeature:
     """Unit-power response feature ready for similarity comparison."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
+    sample_rate: int = DEFAULTS.sample_rate
     subject_id: str | None = None
     take_index: int | None = None
 
@@ -116,7 +117,7 @@ def _require_stage_before(ir: ImpulseResponse, new_stage: str) -> None:
         )
 
 
-def generate_mls(order: int, sample_rate: int = SAMPLE_RATE) -> ExcitationSignal:
+def generate_mls(order: int, sample_rate: int = DEFAULTS.sample_rate) -> ExcitationSignal:
     """Maximum length sequence from a linear-feedback shift register.
 
     ``order`` is the register length m; the sequence has period 2**m - 1.
@@ -133,7 +134,7 @@ def generate_mls(order: int, sample_rate: int = SAMPLE_RATE) -> ExcitationSignal
 def simulate_measurement(
     excitation: ExcitationSignal,
     plant,
-    repeats: int = 5,
+    repeats: int = DEFAULTS.repeats,
     noise_rms: float = 0.0,
     rng=None,
 ) -> np.ndarray:
@@ -184,7 +185,7 @@ def add_noise(recording: np.ndarray, noise_rms: float, rng=None) -> np.ndarray:
 def recover_impulse_response(
     recorded: np.ndarray,
     excitation: ExcitationSignal,
-    repeats: int = 5,
+    repeats: int = DEFAULTS.repeats,
 ) -> ImpulseResponse:
     """Recover the plant impulse response from a repeated-MLS recording.
 
@@ -214,7 +215,9 @@ def recover_impulse_response(
     return ImpulseResponse(h, excitation.sample_rate, "raw")
 
 
-def trim_pre_rise(ir: ImpulseResponse, threshold_fraction: float = 0.05) -> ImpulseResponse:
+def trim_pre_rise(
+    ir: ImpulseResponse, threshold_fraction: float = DEFAULTS.trim_threshold
+) -> ImpulseResponse:
     """Drop everything before the response rises above a peak fraction.
 
     The cut lands at the first sample whose magnitude reaches
@@ -304,9 +307,9 @@ def applied_band(sample_rate: int, low_hz: float, high_hz: float) -> tuple:
 
 def butterworth_bandpass(
     ir: ImpulseResponse,
-    low_hz: float = 100.0,
-    high_hz: float = 22000.0,
-    filter_order: int = 4,
+    low_hz: float = DEFAULTS.band_low_hz,
+    high_hz: float = DEFAULTS.band_high_hz,
+    filter_order: int = DEFAULTS.filter_order,
 ) -> ImpulseResponse:
     """Forward-only digital Butterworth bandpass.
 
@@ -337,11 +340,11 @@ def normalize_power(
 
 def response_feature(
     ir: ImpulseResponse,
-    trim_threshold: float = 0.05,
-    low_hz: float = 100.0,
-    high_hz: float = 22000.0,
-    filter_order: int = 4,
-    feature_length: int = 2048,
+    trim_threshold: float = DEFAULTS.trim_threshold,
+    low_hz: float = DEFAULTS.band_low_hz,
+    high_hz: float = DEFAULTS.band_high_hz,
+    filter_order: int = DEFAULTS.filter_order,
+    feature_length: int = DEFAULTS.feature_length,
     n_fft: int | None = None,
     subject_id: str | None = None,
     take_index: int | None = None,
@@ -379,7 +382,7 @@ def _feature_samples(f) -> np.ndarray:
     return np.asarray(f, dtype=np.float64)
 
 
-def acoustic_similarity(f_a, f_b, mode: str = "vector") -> float:
+def acoustic_similarity(f_a, f_b, mode: str = DEFAULTS.similarity_mode) -> float:
     """Cosine similarity between two features, truncated to the shorter.
 
     ``vector`` mode is the time-aligned cosine of the two sequences.
@@ -409,7 +412,7 @@ def acoustic_similarity(f_a, f_b, mode: str = "vector") -> float:
     raise ValueError(f"unknown similarity mode {mode!r}")
 
 
-def acoustic_similarity_matrix(features, mode: str = "vector"):
+def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
     """Inter-subject similarity from repeated takes.
 
     ``features`` is an iterable of ``(subject_id, take_index, feature)``.
@@ -417,8 +420,6 @@ def acoustic_similarity_matrix(features, mode: str = "vector"):
     cross-subject take pairs; the cell holds their mean, with the
     population standard deviation carried alongside.
     """
-    from earcanal.analysis import SimilarityMatrix
-
     by_subject: dict = {}
     for sid, _take, feat in features:
         by_subject.setdefault(sid, []).append(feat)

@@ -20,6 +20,8 @@ reruns with identical config and seed are byte-identical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -73,16 +75,23 @@ def _load_config(args) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if args.seed is not None:
-        cfg = PipelineConfig.from_dict({**{k: v for k, v in cfg.to_dict().items() if k != "schema"}, "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def _manifest_subjects(manifest_path: Path) -> dict:
     data = _load_json(manifest_path)
-    subjects = data.get("subjects")
+    subjects = data.get("subjects") if isinstance(data, dict) else None
     if not isinstance(subjects, dict) or not subjects:
         raise InputError(f"{manifest_path}: manifest must map 'subjects' to a nonempty object")
     return subjects
+
+
+def _entry_path(manifest_path: Path, sid, rel) -> Path:
+    """A manifest path, which is relative to the manifest's directory."""
+    if not isinstance(rel, str):
+        raise InputError(f"subject {sid!r}: manifest paths must be strings, got {rel!r}")
+    return (manifest_path.parent / rel).resolve()
 
 
 def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
@@ -99,15 +108,6 @@ def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
     if data.dtype != np.int16:
         raise InputError(f"{path}: expected 16-bit PCM, got {data.dtype}")
     return data.astype(np.float64) / 32768.0
-
-
-def write_wav(path, samples: np.ndarray, sample_rate: int = 44100) -> None:
-    """Store a float sequence as 16-bit PCM, scaled to 90% full scale."""
-    peak = np.abs(samples).max()
-    if peak == 0.0:
-        raise ValueError("refusing to write an all-zero WAV")
-    pcm = np.round(samples / peak * 0.9 * 32767.0).astype(np.int16)
-    wavfile.write(path, sample_rate, pcm)
 
 
 def _write_all(outputs: dict) -> None:
@@ -129,7 +129,7 @@ def cmd_shape(args) -> int:
     tracks = []
     failures = []
     for sid, rel in subjects.items():
-        stl_path = (manifest_path.parent / rel).resolve()
+        stl_path = _entry_path(manifest_path, sid, rel)
         if not stl_path.is_file():
             raise InputError(f"no such file: {stl_path} (subject {sid!r})")
         try:
@@ -157,11 +157,17 @@ def cmd_shape(args) -> int:
     return 0
 
 
-def _plant(sid, plant_spec: dict, cfg: PipelineConfig) -> ImpulseResponse:
-    if "taps" in plant_spec:
-        return ImpulseResponse(np.asarray(plant_spec["taps"], dtype=np.float64), cfg.sample_rate, "raw")
-    if plant_spec.get("schema") == "plant/1":
-        return generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
+def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
+    try:
+        if isinstance(plant_spec, dict) and "taps" in plant_spec:
+            taps = np.asarray(plant_spec["taps"], dtype=np.float64)
+            return ImpulseResponse(taps, cfg.sample_rate, "raw")
+        if isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
+            return generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
+    except KeyError as exc:
+        raise InputError(f"subject {sid!r}: plant JSON lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"subject {sid!r}: invalid plant JSON: {exc}") from None
     raise InputError(
         f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
     )
@@ -206,7 +212,7 @@ def cmd_acoustic(args) -> int:
         # plant's noiseless recording is simulated once; each take adds
         # its own seeded noise to it on its worker thread.
         if isinstance(entry, dict) and "plant" in entry:
-            spec = _load_json((manifest_path.parent / entry["plant"]).resolve())
+            spec = _load_json(_entry_path(manifest_path, sid, entry["plant"]))
             clean = simulate_measurement(excitation, _plant(sid, spec, cfg), cfg.repeats)
             n_takes = cfg.takes
 
@@ -214,8 +220,13 @@ def cmd_acoustic(args) -> int:
                 rng = np.random.default_rng([cfg.seed, sidx, take])
                 return add_noise(clean, cfg.noise_rms, rng)
         elif isinstance(entry, dict) and "takes" in entry:
+            if not isinstance(entry["takes"], list) or not entry["takes"]:
+                raise InputError(
+                    f"subject {sid!r}: 'takes' must be a nonempty list of WAV paths, "
+                    f"got {entry['takes']!r}"
+                )
             wavs = [
-                _read_wav((manifest_path.parent / rel).resolve(), cfg.sample_rate)
+                _read_wav(_entry_path(manifest_path, sid, rel), cfg.sample_rate)
                 for rel in entry["takes"]
             ]
             n_takes = len(wavs)
@@ -376,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic subject corpus")
     common(p)
-    p.add_argument("--perturbation", type=float, default=0.02,
-                   help="twin latent perturbation (default 0.02)")
+    p.add_argument("--perturbation", type=float,
+                   default=inspect.signature(make_subject_family).parameters["perturbation"].default,
+                   help="twin latent perturbation (default %(default)s)")
     p.add_argument("--sweep", default=None,
                    help="comma-separated perturbation levels; writes one corpus per level")
     p.set_defaults(func=cmd_synth)
@@ -388,10 +400,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

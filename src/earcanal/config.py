@@ -3,7 +3,9 @@
 One frozen dataclass holds every tunable of both measurement chains, so
 a run can be reproduced from the config JSON it writes next to its
 outputs.  The representation round-trips losslessly through
-``to_dict``/``from_dict``.
+``to_dict``/``from_dict``.  Its field defaults are the only place a
+default is written down: ``DEFAULTS`` carries them to the keyword
+defaults of the stage functions.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, expected = getattr(self, f.name), type(f.default)
+            # a float field also takes an int (JSON has one number type);
+            # a bool is never a number here, though Python counts it an int
+            accepted = (int, float) if expected is float else expected
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise TypeError(
+                    f"{f.name} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+                )
         if self.delta_z <= 0:
             raise ValueError("delta_z must be positive")
         if self.theta_samples < 4:
@@ -71,12 +82,11 @@ class PipelineConfig:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
         return cls(**{k: v for k, v in d.items() if k in known})
 
-    @classmethod
-    def load(cls, path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
     def dump(self, path, command: str | None = None) -> None:
         d = self.to_dict()
         if command is not None:
             d["command"] = command
         Path(path).write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
+
+
+DEFAULTS = PipelineConfig()

@@ -41,36 +41,6 @@ class Ellipse:
     angle: float
     conic: tuple
 
-    @property
-    def eccentricity(self) -> float:
-        a, b = self.axes
-        return float(np.sqrt(1.0 - (b / a) ** 2))
-
-    def sample(self, n: int = 64, rng=None) -> np.ndarray:
-        """Points on the ellipse boundary, shape (n, 2).  With ``rng``
-        the parameter angles are drawn uniformly instead of evenly."""
-        if rng is None:
-            t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        else:
-            t = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        a, b = self.axes
-        ca, sa = np.cos(self.angle), np.sin(self.angle)
-        x = a * np.cos(t)
-        y = b * np.sin(t)
-        return np.column_stack([
-            self.center[0] + ca * x - sa * y,
-            self.center[1] + sa * x + ca * y,
-        ])
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "ellipse/1",
-            "center": list(self.center),
-            "axes": list(self.axes),
-            "angle": self.angle,
-            "conic": list(self.conic),
-        }
-
 
 def conic_to_geometric(conic) -> Ellipse:
     """Decompose a general conic 6-vector into geometric parameters.

@@ -4,17 +4,6 @@ Input geometry is a triangulated surface in STL format (binary or ASCII),
 with coordinates interpreted as millimeters.  The mesh is reduced to the
 cloud of triangle centers of gravity, which is then binned into thin
 z-slices for the downstream per-slice ellipse fits.
-
-JSON schemas (used for pipeline checkpointing):
-
-``CentroidCloud``::
-
-    {"schema": "centroid_cloud/1", "count": N, "points": [[x, y, z], ...]}
-
-``SliceSet``::
-
-    {"schema": "slice_set/1", "delta_z": f, "z_origin": f, "n_max": N,
-     "bins": [{"n": 0, "points": [[x, y], ...]}, ...]}
 """
 
 from __future__ import annotations
@@ -71,10 +60,6 @@ class TriangleMesh:
     def n_triangles(self) -> int:
         return self.vertices.shape[0]
 
-    def translated(self, offset) -> "TriangleMesh":
-        off = np.asarray(offset, dtype=np.float64).reshape(1, 1, 3)
-        return TriangleMesh(self.vertices + off, self.normals, self.source_format)
-
 
 @dataclass(frozen=True)
 class CentroidCloud:
@@ -93,20 +78,6 @@ class CentroidCloud:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "centroid_cloud/1",
-            "count": self.count,
-            "points": self.points.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CentroidCloud":
-        cloud = cls(np.asarray(d["points"], dtype=np.float64))
-        if "count" in d and int(d["count"]) != cloud.count:
-            raise ValueError("count field disagrees with number of points")
-        return cloud
 
 
 @dataclass(frozen=True)
@@ -139,27 +110,6 @@ class SliceSet:
     delta_z: float
     z_origin: float
     bins: tuple
-
-    @property
-    def n_max(self) -> int:
-        return len(self.bins) - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "slice_set/1",
-            "delta_z": self.delta_z,
-            "z_origin": self.z_origin,
-            "n_max": self.n_max,
-            "bins": [{"n": b.n, "points": b.points.tolist()} for b in self.bins],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SliceSet":
-        bins = tuple(
-            SliceBin(int(b["n"]), np.asarray(b["points"], dtype=np.float64).reshape(-1, 2))
-            for b in d["bins"]
-        )
-        return cls(float(d["delta_z"]), float(d["z_origin"]), bins)
 
 
 def _parse_ascii_stl(data: bytes) -> TriangleMesh:
@@ -300,7 +250,10 @@ def slice_centroids(cloud: CentroidCloud, delta_z: float, z_origin: float | None
     rel = z - z_origin
     idx = np.ceil(rel / delta_z).astype(np.int64) - 1
     idx[idx < 0] = 0  # points exactly at the origin belong to bin 0
-    n_max = int(idx.max())
-    xy = cloud.points[:, :2]
-    bins = tuple(SliceBin(n, xy[idx == n]) for n in range(n_max + 1))
+    # one stable sort groups the points by bin in their original order,
+    # so the work is O(points log points) however many bins there are
+    order = np.argsort(idx, kind="stable")
+    cuts = np.searchsorted(idx[order], np.arange(1, int(idx.max()) + 1))
+    groups = np.split(cloud.points[order, :2], cuts)
+    bins = tuple(SliceBin(n, xy) for n, xy in enumerate(groups))
     return SliceSet(float(delta_z), float(z_origin), bins)

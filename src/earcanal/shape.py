@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from earcanal.analysis import SimilarityMatrix
+from earcanal.config import DEFAULTS
 from earcanal.ellipse import EllipseFitError, fit_ellipse
 from earcanal.mesh import SliceSet
-
-THETA_GRID_SIZE = 3600
-MIN_SLICE_POINTS = 5
 
 
 def _readonly2(a, width: int) -> np.ndarray:
@@ -85,28 +84,12 @@ class ShapeCenterFn:
             d["raw_centers"] = self.raw_centers.tolist()
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShapeCenterFn":
-        raw = d.get("raw_centers")
-        return cls(
-            float(d["delta_z"]),
-            np.asarray(d["centers"], dtype=np.float64),
-            None if raw is None else np.asarray(raw, dtype=np.float64),
-            tuple(d.get("interpolated", ())),
-        )
-
     def to_csv(self) -> str:
         """CSV rendering with columns n, x_n, y_n."""
         lines = ["n,x_n,y_n"]
         for n, (x, y) in enumerate(self.centers):
             lines.append(f"{n},{float(x)!r},{float(y)!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, delta_z: float) -> "ShapeCenterFn":
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith(("#", "n,"))]
-        centers = np.array([[float(c) for c in r.split(",")[1:3]] for r in rows])
-        return cls(delta_z, centers)
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,9 @@ class ShapeSimilarity:
     n_compared: int
 
 
-def shape_center_fn(slices: SliceSet, min_points: int = MIN_SLICE_POINTS) -> ShapeCenterFn:
+def shape_center_fn(
+    slices: SliceSet, min_points: int = DEFAULTS.min_slice_points
+) -> ShapeCenterFn:
     """Fit an ellipse per slice and track the centers relative to slice 0.
 
     Slice 0 must be fittable: the whole track is expressed relative to
@@ -175,7 +160,7 @@ def _angles_and_mags(fn: ShapeCenterFn, n: int):
 def shape_similarity(
     a: ShapeCenterFn,
     b: ShapeCenterFn,
-    grid_size: int = THETA_GRID_SIZE,
+    grid_size: int = DEFAULTS.theta_samples,
 ) -> ShapeSimilarity:
     """Rotation-maximized mean cosine between two center tracks.
 
@@ -220,12 +205,10 @@ def shape_similarity(
                            n_compared=int(keep.sum()))
 
 
-def shape_similarity_matrix(subjects, grid_size: int = THETA_GRID_SIZE):
+def shape_similarity_matrix(subjects, grid_size: int = DEFAULTS.theta_samples):
     """Pairwise rotation-maximized similarity for ``(id, ShapeCenterFn)``
     pairs.  Each unordered pair is computed once, which enforces exact
     symmetry of the returned matrix."""
-    from earcanal.analysis import SimilarityMatrix
-
     ids = [sid for sid, _ in subjects]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate subject ids")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from earcanal.acoustics import ImpulseResponse
+from earcanal.config import DEFAULTS
 from earcanal.mesh import TriangleMesh
 
 _DECAY_FLOOR = 1e-6
@@ -252,7 +253,7 @@ def generate_canal_mesh(gen: CanalGenerator) -> TriangleMesh:
     return TriangleMesh(tris, normals / norms, "binary_stl")
 
 
-def generate_plant(gen: PlantGenerator, sample_rate: int = 44100) -> ImpulseResponse:
+def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate) -> ImpulseResponse:
     """Impulse response of the resonator bank, truncated at tap_count.
 
     Every resonance must sit below Nyquist, and the response must have

@@ -23,7 +23,7 @@ from earcanal.acoustics import (
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix
-from earcanal.cli import main, write_wav
+from earcanal.cli import main
 from earcanal.synth import PlantGenerator, generate_plant
 
 # small but structurally complete: MLS period 4095 still covers the
@@ -54,6 +54,12 @@ def corpus(tmp_path_factory, fast_cfg):
     out = tmp_path_factory.mktemp("corpus")
     assert main(["synth", "--config", str(fast_cfg), "--out", str(out)]) == 0
     return out
+
+
+def write_wav(path, samples, sample_rate=44100):
+    """Store a float sequence as 16-bit PCM, scaled to 90% full scale."""
+    pcm = np.round(samples / np.abs(samples).max() * 0.9 * 32767.0).astype(np.int16)
+    wavfile.write(path, sample_rate, pcm)
 
 
 def read_tree(root):
@@ -432,6 +438,15 @@ def test_bad_config_exits_two(tmp_path, corpus, capsys):
     garbled.write_text("{not json")
     code = main(["synth", "--config", str(garbled), "--out", str(tmp_path / "o")])
     assert code == 2
+    # JSON types are checked at the boundary: no bool for a number, no
+    # numeric string
+    for field, value in (("takes", True), ("delta_z", "0.1")):
+        typed = tmp_path / f"{field}.json"
+        typed.write_text(json.dumps({field: value}))
+        code = main(["synth", "--config", str(typed), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_manifest_shape_exits_two(tmp_path, capsys):
@@ -444,6 +459,31 @@ def test_bad_manifest_shape_exits_two(tmp_path, capsys):
     code = main(["acoustic", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
     assert code == 2
     assert "'plant' path or a 'takes' list" in capsys.readouterr().err
+
+
+PLANT_1 = {"schema": "plant/1", "q_factors": [5.0], "gains": [1.0], "tap_count": 2048, "seed": 0}
+
+
+@pytest.mark.parametrize("command, files, entry", [
+    # a plant/1 generator without its resonance frequencies
+    ("acoustic", {"p.json": PLANT_1}, {"plant": "p.json"}),
+    # a plant JSON that is not an object
+    ("acoustic", {"p.json": [1, 2]}, {"plant": "p.json"}),
+    # a shape manifest entry that is not a path
+    ("shape", {}, 5),
+    # a takes entry that is one path instead of a list
+    ("acoustic", {}, {"takes": "x.wav"}),
+], ids=["plant_missing_field", "plant_is_list", "shape_entry_number", "takes_is_string"])
+def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, entry):
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"odd_one": entry}}))
+    code = main([command, "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: subject 'odd_one'") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def source_env():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earcanal.ellipse import Ellipse, EllipseFitError, conic_to_geometric, fit_ellipse
+from earcanal.ellipse import EllipseFitError, conic_to_geometric, fit_ellipse
 
 
 def make_ellipse(center, axes, angle):
@@ -23,6 +23,20 @@ def make_ellipse(center, axes, angle):
     F = A * cx**2 + B * cx * cy + C * cy**2 - 1
     conic = np.array([A, B, C, D, E, F]) / np.sqrt(4 * A * C - B * B)
     return conic_to_geometric(conic)
+
+
+def sample(e, n=64, rng=None):
+    """Points on the boundary of ellipse ``e``, shape (n, 2).  With ``rng``
+    the parameter angles are drawn uniformly instead of evenly."""
+    if rng is None:
+        t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    else:
+        t = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    a, b = e.axes
+    ca, sa = np.cos(e.angle), np.sin(e.angle)
+    x = a * np.cos(t)
+    y = b * np.sin(t)
+    return np.column_stack([e.center[0] + ca * x - sa * y, e.center[1] + sa * x + ca * y])
 
 
 def assert_same_ellipse(got, center, axes, angle, tol=1e-9):
@@ -53,7 +67,6 @@ def test_axis_aligned_ellipse_conic():
     e = make_ellipse((0.0, 0.0), (3.0, 2.0), 0.0)
     assert_same_ellipse(e, (0.0, 0.0), (3.0, 2.0), 0.0, tol=1e-13)
     assert e.axes[0] >= e.axes[1]
-    np.testing.assert_allclose(e.eccentricity, np.sqrt(1 - 4 / 9), rtol=1e-14)
 
 
 def test_non_elliptic_conics_rejected():
@@ -67,35 +80,35 @@ def test_non_elliptic_conics_rejected():
 
 def test_exact_fit_recovers_parameters():
     e = make_ellipse((3.1, -1.7), (2.5, 1.2), 0.7)
-    fitted = fit_ellipse(e.sample(24))
+    fitted = fit_ellipse(sample(e, 24))
     assert_same_ellipse(fitted, (3.1, -1.7), (2.5, 1.2), 0.7)
 
 
 def test_fit_far_from_origin():
     # normalization keeps the solve conditioned when center >> radius
     e = make_ellipse((412.0, -797.5), (1.8, 1.1), 2.3)
-    fitted = fit_ellipse(e.sample(40))
+    fitted = fit_ellipse(sample(e, 40))
     assert_same_ellipse(fitted, (412.0, -797.5), (1.8, 1.1), 2.3, tol=1e-8)
 
 
 def test_fit_high_eccentricity():
     axes = (4.0, 4.0 * np.sqrt(1 - 0.97**2))  # eccentricity 0.97
     e = make_ellipse((0.4, 0.9), axes, 1.1)
-    fitted = fit_ellipse(e.sample(64))
+    fitted = fit_ellipse(sample(e, 64))
     assert_same_ellipse(fitted, (0.4, 0.9), axes, 1.1, tol=1e-7)
 
 
 def test_minimum_point_count():
     e = make_ellipse((1.0, 2.0), (2.0, 1.0), 0.3)
-    fitted = fit_ellipse(e.sample(5))
+    fitted = fit_ellipse(sample(e, 5))
     assert_same_ellipse(fitted, (1.0, 2.0), (2.0, 1.0), 0.3, tol=1e-7)
     with pytest.raises(EllipseFitError):
-        fit_ellipse(e.sample(4))
+        fit_ellipse(sample(e, 4))
 
 
 def test_order_invariance():
     e = make_ellipse((0.5, 0.2), (3.0, 1.4), 1.9)
-    pts = e.sample(17, rng=np.random.default_rng(3))
+    pts = sample(e, 17, rng=np.random.default_rng(3))
     f1 = fit_ellipse(pts)
     f2 = fit_ellipse(pts[::-1])
     np.testing.assert_allclose(f1.center, f2.center, rtol=0, atol=1e-12)
@@ -104,7 +117,7 @@ def test_order_invariance():
 
 def test_translation_equivariance():
     e = make_ellipse((0.0, 0.0), (2.2, 0.9), 0.4)
-    pts = e.sample(30)
+    pts = sample(e, 30)
     base = fit_ellipse(pts)
     moved = fit_ellipse(pts + np.array([5.0, -3.0]))
     np.testing.assert_allclose(
@@ -117,7 +130,7 @@ def test_translation_equivariance():
 def test_rotation_equivariance():
     alpha = 0.6
     e = make_ellipse((1.0, -2.0), (2.0, 1.0), 0.3)
-    pts = e.sample(30)
+    pts = sample(e, 30)
     rot = np.array([[np.cos(alpha), -np.sin(alpha)],
                     [np.sin(alpha), np.cos(alpha)]])
     base = fit_ellipse(pts)
@@ -131,15 +144,15 @@ def test_rotation_equivariance():
 
 def test_conic_evaluates_to_zero_on_boundary():
     e = make_ellipse((0.3, 1.1), (1.9, 0.8), 2.5)
-    fitted = fit_ellipse(e.sample(21))
+    fitted = fit_ellipse(sample(e, 21))
     A, B, C, D, E, F = fitted.conic
-    x, y = e.sample(100).T
+    x, y = sample(e, 100).T
     residual = A * x * x + B * x * y + C * y * y + D * x + E * y + F
     np.testing.assert_allclose(residual, np.zeros_like(x), rtol=0, atol=1e-10)
 
 
 def test_conic_normalization_convention():
-    fitted = fit_ellipse(make_ellipse((2.0, 3.0), (1.5, 0.7), 1.2).sample(12))
+    fitted = fit_ellipse(sample(make_ellipse((2.0, 3.0), (1.5, 0.7), 1.2), 12))
     A, B, C, _, _, _ = fitted.conic
     np.testing.assert_allclose(4 * A * C - B * B, 1.0, rtol=1e-12)
     assert A > 0
@@ -148,7 +161,7 @@ def test_conic_normalization_convention():
 def test_noise_tolerance():
     rng = np.random.default_rng(11)
     e = make_ellipse((0.0, 0.5), (3.0, 2.0), 0.9)
-    pts = e.sample(400, rng=rng) + rng.normal(scale=0.01, size=(400, 2))
+    pts = sample(e, 400, rng=rng) + rng.normal(scale=0.01, size=(400, 2))
     fitted = fit_ellipse(pts)
     np.testing.assert_allclose(fitted.center, e.center, rtol=0, atol=0.01)
     np.testing.assert_allclose(fitted.axes, e.axes, rtol=0.01)
@@ -166,11 +179,9 @@ def test_degenerate_inputs_rejected():
         fit_ellipse(np.zeros((6, 3)))
 
 
-def test_dict_form():
+def test_conic_form_round_trip():
     e = make_ellipse((1.0, 2.0), (2.0, 1.0), 0.5)
-    d = e.to_dict()
-    assert d["schema"] == "ellipse/1"
-    again = conic_to_geometric(d["conic"])
+    again = conic_to_geometric(e.conic)
     np.testing.assert_allclose(again.center, e.center, rtol=1e-12)
 
 
@@ -186,7 +197,7 @@ def test_dict_form():
 def test_fit_recovers_random_ellipses(cx, cy, a, ratio, angle, n):
     axes = (a, a * ratio)
     e = make_ellipse((cx, cy), axes, angle)
-    fitted = fit_ellipse(e.sample(n))
+    fitted = fit_ellipse(sample(e, n))
     scale = a + np.hypot(cx, cy)
     assert abs(fitted.center[0] - cx) < 1e-7 * scale
     assert abs(fitted.center[1] - cy) < 1e-7 * scale
