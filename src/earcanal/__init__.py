@@ -16,8 +16,6 @@ audio data.
 """
 
 from earcanal.mesh import (
-    CentroidCloud,
-    SliceBin,
     SliceSet,
     StlParseError,
     TriangleMesh,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AcousticFeature",
     "CanalGenerator",
-    "CentroidCloud",
     "Ellipse",
     "EllipseFitError",
     "ExcitationSignal",
@@ -88,7 +85,6 @@ __all__ = [
     "ShapeCenterFn",
     "ShapeSimilarity",
     "SimilarityMatrix",
-    "SliceBin",
     "SliceSet",
     "StlParseError",
     "SubjectFamily",

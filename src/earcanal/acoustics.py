@@ -23,7 +23,7 @@ import numpy as np
 from scipy.signal import butter, fftconvolve, lfilter, max_len_seq
 
 from earcanal.analysis import SimilarityMatrix
-from earcanal.config import DEFAULTS
+from earcanal.config import DEFAULTS, readonly_view
 
 STAGES = ("raw", "trimmed", "min_phase", "bandpassed", "normalized")
 _STAGE_ORDER = {s: i for i, s in enumerate(STAGES)}
@@ -45,7 +45,7 @@ class ExcitationSignal:
     sample_rate: int = DEFAULTS.sample_rate
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
+        s = readonly_view(self.samples)
         if s.ndim != 1:
             raise ValueError("excitation samples must be a 1D sequence")
         if s.shape[0] != 2**self.order - 1:
@@ -54,7 +54,6 @@ class ExcitationSignal:
             )
         if not np.all(np.abs(s) == 1.0):
             raise ValueError("excitation samples must all be +1 or -1")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     @property
@@ -71,7 +70,7 @@ class ImpulseResponse:
     stage: str = "raw"
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
+        s = readonly_view(self.samples)
         if s.ndim != 1 or s.shape[0] < 1:
             raise ValueError("impulse response must be a nonempty 1D sequence")
         if not np.isfinite(s).all():
@@ -80,7 +79,6 @@ class ImpulseResponse:
             raise ValueError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
@@ -93,17 +91,14 @@ class AcousticFeature:
 
     samples: np.ndarray
     sample_rate: int = DEFAULTS.sample_rate
-    subject_id: str | None = None
-    take_index: int | None = None
 
     def __post_init__(self) -> None:
-        s = np.ascontiguousarray(self.samples, dtype=np.float64)
+        s = readonly_view(self.samples)
         if s.ndim != 1 or s.shape[0] < 1:
             raise ValueError("feature must be a nonempty 1D sequence")
         power = float(np.sum(s * s))
         if abs(power - 1.0) > 1e-9:
             raise ValueError(f"feature power must be 1, got {power!r}")
-        s.flags.writeable = False
         object.__setattr__(self, "samples", s)
 
     def __len__(self) -> int:
@@ -325,17 +320,13 @@ def butterworth_bandpass(
     return ImpulseResponse(lfilter(b, a, ir.samples), ir.sample_rate, "bandpassed")
 
 
-def normalize_power(
-    ir: ImpulseResponse,
-    subject_id: str | None = None,
-    take_index: int | None = None,
-) -> AcousticFeature:
+def normalize_power(ir: ImpulseResponse) -> AcousticFeature:
     """Scale so the total signal power sums to exactly 1."""
     _require_stage_before(ir, "normalized")
     power = float(np.sum(ir.samples * ir.samples))
     if power == 0.0:
         raise ValueError("cannot normalize a zero-energy response")
-    return AcousticFeature(ir.samples / np.sqrt(power), ir.sample_rate, subject_id, take_index)
+    return AcousticFeature(ir.samples / np.sqrt(power), ir.sample_rate)
 
 
 def response_feature(
@@ -346,8 +337,6 @@ def response_feature(
     filter_order: int = DEFAULTS.filter_order,
     feature_length: int = DEFAULTS.feature_length,
     n_fft: int | None = None,
-    subject_id: str | None = None,
-    take_index: int | None = None,
 ) -> AcousticFeature:
     """Full feature chain: trim, minimum phase, bandpass, fixed length,
     unit power.
@@ -369,9 +358,7 @@ def response_feature(
     x = out.samples
     if x.shape[0] < feature_length:
         x = np.concatenate([x, np.zeros(feature_length - x.shape[0])])
-    return normalize_power(
-        ImpulseResponse(x, out.sample_rate, "bandpassed"), subject_id, take_index
-    )
+    return normalize_power(ImpulseResponse(x, out.sample_rate, "bandpassed"))
 
 
 def _feature_samples(f) -> np.ndarray:

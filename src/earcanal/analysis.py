@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from earcanal.config import readonly_view
+
 
 def _fmt(x: float) -> str:
     """Shortest exact decimal form; the one format used in every output
@@ -45,7 +47,7 @@ class SimilarityMatrix:
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate subject ids")
         m = len(ids)
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
+        v = readonly_view(self.values)
         if v.shape != (m, m):
             raise ValueError(f"values must be {m}x{m}, got {v.shape}")
         off = ~np.eye(m, dtype=bool)
@@ -56,18 +58,16 @@ class SimilarityMatrix:
             raise ValueError("similarity matrix must be symmetric")
         if self.kind not in ("shape", "acoustic"):
             raise ValueError(f"kind must be 'shape' or 'acoustic', got {self.kind!r}")
-        v.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "_rows", {sid: i for i, sid in enumerate(ids)})
         object.__setattr__(self, "values", v)
         s = self.stds
         if s is not None:
-            s = np.ascontiguousarray(s, dtype=np.float64)
+            s = readonly_view(s)
             if s.shape != (m, m):
                 raise ValueError(f"stds must be {m}x{m}, got {s.shape}")
             if np.any(s[~np.isnan(s)] < 0):
                 raise ValueError("standard deviations must be nonnegative")
-            s.flags.writeable = False
         object.__setattr__(self, "stds", s)
 
     @property
@@ -340,14 +340,14 @@ def emit_report(
     scatter-and-fit plot per subject, and a machine-readable JSON summary
     embedding the resolved configuration.  Returns the summary dict.
     Outputs are pure functions of the inputs: identical inputs give
-    byte-identical files.
+    byte-identical files.  Every file is built before the first is
+    written, so a failure writes nothing.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results = regress_all_subjects(shape_m, acoustic_m)
-
-    (out / "shape_similarity.csv").write_text(shape_m.to_csv())
-    (out / "acoustic_similarity.csv").write_text(acoustic_m.to_csv())
+    files = {
+        "shape_similarity.csv": shape_m.to_csv(),
+        "acoustic_similarity.csv": acoustic_m.to_csv(),
+    }
 
     lines = ["subject,r,r_squared,slope,intercept,degenerate"]
     for res in results:
@@ -355,10 +355,9 @@ def emit_report(
             f"{res.subject_id},{_fmt(res.r)},{_fmt(res.r_squared)},"
             f"{_fmt(res.slope)},{_fmt(res.intercept)},{int(res.degenerate)}"
         )
-    (out / "regressions.csv").write_text("\n".join(lines) + "\n")
-
+    files["regressions.csv"] = "\n".join(lines) + "\n"
     for res in results:
-        (out / f"scatter_{res.subject_id}.svg").write_text(_svg_scatter(res))
+        files[f"scatter_{res.subject_id}.svg"] = _svg_scatter(res)
 
     summary: dict = {
         "schema": "correlation_report/1",
@@ -375,5 +374,9 @@ def emit_report(
                 "pair_value": st.pair_value,
                 "percent_excess": st.percent_excess,
             }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     return summary

@@ -24,7 +24,9 @@ import dataclasses
 import inspect
 import json
 import os
+import struct
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -98,8 +100,11 @@ def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
     if not path.is_file():
         raise InputError(f"no such file: {path}")
     try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
+        # a file cut inside its data chunk would otherwise be read short
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
         raise InputError(f"cannot decode {path}: {exc}") from None
     if rate != expected_rate:
         raise InputError(f"{path}: expected {expected_rate} Hz, got {rate} Hz (no resampling)")
@@ -164,8 +169,6 @@ def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
             return ImpulseResponse(taps, cfg.sample_rate, "raw")
         if isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
             return generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
-    except KeyError as exc:
-        raise InputError(f"subject {sid!r}: plant JSON lacks the field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"subject {sid!r}: invalid plant JSON: {exc}") from None
     raise InputError(
@@ -173,7 +176,7 @@ def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
     )
 
 
-def _take_feature(recording, take: int, cfg: PipelineConfig, excitation, sid: str):
+def _take_feature(recording, take: int, cfg: PipelineConfig, excitation):
     """One take: recording -> impulse response -> feature.
 
     ``recording`` maps the take index to its samples, so a simulated
@@ -188,8 +191,6 @@ def _take_feature(recording, take: int, cfg: PipelineConfig, excitation, sid: st
         high_hz=cfg.band_high_hz,
         filter_order=cfg.filter_order,
         feature_length=cfg.feature_length,
-        subject_id=sid,
-        take_index=take,
     )
 
 
@@ -240,7 +241,7 @@ def cmd_acoustic(args) -> int:
         # the first failing take's error.
         with ThreadPoolExecutor(_workers(n_takes)) as pool:
             feats = pool.map(
-                lambda take: _take_feature(recording, take, cfg, excitation, sid),
+                lambda take: _take_feature(recording, take, cfg, excitation),
                 range(n_takes),
             )
             all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))
@@ -302,6 +303,8 @@ def cmd_correlate(args) -> int:
         for p in parts:
             if p not in shape_m.ids:
                 raise InputError(f"--pair names unknown subject {p!r}")
+        if parts[0] == parts[1]:
+            raise InputError(f"--pair needs two different subjects, got {args.pair!r}")
         pair = (parts[0], parts[1])
     out = Path(args.out)
     emit_report(shape_m, acoustic_m, out, designated_pair=pair, config=cfg.to_dict())

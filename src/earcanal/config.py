@@ -2,21 +2,86 @@
 
 One frozen dataclass holds every tunable of both measurement chains, so
 a run can be reproduced from the config JSON it writes next to its
-outputs.  The representation round-trips losslessly through
-``to_dict``/``from_dict``.  Its field defaults are the only place a
-default is written down: ``DEFAULTS`` carries them to the keyword
-defaults of the stage functions.
+outputs.  Its field defaults are the only place a default is written
+down: ``DEFAULTS`` carries them to the keyword defaults of the stage
+functions.
+
+The module also holds the two rules the value types share.
+:class:`Record` is the JSON rule of the types read from JSON: the config
+here, and the canal and plant generators of ``earcanal.synth``.
+:func:`readonly_view` is how a type that holds an array stores it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import ClassVar, get_type_hints
+
+import numpy as np
+
+
+def readonly_view(a) -> np.ndarray:
+    """A read-only float64 view of ``a``.  It copies only what is not
+    already contiguous float64, and it never freezes the caller's array."""
+    v = np.ascontiguousarray(a, dtype=np.float64).view()
+    v.flags.writeable = False
+    return v
+
+
+def _is_a(value, types) -> bool:
+    # a bool is never a number here, though Python counts it an int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+# evaluating the annotations takes 20 times as long as the checks
+_field_types = functools.cache(get_type_hints)
+
+
+class Record:
+    """Base of a frozen dataclass that round-trips through JSON.
+
+    ``to_dict`` tags the fields with the class's ``schema``;
+    ``from_dict`` rejects unknown keys and reads JSON lists as tuples.
+    Each field is checked against its annotation on construction: a
+    float field also takes an int (JSON has one number type), a bool is
+    never a number, and a tuple field must hold numbers.
+    """
+
+    schema: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        hints = _field_types(type(self))
+        for f in fields(self):
+            value, expected = getattr(self, f.name), hints[f.name]
+            if not _is_a(value, (int, float) if expected is float else expected):
+                raise TypeError(
+                    f"{f.name} must be {expected.__name__}, got {type(value).__name__} {value!r}"
+                )
+            if expected is tuple and not all(_is_a(v, (int, float)) for v in value):
+                raise TypeError(f"{f.name} must hold numbers, got {value!r}")
+
+    def to_dict(self) -> dict:
+        return {"schema": self.schema, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        known = {f.name for f in fields(cls)}
+        extra = set(d) - known - {"schema"}
+        if extra:
+            # "pipeline_config/1" -> "config", "plant/1" -> "plant"
+            noun = cls.schema.split("/")[0].split("_")[-1]
+            raise ValueError(f"unknown {noun} fields: {sorted(extra)}")
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in d.items() if k in known})
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(Record):
+    schema = "pipeline_config/1"
+
     # shape chain
     delta_z: float = 0.1
     theta_samples: int = 3600
@@ -37,15 +102,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value, expected = getattr(self, f.name), type(f.default)
-            # a float field also takes an int (JSON has one number type);
-            # a bool is never a number here, though Python counts it an int
-            accepted = (int, float) if expected is float else expected
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise TypeError(
-                    f"{f.name} must be {expected.__name__}, got {type(value).__name__} {value!r}"
-                )
+        super().__post_init__()
         if self.delta_z <= 0:
             raise ValueError("delta_z must be positive")
         if self.theta_samples < 4:
@@ -68,19 +125,6 @@ class PipelineConfig:
             raise ValueError("similarity_mode must be 'vector' or 'per_sample'")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-    def to_dict(self) -> dict:
-        d = {"schema": "pipeline_config/1"}
-        d.update(asdict(self))
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(d) - known - {"schema"}
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**{k: v for k, v in d.items() if k in known})
 
     def dump(self, path, command: str | None = None) -> None:
         d = self.to_dict()

@@ -2,8 +2,9 @@
 
 Input geometry is a triangulated surface in STL format (binary or ASCII),
 with coordinates interpreted as millimeters.  The mesh is reduced to the
-cloud of triangle centers of gravity, which is then binned into thin
-z-slices for the downstream per-slice ellipse fits.
+cloud of triangle centers of gravity, an (n, 3) array, which is then
+binned into thin z-slices of xy points for the downstream per-slice
+ellipse fits.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from earcanal.config import readonly_view
 
 _BINARY_HEADER_LEN = 80
 _FACET_DTYPE = np.dtype([
@@ -23,12 +26,6 @@ _FACET_DTYPE = np.dtype([
 
 class StlParseError(ValueError):
     """Malformed STL content: truncated, inconsistent, or unparseable."""
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -43,8 +40,8 @@ class TriangleMesh:
     source_format: str
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vertices, dtype=np.float64)
-        n = np.asarray(self.normals, dtype=np.float64)
+        v = readonly_view(self.vertices)
+        n = readonly_view(self.normals)
         if v.ndim != 3 or v.shape[1:] != (3, 3):
             raise ValueError(f"vertices must have shape (n, 3, 3), got {v.shape}")
         if n.shape != (v.shape[0], 3):
@@ -53,8 +50,8 @@ class TriangleMesh:
             raise ValueError("mesh must contain at least one triangle")
         if not np.isfinite(v).all():
             raise ValueError("mesh contains non-finite vertex coordinates")
-        object.__setattr__(self, "vertices", _readonly(v))
-        object.__setattr__(self, "normals", _readonly(n))
+        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "normals", n)
 
     @property
     def n_triangles(self) -> int:
@@ -62,49 +59,14 @@ class TriangleMesh:
 
 
 @dataclass(frozen=True)
-class CentroidCloud:
-    """Per-triangle centers of gravity, one (x, y, z) point per triangle."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.points, dtype=np.float64)
-        if p.ndim != 2 or p.shape[1] != 3:
-            raise ValueError(f"points must have shape (n, 3), got {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValueError("centroid cloud contains non-finite coordinates")
-        object.__setattr__(self, "points", _readonly(p))
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class SliceBin:
-    """Points of one z-slice, projected to the xy plane (z discarded)."""
-
-    n: int
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.points, dtype=np.float64).reshape(-1, 2)
-        object.__setattr__(self, "points", _readonly(p))
-
-    @property
-    def count(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
 class SliceSet:
     """Contiguous z-slices of a centroid cloud.
 
-    Bin ``n`` holds exactly the points with ``n*delta_z < z - z_origin <=
-    (n+1)*delta_z``; bin 0 additionally includes points exactly at the
-    origin (closed below), so the ear-entrance boundary point is never
-    dropped.  Empty interior bins are retained so the index n maps
-    linearly to depth.
+    ``bins[n]`` is a read-only (k, 2) array of the xy coordinates of
+    exactly the points with ``n*delta_z < z - z_origin <= (n+1)*delta_z``;
+    bin 0 additionally includes points exactly at the origin (closed
+    below), so the ear-entrance boundary point is never dropped.  Empty
+    interior bins are retained so the index n maps linearly to depth.
     """
 
     delta_z: float
@@ -221,13 +183,14 @@ def write_binary_stl(mesh: TriangleMesh, header: bytes = b"earcanal binary STL")
     return header.ljust(_BINARY_HEADER_LEN, b"\0") + struct.pack("<I", mesh.n_triangles) + rec.tobytes()
 
 
-def triangle_centroids(mesh: TriangleMesh) -> CentroidCloud:
-    """Arithmetic mean of each triangle's three vertices."""
-    return CentroidCloud(mesh.vertices.mean(axis=1))
+def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
+    """Arithmetic mean of each triangle's three vertices: a read-only
+    (n, 3) array with one (x, y, z) point per triangle."""
+    return readonly_view(mesh.vertices.mean(axis=1))
 
 
-def slice_centroids(cloud: CentroidCloud, delta_z: float, z_origin: float | None = None) -> SliceSet:
-    """Bin centroid points into thin z-slices of width ``delta_z``.
+def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> SliceSet:
+    """Bin (n, 3) centroid points into thin z-slices of width ``delta_z``.
 
     Each point lands in the bin ``n`` with ``n*delta_z < z - z_origin <=
     (n+1)*delta_z`` (bin 0 is closed below).  ``z_origin`` defaults to the
@@ -236,9 +199,14 @@ def slice_centroids(cloud: CentroidCloud, delta_z: float, z_origin: float | None
     """
     if delta_z <= 0:
         raise ValueError(f"delta_z must be positive, got {delta_z}")
-    if cloud.count == 0:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must have shape (n, 3), got {points.shape}")
+    if points.shape[0] == 0:
         raise ValueError("cannot slice an empty centroid cloud")
-    z = cloud.points[:, 2]
+    if not np.isfinite(points).all():
+        raise ValueError("centroid cloud contains non-finite coordinates")
+    z = points[:, 2]
     zmin = float(z.min())
     if z_origin is None:
         z_origin = zmin
@@ -254,6 +222,5 @@ def slice_centroids(cloud: CentroidCloud, delta_z: float, z_origin: float | None
     # so the work is O(points log points) however many bins there are
     order = np.argsort(idx, kind="stable")
     cuts = np.searchsorted(idx[order], np.arange(1, int(idx.max()) + 1))
-    groups = np.split(cloud.points[order, :2], cuts)
-    bins = tuple(SliceBin(n, xy) for n, xy in enumerate(groups))
+    bins = tuple(readonly_view(xy) for xy in np.split(points[order, :2], cuts))
     return SliceSet(float(delta_z), float(z_origin), bins)

@@ -22,15 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from earcanal.analysis import SimilarityMatrix
-from earcanal.config import DEFAULTS
+from earcanal.config import DEFAULTS, readonly_view
 from earcanal.ellipse import EllipseFitError, fit_ellipse
 from earcanal.mesh import SliceSet
-
-
-def _readonly2(a, width: int) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64).reshape(-1, width)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -50,13 +44,13 @@ class ShapeCenterFn:
     interpolated: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        c = _readonly2(self.centers, 2)
+        c = readonly_view(self.centers).reshape(-1, 2)
         if c.shape[0] < 2:
             raise ValueError("shape center function needs at least 2 slices")
         object.__setattr__(self, "centers", c)
         raw = self.raw_centers
         if raw is not None:
-            raw = _readonly2(raw, 2)
+            raw = readonly_view(raw).reshape(-1, 2)
             if raw.shape != c.shape:
                 raise ValueError("raw_centers must match centers in shape")
         object.__setattr__(self, "raw_centers", raw)
@@ -117,9 +111,9 @@ def shape_center_fn(
     fitted: list = []
     for b in slices.bins:
         geom = None
-        if b.count >= min_points:
+        if len(b) >= min_points:
             try:
-                geom = fit_ellipse(b.points)
+                geom = fit_ellipse(b)
             except EllipseFitError:
                 geom = None
         fitted.append(None if geom is None else geom.center)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from earcanal.acoustics import ImpulseResponse
-from earcanal.config import DEFAULTS
+from earcanal.config import DEFAULTS, Record
 from earcanal.mesh import TriangleMesh
 
 _DECAY_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
-class CanalGenerator:
+class CanalGenerator(Record):
     """Parametric tube: a centerline curve swept with a radius profile.
 
     ``centerline`` is one of
@@ -51,6 +51,8 @@ class CanalGenerator:
     mesh bytes but not the geometry's slice centers.
     """
 
+    schema = "canal_generator/1"
+
     centerline: dict
     radius_coeffs: tuple
     length: float
@@ -59,6 +61,7 @@ class CanalGenerator:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         kind = self.centerline.get("kind")
         if kind not in ("poly", "helix", "spiral"):
             raise ValueError(f"centerline kind must be 'poly', 'helix' or 'spiral', got {kind!r}")
@@ -68,7 +71,6 @@ class CanalGenerator:
             raise ValueError("facets_per_ring must be at least 3")
         if self.rings < 1:
             raise ValueError("rings must be at least 1")
-        object.__setattr__(self, "radius_coeffs", tuple(float(c) for c in self.radius_coeffs))
 
     def centerline_xy(self, z):
         """Centerline (x, y) at depth(s) z."""
@@ -90,31 +92,9 @@ class CanalGenerator:
         z = np.asarray(z, dtype=np.float64)
         return np.polynomial.polynomial.polyval(z, np.asarray(self.radius_coeffs))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": "canal_generator/1",
-            "centerline": dict(self.centerline),
-            "radius_coeffs": list(self.radius_coeffs),
-            "length": self.length,
-            "facets_per_ring": self.facets_per_ring,
-            "rings": self.rings,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CanalGenerator":
-        return cls(
-            centerline=dict(d["centerline"]),
-            radius_coeffs=tuple(d["radius_coeffs"]),
-            length=float(d["length"]),
-            facets_per_ring=int(d["facets_per_ring"]),
-            rings=int(d["rings"]),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass(frozen=True)
-class PlantGenerator:
+class PlantGenerator(Record):
     """Parallel two-pole resonator bank plus an optional direct path.
 
     Tap n of the impulse response is
@@ -125,6 +105,8 @@ class PlantGenerator:
     frequencies, Qs, and gains.
     """
 
+    schema = "plant/1"
+
     resonance_frequencies: tuple
     q_factors: tuple
     gains: tuple
@@ -133,40 +115,14 @@ class PlantGenerator:
     direct_gain: float = 0.0
 
     def __post_init__(self) -> None:
-        f = tuple(float(v) for v in self.resonance_frequencies)
-        q = tuple(float(v) for v in self.q_factors)
-        g = tuple(float(v) for v in self.gains)
-        if not (len(f) == len(q) == len(g)):
+        super().__post_init__()
+        f, q = self.resonance_frequencies, self.q_factors
+        if not (len(f) == len(q) == len(self.gains)):
             raise ValueError("frequencies, q_factors, and gains must have equal lengths")
         if any(v <= 0 for v in f) or any(v <= 0 for v in q):
             raise ValueError("resonance frequencies and Q factors must be positive")
         if self.tap_count < 1:
             raise ValueError("tap_count must be positive")
-        object.__setattr__(self, "resonance_frequencies", f)
-        object.__setattr__(self, "q_factors", q)
-        object.__setattr__(self, "gains", g)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "plant/1",
-            "resonance_frequencies": list(self.resonance_frequencies),
-            "q_factors": list(self.q_factors),
-            "gains": list(self.gains),
-            "tap_count": self.tap_count,
-            "seed": self.seed,
-            "direct_gain": self.direct_gain,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlantGenerator":
-        return cls(
-            resonance_frequencies=tuple(d["resonance_frequencies"]),
-            q_factors=tuple(d["q_factors"]),
-            gains=tuple(d["gains"]),
-            tap_count=int(d["tap_count"]),
-            seed=int(d["seed"]),
-            direct_gain=float(d.get("direct_gain", 0.0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -201,18 +157,6 @@ class SubjectFamily:
                 for s in self.subjects
             ],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubjectFamily":
-        subjects = tuple(
-            SubjectSpec(
-                s["subject_id"],
-                CanalGenerator.from_dict(s["canal"]),
-                PlantGenerator.from_dict(s["plant"]),
-            )
-            for s in d["subjects"]
-        )
-        return cls(subjects, int(d["base_seed"]), float(d["perturbation"]), tuple(d["twin_pair"]))
 
 
 def generate_canal_mesh(gen: CanalGenerator) -> TriangleMesh:

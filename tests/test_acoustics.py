@@ -354,11 +354,9 @@ def test_response_feature_length_and_power():
     rng = np.random.default_rng(3)
     raw = ir(np.concatenate([np.zeros(50), signal_from_roots(
         [(0.6, 0.8), (0.8, 2.0)]), 0.001 * rng.normal(size=200)]))
-    feat = response_feature(raw, feature_length=512, subject_id="s", take_index=2)
+    feat = response_feature(raw, feature_length=512)
     assert len(feat) == 512
     assert abs(float(np.sum(feat.samples**2)) - 1.0) < 1e-12
-    assert feat.subject_id == "s"
-    assert feat.take_index == 2
 
 
 def test_response_feature_pads_when_requested_longer():

@@ -250,6 +250,14 @@ def test_emit_report_writes_the_bundle(tmp_path):
     assert svg.count("<circle") == 2  # one dot per regression pair
 
 
+def test_failing_report_writes_nothing(tmp_path):
+    shape = tri_matrix([0.9, 0.8, 0.7])
+    acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
+    with pytest.raises(ValueError, match="diagonal"):
+        emit_report(shape, acoustic, tmp_path / "out", designated_pair=("a", "a"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_emit_report_is_deterministic(tmp_path):
     shape = tri_matrix([0.913, 0.87, 0.7003])
     acoustic = tri_matrix([0.51, 0.42, 0.39], kind="acoustic")

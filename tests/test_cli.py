@@ -204,6 +204,9 @@ def test_correlate_pair_validation(tmp_path, shape_out, acoustic_out, capsys):
     assert "--pair" in capsys.readouterr().err
     assert main(base + ["--pair", "twin_a,nobody"]) == 2
     assert "nobody" in capsys.readouterr().err
+    assert main(base + ["--pair", "twin_a,twin_a"]) == 2
+    assert "two different subjects" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_correlate_rejects_mismatched_subjects(tmp_path, shape_out, acoustic_out, capsys):
@@ -254,7 +257,7 @@ def serial_features(cfg, recordings):
     for sid, takes in recordings:
         for take, rec in enumerate(takes):
             raw = recover_impulse_response(rec, excitation, cfg["repeats"])
-            feats.append((sid, take, response_feature(raw, subject_id=sid, take_index=take)))
+            feats.append((sid, take, response_feature(raw)))
     return feats
 
 
@@ -376,6 +379,23 @@ def test_wav_must_be_mono_16bit(tmp_path, fast_cfg, capsys):
         assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cut", [4, 20, 30, 40, 44, 60])
+def test_truncated_wav_exits_two(tmp_path, fast_cfg, capsys, cut):
+    whole = tmp_path / "whole.wav"
+    wavfile.write(whole, 44100, np.arange(100, dtype=np.int16))
+    data = whole.read_bytes()
+    assert len(data) == 244
+    path = tmp_path / "cut.wav"
+    path.write_bytes(data[:cut])
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"s": {"takes": [path.name]}}}))
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot decode {path}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_recording_exits_one(tmp_path, fast_cfg, capsys):
     path = tmp_path / "short.wav"
     rng = np.random.default_rng(0)
@@ -462,18 +482,31 @@ def test_bad_manifest_shape_exits_two(tmp_path, capsys):
 
 
 PLANT_1 = {"schema": "plant/1", "q_factors": [5.0], "gains": [1.0], "tap_count": 2048, "seed": 0}
+PLANT_OK = {**PLANT_1, "resonance_frequencies": [1000.0]}
 
 
 @pytest.mark.parametrize("command, files, entry", [
     # a plant/1 generator without its resonance frequencies
     ("acoustic", {"p.json": PLANT_1}, {"plant": "p.json"}),
+    # plant fields are typed like config fields, not coerced
+    ("acoustic", {"p.json": {**PLANT_OK, "tap_count": 2048.9}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {**PLANT_OK, "tap_count": "2048"}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {**PLANT_OK, "seed": True}}, {"plant": "p.json"}),
+    # read as resonances at 1 Hz and 2 Hz if coerced; these Qs let both decay
+    ("acoustic", {"p.json": {**PLANT_OK, "resonance_frequencies": "12",
+                             "q_factors": [0.001, 0.001], "gains": [1.0, 1.0]}},
+     {"plant": "p.json"}),
+    ("acoustic", {"p.json": {**PLANT_OK, "gains": [True]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {**PLANT_OK, "mystery_knob": 3}}, {"plant": "p.json"}),
     # a plant JSON that is not an object
     ("acoustic", {"p.json": [1, 2]}, {"plant": "p.json"}),
     # a shape manifest entry that is not a path
     ("shape", {}, 5),
     # a takes entry that is one path instead of a list
     ("acoustic", {}, {"takes": "x.wav"}),
-], ids=["plant_missing_field", "plant_is_list", "shape_entry_number", "takes_is_string"])
+], ids=["plant_missing_field", "plant_tap_count_fraction", "plant_tap_count_string",
+        "plant_seed_bool", "plant_frequencies_string", "plant_gains_bool", "plant_unknown_key",
+        "plant_is_list", "shape_entry_number", "takes_is_string"])
 def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, entry):
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))

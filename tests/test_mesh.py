@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earcanal.mesh import (
-    CentroidCloud,
     StlParseError,
     TriangleMesh,
     parse_stl,
@@ -73,7 +72,7 @@ def test_ascii_parse_tetrahedron():
     assert mesh.source_format == "ascii_stl"
     assert mesh.vertices[0, 1, 0] == 1.0  # scientific notation token
     np.testing.assert_allclose(
-        triangle_centroids(mesh).points, TETRA_CENTROIDS, rtol=0, atol=0)
+        triangle_centroids(mesh), TETRA_CENTROIDS, rtol=0, atol=0)
 
 
 def test_binary_matches_ascii():
@@ -139,14 +138,15 @@ def test_centroids_are_vertex_means():
     mesh = random_mesh(23, seed=5)
     cloud = triangle_centroids(mesh)
     expected = np.stack([mesh.vertices[i].mean(axis=0) for i in range(23)])
-    np.testing.assert_allclose(cloud.points, expected, rtol=1e-15)
+    np.testing.assert_allclose(cloud, expected, rtol=1e-15)
+    assert not cloud.flags.writeable
 
 
 def test_translated_shifts_centroids():
     mesh = random_mesh(11, seed=2)
     offset = np.array([1.0, -2.0, 0.5])
-    moved = triangle_centroids(TriangleMesh(mesh.vertices + offset, mesh.normals, mesh.source_format)).points
-    base = triangle_centroids(mesh).points
+    moved = triangle_centroids(TriangleMesh(mesh.vertices + offset, mesh.normals, mesh.source_format))
+    base = triangle_centroids(mesh)
     np.testing.assert_allclose(moved - base - np.array([1.0, -2.0, 0.5]),
                                np.zeros_like(base), rtol=0, atol=1e-12)
 
@@ -156,32 +156,32 @@ def cloud_at_z(zs):
     pts = np.zeros((len(zs), 3))
     pts[:, 2] = zs
     pts[:, 0] = np.arange(len(zs))  # distinct x so points stay identifiable
-    return CentroidCloud(pts)
+    return pts
 
 
 def test_boundary_points_fall_in_lower_bin():
     # delta_z 0.5 is exactly representable, so the edges are exact floats
     s = slice_centroids(cloud_at_z([0.0, 0.25, 0.5, 0.5 + 1e-9, 1.0, 1.2]), 0.5)
-    counts = [b.count for b in s.bins]
+    counts = [len(b) for b in s.bins]
     assert counts == [3, 2, 1]  # {0, .25, .5}, {.5+eps, 1.0}, {1.2}
-    assert s.bins[0].points[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert s.bins[0][:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert all(b.shape[1] == 2 and not b.flags.writeable for b in s.bins)
 
 
 def test_origin_point_kept_in_bin_zero():
     s = slice_centroids(cloud_at_z([2.0, 2.7]), 0.5)
     assert s.z_origin == 2.0
-    assert s.bins[0].count == 1
+    assert len(s.bins[0]) == 1
 
 
 def test_empty_interior_bins_retained():
     s = slice_centroids(cloud_at_z([0.1, 1.9]), 0.5)
-    assert [b.count for b in s.bins] == [1, 0, 0, 1]
-    assert [b.n for b in s.bins] == [0, 1, 2, 3]
+    assert [b.shape for b in s.bins] == [(1, 2), (0, 2), (0, 2), (1, 2)]
 
 
 def test_explicit_origin_below_minimum():
     s = slice_centroids(cloud_at_z([1.0, 1.4]), 0.5, z_origin=0.0)
-    assert [b.count for b in s.bins] == [0, 1, 1]
+    assert [len(b) for b in s.bins] == [0, 1, 1]
 
 
 def test_origin_above_minimum_rejected():
@@ -194,6 +194,18 @@ def test_nonpositive_delta_rejected():
         slice_centroids(cloud_at_z([0.0, 1.0]), 0.0)
 
 
+@pytest.mark.parametrize("points, message", [
+    (np.zeros((4, 2)), r"shape \(n, 3\)"),
+    (np.zeros(3), r"shape \(n, 3\)"),
+    (np.zeros((0, 3)), "empty"),
+    (cloud_at_z([0.0, np.nan]), "non-finite"),
+    (cloud_at_z([0.0, np.inf]), "non-finite"),
+], ids=["two_columns", "flat", "empty", "nan", "inf"])
+def test_malformed_points_rejected(points, message):
+    with pytest.raises(ValueError, match=message):
+        slice_centroids(points, 0.5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     zs=st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=60),
@@ -201,19 +213,19 @@ def test_nonpositive_delta_rejected():
 )
 def test_binning_partitions_the_cloud(zs, delta):
     s = slice_centroids(cloud_at_z(zs), delta)
-    assert sum(b.count for b in s.bins) == len(zs)
+    assert sum(len(b) for b in s.bins) == len(zs)
     z0 = s.z_origin
     z_by_x = {float(i): z for i, z in enumerate(zs)}
-    for b in s.bins:
-        for x, _ in b.points:
+    for n, b in enumerate(s.bins):
+        for x, _ in b:
             rel = z_by_x[float(x)] - z0
             # interval membership up to one representation ulp at the edges
-            assert rel <= (b.n + 1) * delta * (1 + 1e-12) + 1e-300
-            if b.n > 0:
-                assert rel > b.n * delta * (1 - 1e-12) - 1e-300
+            assert rel <= (n + 1) * delta * (1 + 1e-12) + 1e-300
+            if n > 0:
+                assert rel > n * delta * (1 - 1e-12) - 1e-300
     # each bin holds its points in cloud order, as a boolean mask picks them
     cloud = cloud_at_z(zs)
-    rel = cloud.points[:, 2] - z0
+    rel = cloud[:, 2] - z0
     idx = np.maximum(np.ceil(rel / delta).astype(np.int64) - 1, 0)
-    for b in s.bins:
-        np.testing.assert_array_equal(b.points, cloud.points[idx == b.n, :2])
+    for n, b in enumerate(s.bins):
+        np.testing.assert_array_equal(b, cloud[idx == n, :2])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from earcanal.ellipse import EllipseFitError
-from earcanal.mesh import SliceBin, SliceSet
+from earcanal.mesh import SliceSet
 from earcanal.shape import (
     ShapeCenterFn,
     shape_center_fn,
@@ -40,7 +40,7 @@ def slices_from_centers(centers, counts=None, delta_z=0.1):
     bins = []
     for n, c in enumerate(centers):
         count = 8 if counts is None else counts[n]
-        bins.append(SliceBin(n, circle_points(c, n=count)))
+        bins.append(circle_points(c, n=count))
     return SliceSet(delta_z, 0.0, tuple(bins))
 
 
@@ -169,7 +169,7 @@ def test_sparse_interior_slice_is_interpolated():
 
 def test_degenerate_interior_slice_is_interpolated():
     s = slices_from_centers([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
-    bad = SliceBin(2, np.column_stack([np.linspace(0, 1, 8), np.zeros(8)]))
+    bad = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
     s = SliceSet(s.delta_z, s.z_origin, s.bins[:2] + (bad,) + s.bins[3:])
     fn = shape_center_fn(s)
     assert fn.interpolated == (2,)

@@ -1,5 +1,6 @@
 """Synthetic canal meshes and matched acoustic plants."""
 
+import json
 import re
 
 import numpy as np
@@ -17,7 +18,6 @@ from earcanal.shape import shape_center_fn, shape_similarity
 from earcanal.synth import (
     CanalGenerator,
     PlantGenerator,
-    SubjectFamily,
     generate_canal_mesh,
     generate_plant,
     make_subject_family,
@@ -69,14 +69,14 @@ def test_every_slice_is_well_populated():
     cloud = triangle_centroids(generate_canal_mesh(tube()))
     # band-aligned slicing: each bin holds exactly both third-clusters
     slices = slice_centroids(cloud, 0.1, z_origin=0.0)
-    counts = [b.count for b in slices.bins]
+    counts = [len(b) for b in slices.bins]
     assert len(counts) == 80
     assert min(counts) == max(counts) == 60
     # default origin starts at the first cluster, which puts the lower
     # clusters exactly on bin edges; they may round down one bin, but every
     # slice keeps at least a full cluster and no point is lost
     slices = slice_centroids(cloud, 0.1)
-    counts = [b.count for b in slices.bins]
+    counts = [len(b) for b in slices.bins]
     assert len(counts) == 80
     assert sum(counts) == 2 * 30 * 80
     assert min(counts) >= 30
@@ -147,15 +147,6 @@ def test_canal_generator_validation():
         generate_canal_mesh(tube(radius=(1.0, -0.5)))  # negative by z=2
 
 
-def test_canal_generator_round_trip():
-    gen = tube(centerline={"kind": "spiral", "drift_per_mm": 0.3, "rate": 0.2,
-                           "curl": 0.005, "phase": 1.0}, radius=(3.2, -0.02),
-               seed=7)
-    d = gen.to_dict()
-    assert d["schema"] == "canal_generator/1"
-    assert CanalGenerator.from_dict(d) == gen
-
-
 def test_plant_impulse_response_peaks_at_resonance():
     gen = PlantGenerator((2000.0,), (6.0,), (1.0,), tap_count=2048, seed=3)
     h = generate_plant(gen)
@@ -210,14 +201,6 @@ def test_plant_seed_controls_phases_only():
     assert not np.array_equal(a, c)
 
 
-def test_plant_round_trip():
-    gen = PlantGenerator((900.0, 1800.0), (5.0, 6.0), (1.0, 0.8),
-                         tap_count=1024, seed=4, direct_gain=0.1)
-    d = gen.to_dict()
-    assert d["schema"] == "plant/1"
-    assert PlantGenerator.from_dict(d) == gen
-
-
 def test_family_structure():
     fam = make_subject_family(0)
     ids = [s.subject_id for s in fam]
@@ -228,6 +211,12 @@ def test_family_structure():
     assert len(seeds) == 1  # family-shared phase draw
     canal_seeds = {s.canal.seed for s in fam}
     assert len(canal_seeds) == len(ids)
+    # family.json nests each subject's generator records
+    d = json.loads(json.dumps(fam.to_dict()))
+    assert d["schema"] == "subject_family/1"
+    assert [(s["subject_id"], CanalGenerator.from_dict(s["canal"]),
+             PlantGenerator.from_dict(s["plant"])) for s in d["subjects"]] == \
+        [(s.subject_id, s.canal, s.plant) for s in fam]
 
 
 def test_independent_subject_ids_continue_past_z():
@@ -237,14 +226,6 @@ def test_independent_subject_ids_continue_past_z():
     letters = [chr(c) for c in range(ord("c"), ord("z") + 1)]
     assert ids[:26] == ["twin_a", "twin_b"] + [f"subject_{c}" for c in letters]
     assert ids[26:] == [f"subject_a{c}" for c in "abcdef"]
-
-
-def test_family_round_trip():
-    fam = make_subject_family(5, perturbation=0.1, n_independent=3)
-    d = fam.to_dict()
-    assert d["schema"] == "subject_family/1"
-    again = SubjectFamily.from_dict(d)
-    assert again == fam
 
 
 def test_family_is_deterministic():
