@@ -17,10 +17,10 @@ from an earlier stage, so a pipeline cannot run backwards by accident.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter, max_len_seq
 
 from earcanal.analysis import SimilarityMatrix
 from earcanal.config import DEFAULTS, readonly_view
@@ -29,6 +29,18 @@ STAGES = ("raw", "trimmed", "min_phase", "bandpassed", "normalized")
 _STAGE_ORDER = {s: i for i, s in enumerate(STAGES)}
 
 MIN_PHASE_FLOOR = 1e-10
+
+# Feedback taps of a maximal-length shift register for each order: with
+# taps T, the register bits satisfy s[k+m] = s[k] ^ XOR(s[k+t] for t in T).
+# These are the first option per order of the standard tables (Golomb,
+# *Shift Register Sequences*), the same taps scipy.signal.max_len_seq uses.
+_MLS_TAPS = {
+    2: (1,), 3: (2,), 4: (3,), 5: (3,), 6: (5,), 7: (6,), 8: (7, 6, 1),
+    9: (5,), 10: (7,), 11: (9,), 12: (11, 10, 4), 13: (12, 11, 8),
+    14: (13, 12, 2), 15: (14,), 16: (15, 13, 4), 17: (14,), 18: (11,),
+    19: (18, 17, 14), 20: (17,), 21: (19,), 22: (21,), 23: (18,),
+    24: (23, 22, 17),
+}
 
 
 @dataclass(frozen=True)
@@ -122,8 +134,25 @@ def generate_mls(order: int, sample_rate: int = DEFAULTS.sample_rate) -> Excitat
     """
     if not (2 <= int(order) <= 24):
         raise ValueError(f"order must be between 2 and 24, got {order}")
-    bits, _state = max_len_seq(int(order))
-    return ExcitationSignal(bits.astype(np.float64) * 2.0 - 1.0, int(order), sample_rate)
+    order = int(order)
+    taps = _MLS_TAPS[order]
+    s = np.empty(2**order - 1, dtype=np.uint8)
+    s[:order] = 1
+    n, top = order, max(taps)
+    while n < s.shape[0]:
+        # Over GF(2), p(x)**2 = p(x**2), so the recurrence also holds
+        # with every offset scaled by a power of two d.  With the largest
+        # d for which d*order samples are known, one vectorised XOR
+        # yields the next d*(order - top) samples from known ones alone.
+        d = 1 << ((n // order).bit_length() - 1)
+        start = n - d * order
+        count = min(d * (order - top), s.shape[0] - n)
+        block = s[n : n + count]
+        block[:] = s[start : start + count]
+        for t in taps:
+            block ^= s[start + d * t : start + d * t + count]
+        n += count
+    return ExcitationSignal(s * 2.0 - 1.0, order, sample_rate)
 
 
 def simulate_measurement(
@@ -156,7 +185,9 @@ def simulate_measurement(
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     x = np.tile(excitation.samples, repeats + 1)
-    return add_noise(fftconvolve(x, h)[: x.shape[0]], noise_rms, rng)
+    n = _fast_len(x.shape[0] + h.shape[0] - 1)
+    clean = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)[: x.shape[0]]
+    return add_noise(clean, noise_rms, rng)
 
 
 def add_noise(recording: np.ndarray, noise_rms: float, rng=None) -> np.ndarray:
@@ -232,6 +263,21 @@ def trim_pre_rise(
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c at or above ``n``: an FFT size
+    numpy transforms fast, and often much nearer ``n`` than a power of
+    two."""
+    best = _next_pow2(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * _next_pow2(-(-n // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseResponse:
@@ -310,14 +356,67 @@ def butterworth_bandpass(
 
     ``filter_order`` is the total bandpass order (poles), so it must be
     even; the -3 dB points land on the requested edges because the
-    bilinear transform pre-warps the design frequencies.
+    bilinear transform pre-warps the design frequencies.  The filter runs
+    as a direct convolution, in time quadratic in the input length, so
+    :func:`response_feature` passes it only the samples the feature keeps.
     """
     _require_stage_before(ir, "bandpassed")
     if filter_order < 2 or filter_order % 2 != 0:
         raise ValueError(f"filter_order must be a positive even integer, got {filter_order}")
     low, high, _clamped = applied_band(ir.sample_rate, low_hz, high_hz)
-    b, a = butter(filter_order // 2, [low, high], btype="bandpass", fs=ir.sample_rate)
-    return ImpulseResponse(lfilter(b, a, ir.samples), ir.sample_rate, "bandpassed")
+    # The first len(x) output samples are x convolved with the filter's
+    # first len(x) impulse-response samples.  Each output sample is then
+    # one dot product over the inputs up to it, so filtering a prefix
+    # gives exactly the samples filtering the whole gives there.
+    x = ir.samples
+    h = _bandpass_impulse_response(ir.sample_rate, low, high, filter_order, x.shape[0])
+    return ImpulseResponse(np.convolve(x, h)[: x.shape[0]], ir.sample_rate, "bandpassed")
+
+
+def _butter_bandpass(sample_rate: int, low: float, high: float, filter_order: int):
+    """Digital Butterworth bandpass ``(b, a)`` of total order
+    ``filter_order``, -3 dB at ``low`` and ``high`` Hz.
+
+    The analog low-pass prototype's poles, pre-warped band edges, the
+    low-pass to band-pass substitution, then the bilinear transform
+    (Oppenheim & Schafer, *Discrete-Time Signal Processing*, ch. 7);
+    the steps and their order are scipy.signal.butter's.
+    """
+    order = filter_order // 2
+    # prototype: poles evenly spaced on the left half of the unit circle
+    p = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
+    # pre-warp, with frequencies in half-cycles per sample (fs = 2)
+    warped = 2 * 2.0 * np.tan(np.pi * (np.array([low, high]) / (sample_rate / 2)) / 2.0)
+    bw = warped[1] - warped[0]
+    wo = np.sqrt(warped[0] * warped[1])
+    # low-pass to band-pass: each pole splits into two, shifted to +-wo;
+    # the band-pass gains ``order`` zeros at s = 0
+    p_lp = p * bw / 2
+    p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2), p_lp - np.sqrt(p_lp**2 - wo**2)))
+    # bilinear transform: s = 0 maps to z = 1 and the zeros at infinity
+    # to z = -1 (Nyquist)
+    p_z = (4.0 + p_bp) / (4.0 - p_bp)
+    k = bw**order * np.real(4.0**order / np.prod(4.0 - p_bp))
+    b = k * np.poly(np.concatenate((np.ones(order), -np.ones(order))))
+    return b, np.poly(p_z)
+
+
+@functools.lru_cache(maxsize=16)
+def _bandpass_impulse_response(
+    sample_rate: int, low: float, high: float, filter_order: int, length: int
+) -> np.ndarray:
+    """The bandpass's first ``length`` impulse-response samples, read-only.
+    Cached: every take of a run uses one design."""
+    b, a = _butter_bandpass(sample_rate, low, high, filter_order)
+    b, a = b.tolist(), a.tolist()
+    # the direct-form recursion h[n] = b[n] - sum_k a[k] h[n-k] (a[0] = 1)
+    h = [0.0] * length
+    for i in range(length):
+        acc = b[i] if i < len(b) else 0.0
+        for k in range(1, min(i, len(a) - 1) + 1):
+            acc -= a[k] * h[i - k]
+        h[i] = acc
+    return readonly_view(h)
 
 
 def normalize_power(ir: ImpulseResponse) -> AcousticFeature:

@@ -26,12 +26,10 @@ import json
 import os
 import struct
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from earcanal.acoustics import (
     STAGES,
@@ -96,23 +94,66 @@ def _entry_path(manifest_path: Path, sid, rel) -> Path:
     return (manifest_path.parent / rel).resolve()
 
 
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# an EXTENSIBLE header names its format by a GUID whose first two bytes
+# are the format tag and whose remaining bytes are these
+_SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_wav(buf: bytes) -> tuple:
+    """``(format_tag, channels, rate, bits, block_align, data)`` of a
+    RIFF/WAVE file, ``data`` being the bytes of its first data chunk.
+
+    Chunks other than ``fmt `` and ``data`` are skipped, together with
+    the pad byte that follows a chunk of odd size.  A
+    WAVE_FORMAT_EXTENSIBLE header reports the tag of its sub-format.
+    Raises ValueError on anything it cannot read.
+    """
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    view = memoryview(buf)
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(buf):
+        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
+        body = view[pos + 8 : pos + 8 + size]
+        if len(body) < size:
+            raise ValueError(f"{chunk_id!r} chunk holds {len(body)} of its {size} bytes")
+        if chunk_id == b"fmt ":
+            if size < 16:
+                raise ValueError(f"fmt chunk of {size} bytes, need at least 16")
+            tag, channels, rate, _byte_rate, align, bits = struct.unpack_from("<HHIIHH", body)
+            if tag == _WAVE_FORMAT_EXTENSIBLE:
+                if size < 40 or body[26:40] != _SUBFORMAT_GUID_TAIL:
+                    raise ValueError("WAVE_FORMAT_EXTENSIBLE header without a known sub-format")
+                tag = struct.unpack_from("<H", body, 24)[0]
+            fmt = (tag, channels, rate, bits, align)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before the fmt chunk")
+            return (*fmt, body)
+        pos += 8 + size + size % 2
+    raise ValueError("no data chunk")
+
+
 def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
     if not path.is_file():
         raise InputError(f"no such file: {path}")
     try:
-        # a file cut inside its data chunk would otherwise be read short
-        with warnings.catch_warnings():
-            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except (ValueError, struct.error, wavfile.WavFileWarning) as exc:
+        tag, channels, rate, bits, align, data = _parse_wav(path.read_bytes())
+    except ValueError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from None
     if rate != expected_rate:
         raise InputError(f"{path}: expected {expected_rate} Hz, got {rate} Hz (no resampling)")
-    if data.ndim != 1:
-        raise InputError(f"{path}: expected mono audio, got {data.ndim} channels")
-    if data.dtype != np.int16:
-        raise InputError(f"{path}: expected 16-bit PCM, got {data.dtype}")
-    return data.astype(np.float64) / 32768.0
+    if channels != 1:
+        raise InputError(f"{path}: expected mono audio, got {channels} channels")
+    if tag != _WAVE_FORMAT_PCM or bits != 16 or align != 2:
+        raise InputError(
+            f"{path}: expected 16-bit PCM, got format {tag:#06x}, "
+            f"{bits} bits in {align}-byte blocks"
+        )
+    return np.frombuffer(data, "<i2", count=len(data) // 2).astype(np.float64) / 32768.0
 
 
 def _write_all(outputs: dict) -> None:
@@ -163,13 +204,33 @@ def cmd_shape(args) -> int:
 
 
 def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
+    """A subject's plant: literal ``{"taps": [...]}`` or a ``plant/1``
+    generator.  Its length is checked against one excitation period
+    before anything of that length is made."""
+    period = 2**cfg.mls_order - 1
+
+    def check_length(n_taps: int) -> None:
+        if n_taps > period:
+            raise ValueError(
+                f"{n_taps} taps exceed one excitation period "
+                f"({period} samples at mls_order {cfg.mls_order})"
+            )
+
     try:
         if isinstance(plant_spec, dict) and "taps" in plant_spec:
-            taps = np.asarray(plant_spec["taps"], dtype=np.float64)
+            taps = plant_spec["taps"]
+            if set(plant_spec) != {"taps"}:
+                raise ValueError(f"unknown plant fields: {sorted(set(plant_spec) - {'taps'})}")
+            # a bool is never a number here, though Python counts it an int
+            if not isinstance(taps, list) or not all(type(v) in (int, float) for v in taps):
+                raise ValueError("taps must be a list of numbers")
+            check_length(len(taps))
             return ImpulseResponse(taps, cfg.sample_rate, "raw")
         if isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
-            return generate_plant(PlantGenerator.from_dict(plant_spec), cfg.sample_rate)
-    except (TypeError, ValueError) as exc:
+            gen = PlantGenerator.from_dict(plant_spec)
+            check_length(gen.tap_count)
+            return generate_plant(gen, cfg.sample_rate)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"subject {sid!r}: invalid plant JSON: {exc}") from None
     raise InputError(
         f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"

@@ -1,15 +1,19 @@
 """End-to-end CLI behaviour: subcommands, exit codes, reproducibility."""
 
 import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import earcanal
@@ -396,6 +400,43 @@ def test_truncated_wav_exits_two(tmp_path, fast_cfg, capsys, cut):
     assert not (tmp_path / "o").exists()
 
 
+def small_wav_bytes():
+    """A valid 16-bit mono WAV of two order-5 MLS periods through a plant."""
+    rec = simulate_measurement(generate_mls(5, 44100), 0.6 ** np.arange(6), repeats=1)
+    buf = io.BytesIO()
+    wavfile.write(buf, 44100, np.round(rec / np.abs(rec).max() * 0.9 * 32767.0).astype(np.int16))
+    return buf.getvalue()
+
+
+SMALL_WAV = small_wav_bytes()
+SMALL_WAV_CFG = {"mls_order": 5, "repeats": 1, "feature_length": 32}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cut=st.integers(0, len(SMALL_WAV)),
+    # many of the edits land in the 44-byte header
+    edits=st.lists(st.tuples(st.one_of(st.integers(0, 43), st.integers(0, len(SMALL_WAV) - 1)),
+                             st.integers(0, 255)), max_size=6),
+)
+def test_damaged_wav_exits_with_a_code(cut, edits):
+    data = bytearray(SMALL_WAV[:cut])
+    for pos, value in edits:
+        if pos < len(data):
+            data[pos] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "take.wav").write_bytes(bytes(data))
+        (root / "cfg.json").write_text(json.dumps(SMALL_WAV_CFG))
+        (root / "m.json").write_text(json.dumps(
+            {"subjects": {"a": {"takes": ["take.wav"]}, "b": {"takes": ["take.wav"]}}}))
+        code = main(["acoustic", "--config", str(root / "cfg.json"), "--out", str(root / "o"),
+                     "--manifest", str(root / "m.json")])
+    assert code in (0, 1, 2)
+    if not edits and cut == len(SMALL_WAV):
+        assert code == 0
+
+
 def test_short_recording_exits_one(tmp_path, fast_cfg, capsys):
     path = tmp_path / "short.wav"
     rng = np.random.default_rng(0)
@@ -500,13 +541,25 @@ PLANT_OK = {**PLANT_1, "resonance_frequencies": [1000.0]}
     ("acoustic", {"p.json": {**PLANT_OK, "mystery_knob": 3}}, {"plant": "p.json"}),
     # a plant JSON that is not an object
     ("acoustic", {"p.json": [1, 2]}, {"plant": "p.json"}),
+    # literal taps are numbers in a list, with no other key beside them
+    ("acoustic", {"p.json": {"taps": ["1", True, 0.5]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": [1.0, True]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": [[1.0], 0.5]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": "12"}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": [10**400]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": [1.0, 0.5], "gain": 2.0}}, {"plant": "p.json"}),
+    # a plant longer than one excitation period (65535 at the default order 16)
+    ("acoustic", {"p.json": {"taps": [0.5] * 65536}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {**PLANT_OK, "tap_count": 65536}}, {"plant": "p.json"}),
     # a shape manifest entry that is not a path
     ("shape", {}, 5),
     # a takes entry that is one path instead of a list
     ("acoustic", {}, {"takes": "x.wav"}),
 ], ids=["plant_missing_field", "plant_tap_count_fraction", "plant_tap_count_string",
         "plant_seed_bool", "plant_frequencies_string", "plant_gains_bool", "plant_unknown_key",
-        "plant_is_list", "shape_entry_number", "takes_is_string"])
+        "plant_is_list", "taps_string_and_bool", "taps_bool", "taps_nested", "taps_string",
+        "taps_int_too_large", "taps_unknown_key", "taps_longer_than_period",
+        "tap_count_longer_than_period", "shape_entry_number", "takes_is_string"])
 def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, entry):
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))
@@ -517,6 +570,33 @@ def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, ent
     err = capsys.readouterr().err
     assert err.startswith("error: subject 'odd_one'") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_huge_tap_count_is_rejected_before_the_plant_is_made(tmp_path, fast_cfg, capsys,
+                                                             monkeypatch):
+    def generate_plant(*args):
+        pytest.fail("the plant was generated before its length was checked")
+
+    monkeypatch.setattr(cli, "generate_plant", generate_plant)
+    (tmp_path / "p.json").write_text(json.dumps({**PLANT_OK, "tap_count": 10**12}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"big": {"plant": "p.json"}}}))
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: subject 'big': invalid plant JSON: 1000000000000 taps exceed one "
+        "excitation period (4095 samples at mls_order 12)\n")
+
+
+def test_literal_taps_plant_runs(tmp_path, fast_cfg):
+    (tmp_path / "p.json").write_text(json.dumps({"taps": [1, 0.5, -0.25]}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"a": {"plant": "p.json"},
+                                                 "b": {"plant": "p.json"}}}))
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 0
 
 
 def source_env():
@@ -560,3 +640,12 @@ def test_installed_console_script_runs():
     proc = subprocess.run(["earcanal", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "shape" in proc.stdout and "correlate" in proc.stdout
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, earcanal, earcanal.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
