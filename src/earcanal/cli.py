@@ -62,7 +62,9 @@ def _load_json(path: Path) -> dict:
         raise InputError(f"no such file: {path}")
     try:
         return json.loads(path.read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, bad UTF-8 and integers too long
+    # to convert; RecursionError, nesting too deep for the parser
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from None
 
 

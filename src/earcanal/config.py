@@ -68,11 +68,13 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
+        # "pipeline_config/1" -> "config", "plant/1" -> "plant"
+        noun = cls.schema.split("/")[0].split("_")[-1]
+        if not isinstance(d, dict):
+            raise TypeError(f"a {noun} must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
         extra = set(d) - known - {"schema"}
         if extra:
-            # "pipeline_config/1" -> "config", "plant/1" -> "plant"
-            noun = cls.schema.split("/")[0].split("_")[-1]
             raise ValueError(f"unknown {noun} fields: {sorted(extra)}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v
                       for k, v in d.items() if k in known})

@@ -22,6 +22,8 @@ from earcanal.acoustics import (
     trim_pre_rise,
     _butter_bandpass,
 )
+from earcanal.config import DEFAULTS
+from earcanal.synth import generate_plant, make_subject_family
 
 
 def ir(samples, stage="raw", fs=44100):
@@ -254,9 +256,27 @@ def test_minimum_phase_front_loads_energy():
 
 def test_minimum_phase_default_fft_length():
     out = minimum_phase(ir(np.ones(10), stage="trimmed"))
-    assert len(out) == 4096  # max(4096, 2**ceil(log2(80)))
+    assert len(out) == 4096  # max(4096, 2**ceil(log2(20)))
     out = minimum_phase(ir(signal_from_roots([(0.5, 1.0)] * 400), stage="trimmed"))
-    assert len(out) == 8192  # 8 * 801 rounds up to 8192
+    assert len(out) == 4096  # 2 * 801 rounds up to 2048, below the floor
+    out = minimum_phase(ir(0.99 ** np.arange(3000), stage="trimmed"))
+    assert len(out) == 8192  # 2 * 3000 rounds up to 8192
+
+
+def test_default_fft_length_stays_near_the_eightfold_transform():
+    # The default n_fft (2x the trimmed response) aliases more of the
+    # cepstrum than the 8x rule it replaced; on one take of each
+    # criterion-7 subject the features stay within the stated tolerance.
+    excitation = generate_mls(DEFAULTS.mls_order)
+    for sidx, spec in enumerate(make_subject_family(0)):
+        recording = simulate_measurement(excitation, generate_plant(spec.plant),
+                                         DEFAULTS.repeats, 0.5, [0, sidx, 0])
+        raw = recover_impulse_response(recording, excitation, DEFAULTS.repeats)
+        n = len(trim_pre_rise(raw))
+        got = response_feature(raw).samples
+        eightfold = response_feature(raw, n_fft=max(4096, 1 << (8 * n - 1).bit_length())).samples
+        assert float(np.abs(got - eightfold).max()) <= 6e-4
+        assert float(got @ eightfold) >= 0.99999  # both have unit power
 
 
 def test_minimum_phase_matches_the_complex_fft_fold():
@@ -325,6 +345,16 @@ def test_bandpass_order_is_total_pole_count():
         b, a = _butter_bandpass(44100, 400.0, 4000.0, total)
         assert len(a) - 1 == total
         assert len(b) - 1 == total
+
+
+def test_unstable_bandpass_design_is_rejected():
+    # rounding in the expanded denominator puts a pole of this design at
+    # modulus 1.00009, so its recursion would grow without bound
+    with pytest.raises(ValueError, match=r"order-8 bandpass over \(20, 1000\) Hz"):
+        butterworth_bandpass(ir(np.ones(64), stage="min_phase"), 20.0, 1000.0, 8)
+    # the same order on the default band keeps every pole inside
+    out = butterworth_bandpass(ir(np.ones(64), stage="min_phase"), filter_order=8)
+    assert np.isfinite(out.samples).all()
 
 
 def test_bandpass_validation():

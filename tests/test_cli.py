@@ -499,6 +499,10 @@ def test_bad_config_exits_two(tmp_path, corpus, capsys):
     garbled.write_text("{not json")
     code = main(["synth", "--config", str(garbled), "--out", str(tmp_path / "o")])
     assert code == 2
+    garbled.write_text("[1, 2]")
+    code = main(["synth", "--config", str(garbled), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "a config must be a JSON object, got list" in capsys.readouterr().err
     # JSON types are checked at the boundary: no bool for a number, no
     # numeric string
     for field, value in (("takes", True), ("delta_z", "0.1")):
@@ -597,6 +601,116 @@ def test_literal_taps_plant_runs(tmp_path, fast_cfg):
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 0
+
+
+# an integer beyond Python's 4,300-digit conversion limit, and nesting
+# deeper than the parser's recursion limit
+UNPARSEABLE = ['{"subjects": {"a": ' + "7" * 5000 + "}}", "[" * 100_000]
+
+
+@pytest.mark.parametrize("text", UNPARSEABLE, ids=["long_integer", "deep_nesting"])
+@pytest.mark.parametrize("route", ["manifest", "plant"])
+def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsys, route, text):
+    manifest = tmp_path / "m.json"
+    if route == "manifest":
+        bad = manifest
+    else:
+        bad = tmp_path / "p.json"
+        manifest.write_text(json.dumps({"subjects": {"a": {"plant": "p.json"}}}))
+    bad.write_text(text)
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {bad.resolve()}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_unstable_bandpass_exits_one(tmp_path, corpus, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "filter_order": 8, "band_low_hz": 20.0,
+                               "band_high_hz": 1000.0}))
+    code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(corpus / "acoustic_manifest.json")])
+    assert code == 1
+    assert "order-8 bandpass over (20, 1000) Hz" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# Arbitrary JSON, with integers kept small: every integer config field
+# scales some work, and the contract concerns exit codes, not run time.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def spoiled(draw, objects):
+    """A plausible JSON object, or the same with one value replaced by
+    arbitrary JSON, or arbitrary JSON instead of an object: inputs that
+    fail at every depth of the reading code, not only at its first check."""
+    d = draw(objects)
+    # mostly plausible, so that examples also reach the computation
+    # behind the reading code
+    how = draw(st.sampled_from(["plausible"] * 4 + ["one_value", "anything"]))
+    if how == "one_value":
+        d[draw(st.sampled_from(sorted(d) + ["extra"]))] = draw(JSON_VALUES)
+    return draw(JSON_VALUES) if how == "anything" else d
+
+
+FLOATS = st.lists(st.floats(-10, 10_000), min_size=1, max_size=2)
+CONFIGS = spoiled(st.fixed_dictionaries(
+    # mls_order and takes are always given, so no example runs the
+    # full-size default chain
+    {"mls_order": st.integers(2, 9), "takes": st.integers(1, 3)},
+    optional={
+        "delta_z": st.floats(0.01, 1), "theta_samples": st.integers(4, 64),
+        "min_slice_points": st.integers(5, 9), "sample_rate": st.sampled_from([8000, 44100]),
+        "repeats": st.integers(1, 3), "noise_rms": st.floats(0, 1),
+        "trim_threshold": st.floats(0.01, 0.99), "band_low_hz": st.floats(1, 5000),
+        "band_high_hz": st.floats(100, 25_000), "filter_order": st.sampled_from([2, 4, 8]),
+        "feature_length": st.integers(1, 64), "seed": st.integers(0, 3),
+        "similarity_mode": st.sampled_from(["vector", "per_sample"]),
+    },
+))
+PLANTS = st.one_of(
+    spoiled(st.fixed_dictionaries({"taps": st.lists(st.floats(-1, 1), min_size=1, max_size=8)})),
+    spoiled(st.fixed_dictionaries({
+        "schema": st.just("plant/1"), "resonance_frequencies": FLOATS, "q_factors": FLOATS,
+        "gains": FLOATS,
+    }, optional={"tap_count": st.integers(0, 300), "seed": st.integers(0, 3),
+                 "direct_gain": st.floats(-1, 1)})),
+)
+# A subject id holds no "/", which would place its outputs in a
+# subdirectory of --out or beyond it.
+MANIFESTS = spoiled(st.fixed_dictionaries({"subjects": st.dictionaries(
+    st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=4),
+    st.one_of(
+        spoiled(st.fixed_dictionaries({"plant": st.sampled_from(["p0.json", "p1.json", "x"])})),
+        spoiled(st.fixed_dictionaries({"takes": st.lists(st.just("t.wav"), max_size=2)})),
+        st.sampled_from(["mesh.stl", "p0.json"]),
+    ),
+    min_size=1, max_size=3,
+)}))
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=CONFIGS, manifest=MANIFESTS, plants=st.tuples(PLANTS, PLANTS))
+def test_any_json_input_exits_with_a_code(config, manifest, plants):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "cfg.json").write_text(json.dumps(config))
+        (root / "m.json").write_text(json.dumps(manifest))
+        for i, plant in enumerate(plants):
+            (root / f"p{i}.json").write_text(json.dumps(plant))
+        (root / "t.wav").write_bytes(SMALL_WAV)
+        (root / "mesh.stl").write_text(ONE_FACET_STL)
+        for command in ("acoustic", "shape"):
+            code = main([command, "--config", str(root / "cfg.json"),
+                         "--out", str(root / command), "--manifest", str(root / "m.json")])
+            assert code in (0, 1, 2)
 
 
 def source_env():
