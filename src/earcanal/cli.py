@@ -77,7 +77,10 @@ def _load_config(args) -> PipelineConfig:
     else:
         cfg = PipelineConfig()
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise InputError(f"invalid --seed {args.seed}: {exc}") from None
     return cfg
 
 
@@ -86,6 +89,13 @@ def _manifest_subjects(manifest_path: Path) -> dict:
     subjects = data.get("subjects") if isinstance(data, dict) else None
     if not isinstance(subjects, dict) or not subjects:
         raise InputError(f"{manifest_path}: manifest must map 'subjects' to a nonempty object")
+    for sid in subjects:
+        # an id names output files, so it must stay one file name in --out
+        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+            raise InputError(
+                f"{manifest_path}: subject id {sid!r} is not a plain file name "
+                "(empty, '.', '..', or holding '/', '\\' or NUL)"
+            )
     return subjects
 
 

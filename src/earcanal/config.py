@@ -127,6 +127,8 @@ class PipelineConfig(Record):
             raise ValueError("similarity_mode must be 'vector' or 'per_sample'")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def dump(self, path, command: str | None = None) -> None:
         d = self.to_dict()

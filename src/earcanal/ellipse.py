@@ -80,7 +80,7 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
     ``4AC - B^2 = 1`` rules out hyperbolae and parabolae, and degenerate
     inputs (collinear points, coincident points, perfect non-elliptic
     conics) raise :class:`EllipseFitError` instead.  The result does not
-    depend on point ordering.
+    depend on point ordering.  This is :func:`fit_conics` on one slice.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -89,40 +89,105 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
         raise EllipseFitError(f"need at least 5 points to fit an ellipse, got {pts.shape[0]}")
     if not np.isfinite(pts).all():
         raise EllipseFitError("points contain non-finite coordinates")
+    conics, _ = fit_conics([pts])
+    if np.isnan(conics[0, 0]):
+        raise EllipseFitError(
+            "no ellipse fits these points (coincident, collinear or not elliptic)"
+        )
+    return conic_to_geometric(conics[0])
 
-    mx, my = pts.mean(axis=0)
-    x = pts[:, 0] - mx
-    y = pts[:, 1] - my
-    scale = float(np.sqrt(np.mean(x * x + y * y)))
-    if scale <= 0:
-        raise EllipseFitError("all points coincide")
-    x /= scale
-    y /= scale
 
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
-    s1 = d1.T @ d1
-    s2 = d1.T @ d2
-    s3 = d2.T @ d2
+def _by_slice(rows) -> np.ndarray:
+    """(B, 3, 3) stack from a 3x3 nested list of (B,) arrays."""
+    return np.moveaxis(np.array(rows), -1, 0)
+
+
+def fit_conics(bins) -> tuple:
+    """Fit one ellipse to each (k, 2) point array in ``bins``, as a batch.
+
+    Returns ``(conics, centers)``, of shapes (B, 6) and (B, 2): each
+    conic normalized as in :class:`Ellipse`, and the center of its real
+    elliptic locus.  A slice with no such ellipse, where
+    :func:`fit_ellipse` raises, gets a NaN row in both.
+
+    All slices share the arithmetic: per-slice sums come from one
+    ``np.add.reduceat`` per monomial over the concatenated points, and
+    the 3x3 systems and eigenproblems are solved as stacks.  Sums are
+    taken in another order than a per-slice matrix product, so a fit
+    moves by rounding only.
+    """
+    conics = np.full((len(bins), 6), np.nan)
+    centers = np.full((len(bins), 2), np.nan)
+    counts = np.array([len(b) for b in bins], dtype=np.int64)
+    fit = np.flatnonzero(counts >= 5)
+    if fit.size == 0:
+        return conics, centers
+    counts = counts[fit]
+    pts = np.concatenate([np.asarray(bins[i], dtype=np.float64) for i in fit])
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+
+    n = counts.astype(np.float64)
+    mx = np.add.reduceat(pts[:, 0], starts) / n
+    my = np.add.reduceat(pts[:, 1], starts) / n
+    x = pts[:, 0] - np.repeat(mx, counts)
+    y = pts[:, 1] - np.repeat(my, counts)
+    del pts
+    scale = np.sqrt(np.add.reduceat(x * x + y * y, starts) / n)
+    # coincident points have no scale; a non-finite point, no finite one
+    ok = np.isfinite(scale) & (scale > 0)
+    s = np.where(ok, scale, 1.0)
+    x /= np.repeat(s, counts)
+    y /= np.repeat(s, counts)
+
+    # sums of x^a y^b for 0 < a + b <= 4, one product alive at a time
+    m = {}
+    for a in range(5):
+        for b in range(5 - a):
+            if a + b:
+                term = np.ones_like(x)
+                for factor in [x] * a + [y] * b:
+                    term *= factor
+                m[a, b] = np.add.reduceat(term, starts)
+    del x, y, term
+    # scatter blocks of the design [x^2, xy, y^2 | x, y, 1]
+    s1 = _by_slice([[m[4, 0], m[3, 1], m[2, 2]],
+                    [m[3, 1], m[2, 2], m[1, 3]],
+                    [m[2, 2], m[1, 3], m[0, 4]]])
+    s2 = _by_slice([[m[3, 0], m[2, 1], m[2, 0]],
+                    [m[2, 1], m[1, 2], m[1, 1]],
+                    [m[1, 2], m[0, 3], m[0, 2]]])
+    s3 = _by_slice([[m[2, 0], m[1, 1], m[1, 0]],
+                    [m[1, 1], m[0, 2], m[0, 1]],
+                    [m[1, 0], m[0, 1], n]])
+    # a failed slice gets a harmless system, so it cannot stop the others
+    s1[~ok], s2[~ok], s3[~ok] = 0.0, 0.0, np.eye(3)
+    s2t = np.swapaxes(s2, 1, 2)
     try:
-        t = -np.linalg.solve(s3, s2.T)
+        t = -np.linalg.solve(s3, s2t)
     except np.linalg.LinAlgError:
-        raise EllipseFitError("degenerate point configuration (singular linear block)") from None
-    m = s1 + s2 @ t
+        # some slice is singular: find which, one by one
+        t = np.zeros_like(s3)
+        for i in range(len(fit)):
+            try:
+                t[i] = -np.linalg.solve(s3[i], s2t[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    mat = s1 + s2 @ t
     # premultiply by the inverse constraint matrix: rows reordered/scaled
-    m = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
-    evals, evecs = np.linalg.eig(m)
+    mat = np.stack([mat[:, 2] / 2.0, -mat[:, 1], mat[:, 0] / 2.0], axis=1)
+    ok &= np.isfinite(mat).all(axis=(1, 2))
+    mat[~ok] = 0.0
+    evals, evecs = np.linalg.eig(mat)
     # the admissible eigenvector satisfies the constraint with positive value
-    cond = 4.0 * evecs[0] * evecs[2] - evecs[1] ** 2
-    good = np.where(np.isreal(evals) & (np.real(cond) > 0))[0]
-    if good.size == 0:
-        raise EllipseFitError("no elliptic solution for these points")
-    a1 = np.real(evecs[:, good[0]])
-    conic_n = np.concatenate([a1, t @ a1])
+    cond = 4.0 * evecs[:, 0] * evecs[:, 2] - evecs[:, 1] ** 2
+    good = np.isreal(evals) & (np.real(cond) > 0)
+    ok &= good.any(axis=1)
+    a1 = np.real(evecs[np.arange(len(fit)), :, np.argmax(good, axis=1)])
+    a2 = (t @ a1[:, :, None])[:, :, 0]
 
     # undo normalization: the fit saw x_n = (x - mx)/s, y_n = (y - my)/s
-    An, Bn, Cn, Dn, En, Fn = conic_n
-    s = scale
+    An, Bn, Cn = a1.T
+    Dn, En, Fn = a2.T
     A = An / s**2
     B = Bn / s**2
     C = Cn / s**2
@@ -134,11 +199,21 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
         - En * my / s
         + Fn
     )
-    conic = np.array([A, B, C, D, E, F])
+    conic = np.stack([A, B, C, D, E, F], axis=1)
     norm = 4.0 * A * C - B * B
-    if norm <= 0:
-        raise EllipseFitError("denormalized conic lost ellipticity")
-    conic /= np.sqrt(norm)
-    if conic[0] < 0:
-        conic = -conic
-    return conic_to_geometric(conic)
+    ok &= norm > 0
+    conic = conic[ok] / np.sqrt(norm[ok])[:, None]
+    conic[conic[:, 0] < 0] *= -1.0
+
+    # center and real-locus test of conic_to_geometric, in closed form:
+    # with A > 0 and 4AC - B^2 > 0 both eigenvalues of the quadratic
+    # form are positive
+    A, B, C, D, E, F = conic.T
+    disc = 4.0 * A * C - B * B
+    cx = (B * E - 2.0 * C * D) / disc
+    cy = (B * D - 2.0 * A * E) / disc
+    real = (disc > 0) & (F + (D * cx + E * cy) / 2.0 < 0)
+    rows = fit[ok][real]
+    conics[rows] = conic[real]
+    centers[rows] = np.stack([cx, cy], axis=1)[real]
+    return conics, centers

@@ -74,61 +74,88 @@ class SliceSet:
     bins: tuple
 
 
+# A facet is 21 tokens: "facet normal" and 3 numbers, "outer loop",
+# three times "vertex" and 3 numbers, then "endloop endfacet".  Keyword
+# and number columns are counted from the facet's first token.
+_FACET_TOKENS = 21
+_FACET_WORDS = {1: "normal", 5: "outer", 6: "loop", 7: "vertex", 11: "vertex",
+                15: "vertex", 19: "endloop", 20: "endfacet"}
+_FACET_NUMBERS = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
+
+
+def _first_other_word(column: list, word: str) -> int | None:
+    """Index of the first token in ``column`` that is not ``word`` in
+    any letter case, or None."""
+    if column == [word] * len(column):
+        return None
+    return next((i for i, tok in enumerate(column) if tok.lower() != word), None)
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_ascii_stl(data: bytes) -> TriangleMesh:
+    """Parse ASCII STL a column at a time.
+
+    The text is split once.  Each facet is exactly 21 tokens, so facet k
+    begins 21k tokens after the solid's name, and each keyword or number
+    of every facet is one list slice with step 21.  The solid ends at
+    the first facet position that does not hold ``facet``; anything
+    after its ``endsolid`` is ignored.  On malformed input the error is
+    the one found first in token order, as a token-by-token reader would
+    report it.
+    """
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
     tokens = text.split()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise StlParseError("truncated ASCII STL: unexpected end of file")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def take_float() -> float:
-        tok = take()
-        try:
-            return float(tok)
-        except ValueError:
-            raise StlParseError(f"expected a number in ASCII STL, got {tok!r}") from None
-
-    def expect(*words: str) -> None:
-        for w in words:
-            tok = take()
-            if tok.lower() != w:
-                raise StlParseError(f"expected {w!r} in ASCII STL, got {tok!r}")
-
-    expect("solid")
+    del text
+    if not tokens:
+        raise StlParseError("truncated ASCII STL: unexpected end of file")
+    if tokens[0].lower() != "solid":
+        raise StlParseError(f"expected 'solid' in ASCII STL, got {tokens[0]!r}")
     # solid name: arbitrary tokens up to the first facet (or endsolid)
-    while pos < len(tokens) and tokens[pos].lower() not in ("facet", "endsolid"):
-        pos += 1
+    first = 1
+    while first < len(tokens) and tokens[first].lower() not in ("facet", "endsolid"):
+        first += 1
+    heads = tokens[first::_FACET_TOKENS]
+    n = _first_other_word(heads, "facet")
+    n = len(heads) if n is None else n
+    end = first + _FACET_TOKENS * n  # the token that closes the solid
 
-    tris = []
-    norms = []
-    while True:
-        tok = take().lower()
-        if tok == "endsolid":
-            break
-        if tok != "facet":
-            raise StlParseError(f"expected 'facet' or 'endsolid', got {tok!r}")
-        expect("normal")
-        norms.append([take_float() for _ in range(3)])
-        expect("outer", "loop")
-        tri = []
-        for _ in range(3):
-            expect("vertex")
-            tri.append([take_float() for _ in range(3)])
-        tris.append(tri)
-        expect("endloop", "endfacet")
-
-    if not tris:
+    errors = {}  # token position -> message
+    if end >= len(tokens):
+        errors[len(tokens)] = "truncated ASCII STL: unexpected end of file"
+    elif tokens[end].lower() != "endsolid":
+        errors[end] = f"expected 'facet' or 'endsolid', got {tokens[end].lower()!r}"
+    for col, word in _FACET_WORDS.items():
+        column = tokens[first + col : end : _FACET_TOKENS]
+        bad = _first_other_word(column, word)
+        if bad is not None:
+            errors[first + col + _FACET_TOKENS * bad] = (
+                f"expected {word!r} in ASCII STL, got {column[bad]!r}"
+            )
+    values = np.empty((len(_FACET_NUMBERS), n))
+    for row, col in enumerate(_FACET_NUMBERS):
+        column = tokens[first + col : end : _FACET_TOKENS]
+        try:
+            values[row, : len(column)] = list(map(float, column))
+        except ValueError:
+            bad = next(i for i, tok in enumerate(column) if not _is_number(tok))
+            errors[first + col + _FACET_TOKENS * bad] = (
+                f"expected a number in ASCII STL, got {column[bad]!r}"
+            )
+    if errors:
+        raise StlParseError(errors[min(errors)])
+    if n == 0:
         raise StlParseError("ASCII STL contains no facets")
-    return TriangleMesh(np.asarray(tris), np.asarray(norms), "ascii_stl")
+    return TriangleMesh(values[3:].T.reshape(n, 3, 3), values[:3].T, "ascii_stl")
 
 
 def _parse_binary_stl(data: bytes) -> TriangleMesh:

@@ -23,7 +23,8 @@ import numpy as np
 
 from earcanal.analysis import SimilarityMatrix
 from earcanal.config import DEFAULTS, readonly_view
-from earcanal.ellipse import EllipseFitError, fit_ellipse
+# fit_ellipse is imported for perfbench/spans.py, which looks it up here
+from earcanal.ellipse import EllipseFitError, fit_conics, fit_ellipse  # noqa: F401
 from earcanal.mesh import SliceSet
 
 
@@ -108,40 +109,26 @@ def shape_center_fn(
     index-to-depth correspondence.  An unfittable tail is truncated since
     it has no later neighbor to interpolate toward.
     """
-    fitted: list = []
-    for b in slices.bins:
-        geom = None
-        if len(b) >= min_points:
-            try:
-                geom = fit_ellipse(b)
-            except EllipseFitError:
-                geom = None
-        fitted.append(None if geom is None else geom.center)
-
-    if fitted[0] is None:
+    fittable = [n for n, b in enumerate(slices.bins) if len(b) >= min_points]
+    track = np.full((len(slices.bins), 2), np.nan)
+    track[fittable] = fit_conics([slices.bins[n] for n in fittable])[1]
+    fitted = np.flatnonzero(~np.isnan(track[:, 0]))
+    if fitted.size == 0 or fitted[0] != 0:
         raise EllipseFitError(
             "entrance slice 0 is unfittable; the center track has no origin"
         )
     # drop the unfittable tail
-    last = max(n for n, c in enumerate(fitted) if c is not None)
-    fitted = fitted[: last + 1]
-    if len(fitted) < 2:
+    track = track[: fitted[-1] + 1]
+    if len(track) < 2:
         raise EllipseFitError("fewer than 2 fittable slices; no center track")
 
-    track = np.empty((len(fitted), 2))
     gaps = []
-    prev = 0
-    for n, c in enumerate(fitted):
-        if c is None:
-            continue
-        track[n] = c
-        if n - prev > 1:
-            # linear fill across the unfittable run (prev, n)
-            for k in range(prev + 1, n):
-                f = (k - prev) / (n - prev)
-                track[k] = (1.0 - f) * track[prev] + f * track[n]
-                gaps.append(k)
-        prev = n
+    for prev, n in zip(fitted[:-1], fitted[1:]):
+        # linear fill across the unfittable run (prev, n)
+        for k in range(prev + 1, n):
+            f = (k - prev) / (n - prev)
+            track[k] = (1.0 - f) * track[prev] + f * track[n]
+            gaps.append(k)
     return ShapeCenterFn(slices.delta_z, track - track[0],
                          raw_centers=track, interpolated=tuple(gaps))
 

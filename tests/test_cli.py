@@ -603,6 +603,45 @@ def test_literal_taps_plant_runs(tmp_path, fast_cfg):
     assert code == 0
 
 
+UNSAFE_IDS = ["../../esc", "/abs", "sub/dir", "back\\slash", "nul\0byte", ".", "..", ""]
+
+
+@pytest.mark.parametrize("sid", UNSAFE_IDS,
+                         ids=["parent", "absolute", "subdir", "backslash", "nul", "dot",
+                              "dotdot", "empty"])
+@pytest.mark.parametrize("command", ["shape", "acoustic"])
+def test_subject_id_that_is_not_a_file_name_exits_two(tmp_path, fast_cfg, corpus, capsys,
+                                                      command, sid):
+    root = tmp_path / "a" / "b"
+    root.mkdir(parents=True)
+    (root / "p.json").write_text(json.dumps({"taps": [1, 0.5, -0.25]}))
+    entry = str(corpus / "twin_a.stl") if command == "shape" else {"plant": "p.json"}
+    manifest = root / "m.json"
+    manifest.write_text(json.dumps({"subjects": {sid: entry, "ok": entry}}))
+    code = main([command, "--config", str(fast_cfg), "--out", str(root / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    assert f"subject id {sid!r}" in capsys.readouterr().err
+    # nothing written, inside --out or above it
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "m.json", "p.json"]
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_negative_seed_exits_two_and_names_the_field(tmp_path, capsys, route):
+    (tmp_path / "p.json").write_text(json.dumps({"taps": [1, 0.5, -0.25]}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"a": {"plant": "p.json"},
+                                                 "b": {"plant": "p.json"}}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, **({"seed": -1} if route == "config" else {})}))
+    argv = ["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--manifest", str(manifest)]
+    code = main(argv + (["--seed", "-1"] if route == "flag" else []))
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # an integer beyond Python's 4,300-digit conversion limit, and nesting
 # deeper than the parser's recursion limit
 UNPARSEABLE = ['{"subjects": {"a": ' + "7" * 5000 + "}}", "[" * 100_000]
@@ -683,10 +722,10 @@ PLANTS = st.one_of(
     }, optional={"tap_count": st.integers(0, 300), "seed": st.integers(0, 3),
                  "direct_gain": st.floats(-1, 1)})),
 )
-# A subject id holds no "/", which would place its outputs in a
-# subdirectory of --out or beyond it.
+# Subject ids are arbitrary text, and sometimes one that is not a
+# plain file name: such a manifest must exit 2 before anything is written.
 MANIFESTS = spoiled(st.fixed_dictionaries({"subjects": st.dictionaries(
-    st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=4),
+    st.text(max_size=4) | st.sampled_from(UNSAFE_IDS),
     st.one_of(
         spoiled(st.fixed_dictionaries({"plant": st.sampled_from(["p0.json", "p1.json", "x"])})),
         spoiled(st.fixed_dictionaries({"takes": st.lists(st.just("t.wav"), max_size=2)})),
@@ -707,10 +746,16 @@ def test_any_json_input_exits_with_a_code(config, manifest, plants):
             (root / f"p{i}.json").write_text(json.dumps(plant))
         (root / "t.wav").write_bytes(SMALL_WAV)
         (root / "mesh.stl").write_text(ONE_FACET_STL)
+        subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
+        unsafe = isinstance(subjects, dict) and any(
+            sid in ("", ".", "..") or any(c in sid for c in "/\\\0") for sid in subjects)
         for command in ("acoustic", "shape"):
             code = main([command, "--config", str(root / "cfg.json"),
                          "--out", str(root / command), "--manifest", str(root / "m.json")])
-            assert code in (0, 1, 2)
+            if unsafe:
+                assert code == 2 and not (root / command).exists()
+            else:
+                assert code in (0, 1, 2)
 
 
 def source_env():

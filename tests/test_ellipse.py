@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earcanal.ellipse import EllipseFitError, conic_to_geometric, fit_ellipse
+from earcanal.ellipse import EllipseFitError, conic_to_geometric, fit_conics, fit_ellipse
 
 
 def make_ellipse(center, axes, angle):
@@ -202,3 +202,127 @@ def test_fit_recovers_random_ellipses(cx, cy, a, ratio, angle, n):
     assert abs(fitted.center[0] - cx) < 1e-7 * scale
     assert abs(fitted.center[1] - cy) < 1e-7 * scale
     np.testing.assert_allclose(sorted(fitted.axes), sorted(axes), rtol=1e-6)
+
+
+def reference_fit_ellipse(points):
+    """The per-slice fit that :func:`fit_conics` replaced: scatter
+    matrices from matrix products, one 3x3 solve and eigenproblem."""
+    pts = np.asarray(points, dtype=np.float64)
+    mx, my = pts.mean(axis=0)
+    x = pts[:, 0] - mx
+    y = pts[:, 1] - my
+    scale = float(np.sqrt(np.mean(x * x + y * y)))
+    if scale <= 0:
+        raise EllipseFitError("all points coincide")
+    x /= scale
+    y /= scale
+
+    d1 = np.column_stack([x * x, x * y, y * y])
+    d2 = np.column_stack([x, y, np.ones_like(x)])
+    s1 = d1.T @ d1
+    s2 = d1.T @ d2
+    s3 = d2.T @ d2
+    try:
+        t = -np.linalg.solve(s3, s2.T)
+    except np.linalg.LinAlgError:
+        raise EllipseFitError("degenerate point configuration (singular linear block)") from None
+    m = s1 + s2 @ t
+    m = np.vstack([m[2] / 2.0, -m[1], m[0] / 2.0])
+    evals, evecs = np.linalg.eig(m)
+    cond = 4.0 * evecs[0] * evecs[2] - evecs[1] ** 2
+    good = np.where(np.isreal(evals) & (np.real(cond) > 0))[0]
+    if good.size == 0:
+        raise EllipseFitError("no elliptic solution for these points")
+    a1 = np.real(evecs[:, good[0]])
+    conic_n = np.concatenate([a1, t @ a1])
+
+    An, Bn, Cn, Dn, En, Fn = conic_n
+    s = scale
+    A = An / s**2
+    B = Bn / s**2
+    C = Cn / s**2
+    D = -2.0 * An * mx / s**2 - Bn * my / s**2 + Dn / s
+    E = -Bn * mx / s**2 - 2.0 * Cn * my / s**2 + En / s
+    F = (
+        (An * mx * mx + Bn * mx * my + Cn * my * my) / s**2
+        - Dn * mx / s
+        - En * my / s
+        + Fn
+    )
+    conic = np.array([A, B, C, D, E, F])
+    norm = 4.0 * A * C - B * B
+    if norm <= 0:
+        raise EllipseFitError("denormalized conic lost ellipticity")
+    conic /= np.sqrt(norm)
+    if conic[0] < 0:
+        conic = -conic
+    return conic_to_geometric(conic)
+
+
+def mixed_slices(seed):
+    """Slices of every kind a fit meets, in a shuffled order.  The
+    degenerate ones sit on exactly representable values, so the
+    per-slice fit fails them whatever the order of its sums."""
+    rng = np.random.default_rng(seed)
+    slices = []
+    for _ in range(12):
+        e = make_ellipse(rng.uniform(-20, 20, 2), sorted(rng.uniform(0.5, 4, 2), reverse=True),
+                         rng.uniform(0, np.pi))
+        n = int(rng.integers(6, 200))
+        slices.append(sample(e, n, rng=rng) + rng.normal(scale=0.02, size=(n, 2)))
+        # five points spread around an exact ellipse
+        t = np.arange(5) * 2 * np.pi / 5 + rng.uniform(-0.3, 0.3, 5)
+        a, b = e.axes
+        slices.append(np.column_stack([e.center[0] + a * np.cos(t), e.center[1] + b * np.sin(t)]))
+    u = np.arange(9.0) - 2.5
+    slices += [
+        np.column_stack([u, 0.5 * u]),  # collinear
+        np.column_stack([u, -u + 0.25]),  # collinear
+        np.full((7, 2), 0.75),  # coincident
+        np.tile([-3.5, 12.0], (6, 1)),  # coincident
+        np.column_stack([u, np.full(9, 2.0)]),  # y constant: S3 is singular
+    ]
+    order = rng.permutation(len(slices))
+    return [slices[i] for i in order]
+
+
+# a failing slice is set aside, not computed into NaN: no warning
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_matches_the_per_slice_fit(seed):
+    slices = mixed_slices(seed)
+    conics, centers = fit_conics(slices)
+    failed = []
+    for n, pts in enumerate(slices):
+        try:
+            want = reference_fit_ellipse(pts)
+        except EllipseFitError:
+            failed.append(n)
+            continue
+        np.testing.assert_allclose(centers[n], want.center, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conics[n], want.conic, rtol=0, atol=1e-9)
+    assert np.flatnonzero(np.isnan(centers[:, 0])).tolist() == failed
+    assert np.isnan(conics[failed]).all()
+    assert len(failed) == 5
+
+
+def test_singular_slice_leaves_the_rest_of_the_batch_alone():
+    e = make_ellipse((1.0, -2.0), (2.0, 1.0), 0.3)
+    flat = np.column_stack([np.arange(8.0), np.zeros(8)])
+    _, alone = fit_conics([sample(e, 30)])
+    _, mixed = fit_conics([flat, sample(e, 30), flat])
+    np.testing.assert_array_equal(mixed[1], alone[0])
+    assert np.isnan(mixed[[0, 2]]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_batch_rows_fail_where_fit_ellipse_raises():
+    e = make_ellipse((0.5, 0.5), (1.5, 1.0), 0.2)
+    bad = np.array(sample(e, 12))
+    bad[3] = np.nan
+    conics, centers = fit_conics([sample(e, 4), np.empty((0, 2)), bad, sample(e, 12)])
+    assert np.isnan(centers[:3]).all() and np.isnan(conics[:3]).all()
+    assert_same_ellipse(conic_to_geometric(conics[3]), e.center, e.axes, e.angle)
+    np.testing.assert_array_equal(centers[3], conic_to_geometric(conics[3]).center)
+    empty_conics, empty_centers = fit_conics([])
+    assert empty_conics.shape == (0, 6) and empty_centers.shape == (0, 2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from earcanal.mesh import (
     StlParseError,
     TriangleMesh,
+    _parse_ascii_stl,
     parse_stl,
     slice_centroids,
     triangle_centroids,
@@ -132,6 +133,158 @@ def test_ascii_truncation_rejected():
 def test_empty_solid_rejected():
     with pytest.raises(StlParseError):
         parse_stl(b"solid nothing\nendsolid nothing\n")
+
+
+def reference_parse_ascii(data: bytes) -> TriangleMesh:
+    """The token-by-token ASCII reader the column parser replaced."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
+    tokens = text.split()
+    pos = 0
+
+    def take() -> str:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise StlParseError("truncated ASCII STL: unexpected end of file")
+        tok = tokens[pos]
+        pos += 1
+        return tok
+
+    def take_float() -> float:
+        tok = take()
+        try:
+            return float(tok)
+        except ValueError:
+            raise StlParseError(f"expected a number in ASCII STL, got {tok!r}") from None
+
+    def expect(*words: str) -> None:
+        for w in words:
+            tok = take()
+            if tok.lower() != w:
+                raise StlParseError(f"expected {w!r} in ASCII STL, got {tok!r}")
+
+    expect("solid")
+    while pos < len(tokens) and tokens[pos].lower() not in ("facet", "endsolid"):
+        pos += 1
+
+    tris = []
+    norms = []
+    while True:
+        tok = take().lower()
+        if tok == "endsolid":
+            break
+        if tok != "facet":
+            raise StlParseError(f"expected 'facet' or 'endsolid', got {tok!r}")
+        expect("normal")
+        norms.append([take_float() for _ in range(3)])
+        expect("outer", "loop")
+        tri = []
+        for _ in range(3):
+            expect("vertex")
+            tri.append([take_float() for _ in range(3)])
+        tris.append(tri)
+        expect("endloop", "endfacet")
+
+    if not tris:
+        raise StlParseError("ASCII STL contains no facets")
+    return TriangleMesh(np.asarray(tris), np.asarray(norms), "ascii_stl")
+
+
+def ascii_text(mesh: TriangleMesh) -> bytes:
+    """ASCII STL with every value written as the shortest repr of its
+    float64, the style of a file exported from float32 data."""
+    facets = []
+    for normal, tri in zip(mesh.normals, mesh.vertices):
+        vertices = "".join(f"      vertex {x!r} {y!r} {z!r}\n" for x, y, z in tri.tolist())
+        facets.append(f"  facet normal {' '.join(map(repr, normal.tolist()))}\n"
+                      f"    outer loop\n{vertices}    endloop\n  endfacet\n")
+    return ("solid scan\n" + "".join(facets) + "endsolid scan\n").encode()
+
+
+def outcome(parse, data: bytes):
+    try:
+        mesh = parse(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return mesh.vertices, mesh.normals
+
+
+MUTATION_WORDS = ["facet", "normal", "outer", "loop", "vertex", "endloop", "endfacet",
+                  "endsolid", "solid", "zero", "1e5", "-0.25", "nan", "inf", "1_0", "x"]
+
+
+@st.composite
+def mutated_stl(draw):
+    """A valid ASCII STL with up to three edits, joined by a drawn separator."""
+    base = draw(st.sampled_from([ASCII_TETRA, ascii_text(random_mesh(12, seed=4))]))
+    tokens = base.decode().split()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "insert", "replace", "case", "name", "junk",
+                                     "cut"]))
+        # the leading 'solid' stays: without it the file is not ASCII STL
+        i = draw(st.integers(1, max(1, len(tokens) - 1)))
+        if edit == "delete":
+            del tokens[i:i + 1]
+        elif edit == "insert":
+            tokens.insert(i, draw(st.sampled_from(MUTATION_WORDS)))
+        elif edit == "replace":
+            tokens[i:i + 1] = [draw(st.sampled_from(MUTATION_WORDS))]
+        elif edit == "case" and i < len(tokens):
+            tokens[i] = draw(st.sampled_from([str.upper, str.capitalize, str.swapcase]))(tokens[i])
+        elif edit == "name":
+            tokens[1:1] = ["multi", "token", "facetted", "name"]
+        elif edit == "junk":
+            tokens += ["trailing", "junk", "facet", "1", "zero"]
+        elif edit == "cut":
+            del tokens[i:]
+    sep = draw(st.sampled_from([" ", "\n", "\r\n  ", "\x1c", "\t\x1f"]))
+    return sep.join(tokens).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_stl())
+def test_column_parser_matches_the_token_reader(data):
+    got, want = outcome(_parse_ascii_stl, data), outcome(reference_parse_ascii, data)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_scanner_style_ascii_is_exact():
+    mesh = random_mesh(200, seed=9)
+    data = ascii_text(mesh)
+    parsed = parse_stl(data)
+    np.testing.assert_array_equal(parsed.vertices, reference_parse_ascii(data).vertices)
+    np.testing.assert_array_equal(parsed.vertices, mesh.vertices)
+    np.testing.assert_array_equal(parsed.normals, mesh.normals)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"vertex 0 0 0", b"vertex 0 zero 0", "expected a number in ASCII STL, got 'zero'"),
+    (b"vertex 0 1 0", b"vortex 0 1 0", "expected 'vertex' in ASCII STL, got 'vortex'"),
+    (b"facet normal 0 -1 0", b"Zacet normal 0 -1 0", "expected 'facet' or 'endsolid', got 'zacet'"),
+    (b"endsolid unit tetra example", b"", "truncated ASCII STL: unexpected end of file"),
+    # two faults: the first in file order is reported, whichever column
+    (b"outer loop\n      vertex 0 0 0\n      vertex 1.0e+00",
+     b"outer lop\n      vertex 0 0 0\n      vertex one",
+     "expected 'loop' in ASCII STL, got 'lop'"),
+    (b"vertex 0 0 1\n    endloop\n  endfacet\nendsolid",
+     b"vertex 0 0 one\n    endloop\n  endfacets\nendsolid",
+     "expected a number in ASCII STL, got 'one'"),
+], ids=["number", "keyword", "facet", "truncated", "keyword_first", "number_first"])
+def test_ascii_error_names_the_first_bad_token(old, new, message):
+    with pytest.raises(StlParseError) as exc:
+        parse_stl(ASCII_TETRA.replace(old, new, 1))
+    assert str(exc.value) == message
+
+
+def test_anything_after_endsolid_is_ignored():
+    data = ASCII_TETRA + b"solid again\n  facet zero\n"
+    np.testing.assert_array_equal(parse_stl(data).vertices, parse_stl(ASCII_TETRA).vertices)
 
 
 def test_centroids_are_vertex_means():

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from earcanal.ellipse import EllipseFitError
+from earcanal.ellipse import EllipseFitError, fit_ellipse
 from earcanal.mesh import SliceSet
 from earcanal.shape import (
     ShapeCenterFn,
@@ -182,6 +182,53 @@ def test_long_gap_fills_linearly():
     assert fn.interpolated == (2, 3)
     np.testing.assert_allclose(fn.raw_centers[2], [0.5, 0.2], rtol=0, atol=1e-9)
     np.testing.assert_allclose(fn.raw_centers[3], [0.7, 0.4], rtol=0, atol=1e-9)
+
+
+def reference_center_track(slices, min_points=5):
+    """The per-slice loop the batched fit replaced: raw centers and the
+    interpolated slices."""
+    fitted = []
+    for b in slices.bins:
+        center = None
+        if len(b) >= min_points:
+            try:
+                center = fit_ellipse(b).center
+            except EllipseFitError:
+                pass
+        fitted.append(center)
+    last = max(n for n, c in enumerate(fitted) if c is not None)
+    track = np.empty((last + 1, 2))
+    gaps = []
+    prev = 0
+    for n, c in enumerate(fitted[: last + 1]):
+        if c is None:
+            continue
+        track[n] = c
+        for k in range(prev + 1, n):
+            f = (k - prev) / (n - prev)
+            track[k] = (1.0 - f) * track[prev] + f * track[n]
+            gaps.append(k)
+        prev = n
+    return track, tuple(gaps)
+
+
+def test_batched_track_interpolates_the_same_slices():
+    rng = np.random.default_rng(5)
+    centers = np.cumsum(rng.normal(scale=0.1, size=(30, 2)), axis=0)
+    s = slices_from_centers(centers, counts=rng.integers(3, 12, size=30).tolist())
+    line = np.column_stack([np.arange(8.0), np.arange(8.0) - 1.5])
+    bins = list(s.bins)
+    bins[0] = circle_points(centers[0], n=9)
+    bins[7] = line  # collinear: the fit fails
+    bins[8] = np.full((6, 2), 0.5)  # coincident: the fit fails
+    bins[-3:] = [line, circle_points(centers[-2], n=4), np.empty((0, 2))]  # unfittable tail
+    s = SliceSet(s.delta_z, s.z_origin, tuple(bins))
+    fn = shape_center_fn(s)
+    track, gaps = reference_center_track(s)
+    assert {7, 8} <= set(gaps)
+    assert fn.interpolated == gaps
+    assert fn.n_slices == len(track) < len(bins) - 2
+    np.testing.assert_allclose(fn.raw_centers, track, rtol=0, atol=1e-12)
 
 
 def test_unfittable_tail_is_truncated():
