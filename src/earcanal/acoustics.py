@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from earcanal.analysis import SimilarityMatrix
+from earcanal.analysis import SimilarityMatrix, mirror_upper
 from earcanal.config import DEFAULTS, readonly_view
 
 STAGES = ("raw", "trimmed", "min_phase", "bandpassed", "normalized")
@@ -486,67 +486,68 @@ def response_feature(
 
 
 def _feature_samples(f) -> np.ndarray:
-    if isinstance(f, AcousticFeature):
-        return f.samples
-    if isinstance(f, ImpulseResponse):
-        return f.samples
-    return np.asarray(f, dtype=np.float64)
+    return np.asarray(getattr(f, "samples", f), dtype=np.float64)
+
+
+def _similarity_blocks(feats: np.ndarray, takes: np.ndarray, mode: str) -> tuple:
+    """(m, m) mean and population std of the similarity over each
+    subject pair's take pairs; ``feats`` holds subject s's ``takes[s]``
+    takes in consecutive rows.  Every take pair is a cell of one Gram
+    product, and every subject pair a block of it.
+
+    ``vector`` mode is the time-aligned cosine of two takes;
+    ``per_sample`` mode, kept for sensitivity experiments, averages the
+    sign agreement of the samples, skipping indices where either is 0.
+    """
+    if feats.shape[1] < 1:
+        raise ValueError("features must be nonempty")
+    if mode == "vector":
+        norms = np.linalg.norm(feats, axis=1)
+        if (norms == 0.0).any():
+            raise ValueError("vector-mode similarity is undefined for a zero-norm operand")
+        sims = feats @ feats.T / np.outer(norms, norms)
+    elif mode == "per_sample":
+        signs = np.sign(feats)
+        count = np.abs(signs) @ np.abs(signs).T
+        owner = np.repeat(np.arange(len(takes)), takes)
+        if (count[owner[:, None] != owner] == 0).any():
+            raise ValueError("per-sample similarity is undefined when every index has a zero")
+        sims = signs @ signs.T / np.maximum(count, 1.0)
+    else:
+        raise ValueError(f"unknown similarity mode {mode!r}")
+    starts = np.cumsum(takes) - takes
+    pairs = np.outer(takes, takes)
+
+    def block_sums(x):
+        return np.add.reduceat(np.add.reduceat(x, starts, axis=0), starts, axis=1)
+
+    means = block_sums(sims) / pairs
+    dev = sims - np.repeat(np.repeat(means, takes, axis=0), takes, axis=1)
+    return means, np.sqrt(block_sums(dev * dev) / pairs)
 
 
 def acoustic_similarity(f_a, f_b, mode: str = DEFAULTS.similarity_mode) -> float:
-    """Cosine similarity between two features, truncated to the shorter.
-
-    ``vector`` mode is the time-aligned cosine of the two sequences.
-    ``per_sample`` mode averages the per-sample sign agreement
-    ``f_a[n]*f_b[n] / (|f_a[n]|*|f_b[n]|)``, skipping indices where
-    either sample is exactly zero; it is the scalar reading of the same
-    ratio and is kept for sensitivity experiments.
-    """
-    a = _feature_samples(f_a)
-    b = _feature_samples(f_b)
+    """Similarity between two features, truncated to the shorter: the
+    matrix computation of :func:`_similarity_blocks` on one take each."""
+    a, b = _feature_samples(f_a), _feature_samples(f_b)
     n = min(a.shape[0], b.shape[0])
-    if n < 1:
-        raise ValueError("features must be nonempty")
-    a = a[:n]
-    b = b[:n]
-    if mode == "vector":
-        na = float(np.linalg.norm(a))
-        nb = float(np.linalg.norm(b))
-        if na == 0.0 or nb == 0.0:
-            raise ValueError("vector-mode similarity is undefined for a zero-norm operand")
-        return float(np.dot(a, b) / (na * nb))
-    if mode == "per_sample":
-        keep = (a != 0.0) & (b != 0.0)
-        if not keep.any():
-            raise ValueError("per-sample similarity is undefined when every index has a zero")
-        return float(np.mean(np.sign(a[keep]) * np.sign(b[keep])))
-    raise ValueError(f"unknown similarity mode {mode!r}")
+    means, _ = _similarity_blocks(np.stack([a[:n], b[:n]]), np.ones(2, np.int64), mode)
+    return float(means[0, 1])
 
 
 def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
-    """Inter-subject similarity from repeated takes.
-
-    ``features`` is an iterable of ``(subject_id, take_index, feature)``.
-    For every unordered subject pair the similarity is computed over all
-    cross-subject take pairs; the cell holds their mean, with the
-    population standard deviation carried alongside.
-    """
+    """Inter-subject similarity from ``(subject_id, take_index, feature)``
+    triples, all features of one length: each cell holds the mean over
+    the cross-subject take pairs and their population std."""
     by_subject: dict = {}
     for sid, _take, feat in features:
-        by_subject.setdefault(sid, []).append(feat)
+        by_subject.setdefault(sid, []).append(_feature_samples(feat))
     ids = list(by_subject)
     if len(ids) < 2:
         raise ValueError("need at least 2 subjects for a similarity matrix")
-    m = len(ids)
-    values = np.full((m, m), np.nan)
-    stds = np.full((m, m), np.nan)
-    for i in range(m):
-        for j in range(i + 1, m):
-            sims = np.array([
-                acoustic_similarity(fa, fb, mode)
-                for fa in by_subject[ids[i]]
-                for fb in by_subject[ids[j]]
-            ])
-            values[i, j] = values[j, i] = float(sims.mean())
-            stds[i, j] = stds[j, i] = float(sims.std())
-    return SimilarityMatrix(tuple(ids), values, kind="acoustic", stds=stds)
+    takes = np.array([len(by_subject[sid]) for sid in ids])
+    # np.stack raises ValueError on features of unequal length
+    feats = np.stack([f for sid in ids for f in by_subject[sid]])
+    means, stds = _similarity_blocks(feats, takes, mode)
+    return SimilarityMatrix(tuple(ids), mirror_upper(means), kind="acoustic",
+                            stds=mirror_upper(stds))

@@ -27,6 +27,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def mirror_upper(cells: np.ndarray) -> np.ndarray:
+    """``cells`` above the diagonal, mirrored below a NaN diagonal: each
+    unordered pair is read once, so the result is exactly symmetric."""
+    upper = np.triu_indices(cells.shape[0], 1)
+    out = np.full(cells.shape, np.nan)
+    out[upper] = out.T[upper] = cells[upper]
+    return out
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Symmetric inter-subject similarity with an undefined diagonal.
@@ -142,6 +151,10 @@ class SimilarityMatrix:
                     has_std = True
                 else:
                     values[i, j] = float(cell)
+        undefined = np.argwhere(np.isnan(values) & ~np.eye(m, dtype=bool))
+        if len(undefined):
+            i, j = undefined[0]
+            raise ValueError(f"cell ({ids[i]}, {ids[j]}) is empty or NaN")
         if kind is None:
             kind = "acoustic" if has_std else "shape"
         return cls(tuple(ids), values, kind=kind, stds=stds if has_std else None)
@@ -292,6 +305,7 @@ def _svg_scatter(result: RegressionResult) -> str:
         f'fill="none" stroke="black" stroke-width="1"/>',
     ]
     title = result.subject_id or "regression"
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(
         f'<text x="{w // 2}" y="22" font-family="sans-serif" font-size="14" '
         f'text-anchor="middle">{title}: r={result.r:.3f}, R2={result.r_squared:.3f}</text>'

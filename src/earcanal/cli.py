@@ -96,6 +96,13 @@ def _manifest_subjects(manifest_path: Path) -> dict:
                 f"{manifest_path}: subject id {sid!r} is not a plain file name "
                 "(empty, '.', '..', or holding '/', '\\' or NUL)"
             )
+        # and it heads a row of the similarity CSVs, which are split at
+        # ',' and line breaks and skip lines that start with '#'
+        if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
+            raise InputError(
+                f"{manifest_path}: subject id {sid!r} cannot be a similarity CSV cell "
+                "(holding ',' or a line break, or starting with '#')"
+            )
     return subjects
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from earcanal.analysis import SimilarityMatrix
+from earcanal.analysis import SimilarityMatrix, mirror_upper
 from earcanal.config import DEFAULTS, readonly_view
 # fit_ellipse is imported for perfbench/spans.py, which looks it up here
 from earcanal.ellipse import EllipseFitError, fit_conics, fit_ellipse  # noqa: F401
@@ -133,45 +133,38 @@ def shape_center_fn(
                          raw_centers=track, interpolated=tuple(gaps))
 
 
-def _angles_and_mags(fn: ShapeCenterFn, n: int):
-    c = fn.centers[1:n]
-    return np.arctan2(c[:, 1], c[:, 0]), np.hypot(c[:, 0], c[:, 1])
+def _similarities(tracks, grid_size: int) -> tuple:
+    """``(phi, best_theta, n_compared)`` of every ordered pair of
+    ``tracks``, as (m, m) arrays.
 
-
-def shape_similarity(
-    a: ShapeCenterFn,
-    b: ShapeCenterFn,
-    grid_size: int = DEFAULTS.theta_samples,
-) -> ShapeSimilarity:
-    """Rotation-maximized mean cosine between two center tracks.
-
-    For each depth n >= 1 the tracks contribute the cosine of the angle
-    between ``rotate(a.centers[n], theta)`` and ``b.centers[n]``; the
-    mean over n is maximized over ``grid_size`` evenly spaced theta in
-    [0, 2*pi).  Entry 0 is excluded (both tracks are (0,0) there, its
-    direction is undefined), as is any later depth where either center
-    has zero magnitude.  Tracks of unequal length are compared over the
-    common prefix.
-
-    The per-depth cosine equals ``cos(delta_n - theta)`` with
-    ``delta_n = angle(b_n) - angle(a_n)``, so the objective is the real
-    part of a phasor mean and the grid maximum is exact up to grid
-    resolution.  Swapping a and b negates every delta_n and mirrors the
-    score across theta -> 2*pi - theta; the grid trig is built mirrored
-    (cos symmetric, sin antisymmetric, bitwise) so the similarity value
-    is exactly symmetric in its arguments.
+    phi is the mean over depths n >= 1 of the cosine between
+    ``rotate(a.centers[n], theta)`` and ``b.centers[n]``, maximized over
+    ``grid_size`` evenly spaced theta in [0, 2*pi); depths where either
+    center is zero, or past its track's end, are skipped.  That mean is
+    ``Re(z e^{-i theta})``, z the mean of ``conj(u_a) u_b`` over the unit
+    phasors u of the centers, so one Gram product gives every z.  The
+    grid maximum is the index nearest ``arg z`` or a neighbour that
+    rounding ties or lifts; the lowest such index wins, as in
+    ``np.argmax``.  Swapping a and b negates ``Im z`` (an exact
+    difference) and the grid trig is mirrored bitwise, so phi is
+    symmetric up to the product's rounding of ``Re z``.
     """
     if grid_size < 4:
         raise ValueError(f"grid_size must be at least 4, got {grid_size}")
-    if a.delta_z != b.delta_z:
-        raise ValueError(f"slice widths differ: {a.delta_z} vs {b.delta_z}")
-    n = min(a.n_slices, b.n_slices)
-    ang_a, mag_a = _angles_and_mags(a, n)
-    ang_b, mag_b = _angles_and_mags(b, n)
-    keep = (mag_a > 0) & (mag_b > 0)
-    if not keep.any():
+    if len({t.delta_z for t in tracks}) > 1:
+        raise ValueError(f"slice widths differ: {sorted({t.delta_z for t in tracks})}")
+    centers = np.zeros((len(tracks), max(t.n_slices for t in tracks) - 1, 2))
+    for row, t in zip(centers, tracks):
+        row[: t.n_slices - 1] = t.centers[1:]
+    mag = np.hypot(centers[..., 0], centers[..., 1])
+    unit = centers / np.where(mag > 0, mag, 1.0)[..., None]
+    x, y, present = unit[..., 0], unit[..., 1], (mag > 0).astype(np.float64)
+    count = present @ present.T
+    if (count == 0).any():
         raise ValueError("degenerate shape function: no depth has nonzero centers in both tracks")
-    delta = ang_b[keep] - ang_a[keep]
+    xy = x @ y.T
+    re, im = (x @ x.T + y @ y.T) / count, (xy - xy.T) / count
+
     step = 2.0 * np.pi / grid_size
     k = np.arange(grid_size)
     mirror = np.minimum(k, grid_size - k)
@@ -179,26 +172,29 @@ def shape_similarity(
     sin_t = np.where(k <= grid_size - k, 1.0, -1.0) * np.sin(mirror * step)
     if grid_size % 2 == 0:
         sin_t[grid_size // 2] = 0.0  # sin(pi) exactly, not within rounding
-    # mean_n cos(delta_n - theta), expanded so one pass covers all theta
-    score = np.cos(delta).mean() * cos_t + np.sin(delta).mean() * sin_t
-    best = int(np.argmax(score))
-    return ShapeSimilarity(phi=float(score[best]), best_theta=float(best * step),
-                           n_compared=int(keep.sum()))
+    near = np.rint(np.arctan2(im, re) / step).astype(np.int64)[..., None] + np.array([-1, 0, 1])
+    near %= grid_size
+    score = re[..., None] * cos_t[near] + im[..., None] * sin_t[near]
+    phi = score.max(axis=-1)
+    best = np.where(score == phi[..., None], near, grid_size).min(axis=-1)
+    return phi, best * step, count.astype(np.int64)
+
+
+def shape_similarity(a: ShapeCenterFn, b: ShapeCenterFn,
+                     grid_size: int = DEFAULTS.theta_samples) -> ShapeSimilarity:
+    """Rotation-maximized mean cosine between two center tracks: the
+    matrix computation of :func:`_similarities` on the pair."""
+    phi, theta, count = _similarities([a, b], grid_size)
+    return ShapeSimilarity(float(phi[0, 1]), float(theta[0, 1]), int(count[0, 1]))
 
 
 def shape_similarity_matrix(subjects, grid_size: int = DEFAULTS.theta_samples):
     """Pairwise rotation-maximized similarity for ``(id, ShapeCenterFn)``
-    pairs.  Each unordered pair is computed once, which enforces exact
-    symmetry of the returned matrix."""
+    pairs."""
     ids = [sid for sid, _ in subjects]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate subject ids")
     if len(ids) < 2:
         raise ValueError("need at least 2 subjects for a similarity matrix")
-    m = len(ids)
-    values = np.full((m, m), np.nan)
-    for i in range(m):
-        for j in range(i + 1, m):
-            phi = shape_similarity(subjects[i][1], subjects[j][1], grid_size).phi
-            values[i, j] = values[j, i] = phi
-    return SimilarityMatrix(tuple(ids), values, kind="shape")
+    phi = _similarities([t for _, t in subjects], grid_size)[0]
+    return SimilarityMatrix(tuple(ids), mirror_upper(phi), kind="shape")

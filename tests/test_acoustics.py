@@ -482,3 +482,74 @@ def test_full_chain_same_plant_is_self_similar():
         rec_ir = recover_impulse_response(rec, mls, repeats=3)
         feats.append(response_feature(rec_ir, feature_length=256))
     assert acoustic_similarity(feats[0], feats[1]) > 0.999
+
+
+def reference_similarity(a, b, mode):
+    """The per-pair body the Gram product replaced."""
+    n = min(a.shape[0], b.shape[0])
+    a, b = a[:n], b[:n]
+    if mode == "vector":
+        return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+    keep = (a != 0.0) & (b != 0.0)
+    return float(np.mean(np.sign(a[keep]) * np.sign(b[keep])))
+
+
+def reference_matrix(features, mode):
+    """The double loop over subject pairs and take pairs the Gram
+    product replaced: (ids, means, stds)."""
+    by_subject = {}
+    for sid, _take, feat in features:
+        by_subject.setdefault(sid, []).append(feat)
+    ids = list(by_subject)
+    m = len(ids)
+    values = np.full((m, m), np.nan)
+    stds = np.full((m, m), np.nan)
+    for i in range(m):
+        for j in range(i + 1, m):
+            sims = np.array([reference_similarity(fa, fb, mode)
+                             for fa in by_subject[ids[i]] for fb in by_subject[ids[j]]])
+            values[i, j] = values[j, i] = sims.mean()
+            stds[i, j] = stds[j, i] = sims.std()
+    return tuple(ids), values, stds
+
+
+@pytest.mark.parametrize("mode", ["vector", "per_sample"])
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_product_matches_the_pair_loop(mode, seed):
+    rng = np.random.default_rng([seed, len(mode)])
+    length = int(rng.integers(1, 64))
+    features = []
+    for s in range(5):
+        for take in range(int(rng.integers(1, 7))):  # unequal take counts
+            f = rng.normal(size=length)
+            f[rng.random(length) < 0.25] = 0.0
+            f[0] = 1.0 + rng.random()  # no zero feature, no disjoint support
+            features.append((f"s{s}", take, f))
+    features = [features[i] for i in rng.permutation(len(features))]
+    m = acoustic_similarity_matrix(features, mode)
+    ids, values, stds = reference_matrix(features, mode)
+    assert m.ids == ids
+    np.testing.assert_allclose(m.values, values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(m.stds, stds, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(m.values, m.values.T)
+    np.testing.assert_array_equal(m.stds, m.stds.T)
+    a, b = features[0][2], features[1][2][: max(1, length // 2)]
+    assert abs(acoustic_similarity(a, b, mode) - reference_similarity(a, b, mode)) <= 1e-12
+
+
+def test_similarity_matrix_checks_only_cross_subject_pairs():
+    # a's two takes share no nonzero sample, which no cell compares
+    feats = [("a", 0, np.array([1.0, 0.0])), ("a", 1, np.array([0.0, 1.0])),
+             ("b", 0, np.array([1.0, -1.0]))]
+    m = acoustic_similarity_matrix(feats, "per_sample")
+    assert m.cell("a", "b") == 0.0 and m.stds[0, 1] == 1.0
+    feats.append(("c", 0, np.array([0.0, 0.0])))
+    with pytest.raises(ValueError, match="every index has a zero"):
+        acoustic_similarity_matrix(feats, "per_sample")
+    with pytest.raises(ValueError, match="zero-norm"):
+        acoustic_similarity_matrix(feats)
+
+
+def test_similarity_matrix_needs_features_of_one_length():
+    with pytest.raises(ValueError):
+        acoustic_similarity_matrix([("a", 0, np.ones(3)), ("b", 0, np.ones(4))])

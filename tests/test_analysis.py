@@ -1,6 +1,7 @@
 """Similarity matrices, per-subject regression, and report emission."""
 
 from importlib import resources
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -91,6 +92,13 @@ def test_matrix_csv_rejects_malformed_input():
         SimilarityMatrix.from_csv(swapped)
     with pytest.raises(ValueError):
         SimilarityMatrix.from_csv(good + "extra,0.1,0.2,0.3\n")
+
+
+@pytest.mark.parametrize("cell", ["", "nan", "nan±0.01"])
+def test_matrix_csv_rejects_undefined_cells(cell):
+    text = tri_matrix([0.2, 0.4, 0.6]).to_csv().replace("b,0.2,,0.6", f"b,0.2,,{cell}")
+    with pytest.raises(ValueError, match=r"cell \(b, c\) is empty or NaN"):
+        SimilarityMatrix.from_csv(text)
 
 
 def test_matrix_statistics_hand_case():
@@ -248,6 +256,19 @@ def test_emit_report_writes_the_bundle(tmp_path):
     assert header == "subject,r,r_squared,slope,intercept,degenerate"
     svg = (out / "scatter_a.svg").read_text()
     assert svg.count("<circle") == 2  # one dot per regression pair
+
+
+def test_svg_titles_are_escaped(tmp_path):
+    ids = ("x<&y", "a>b", "plain")
+    shape = tri_matrix([0.9, 0.8, 0.7], ids=ids)
+    acoustic = tri_matrix([0.5, 0.4, 0.3], ids=ids, kind="acoustic")
+    emit_report(shape, acoustic, tmp_path)
+    svgs = sorted(tmp_path.glob("*.svg"))
+    assert [p.name for p in svgs] == ["scatter_a>b.svg", "scatter_plain.svg", "scatter_x<&y.svg"]
+    for path, sid in zip(svgs, ("a>b", "plain", "x<&y")):
+        root = ElementTree.parse(path).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert titles[0].startswith(f"{sid}: r=")
 
 
 def test_failing_report_writes_nothing(tmp_path):

@@ -200,6 +200,23 @@ def test_correlate_emits_report(tmp_path, fast_cfg, shape_out, acoustic_out):
     assert read_tree(again) == read_tree(out)
 
 
+@pytest.mark.parametrize("cell", ["", "nan", " NaN ", "nan±0.1"])
+def test_correlate_rejects_an_undefined_cell(tmp_path, shape_out, acoustic_out, capsys, cell):
+    rows = (acoustic_out / "acoustic_similarity.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = rows[2].split(",")  # twin_b's row
+    col = header.index("subject_c")
+    cells[col] = cell
+    rows[2] = ",".join(cells)
+    holed = tmp_path / "holed.csv"
+    holed.write_text("\n".join(rows) + "\n")
+    code = main(["correlate", "--out", str(tmp_path / "r"),
+                 "--shape", str(shape_out / "shape_similarity.csv"), "--acoustic", str(holed)])
+    assert code == 2
+    assert f"cell ({cells[0]}, subject_c)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_correlate_pair_validation(tmp_path, shape_out, acoustic_out, capsys):
     base = ["correlate", "--out", str(tmp_path / "r"),
             "--shape", str(shape_out / "shape_similarity.csv"),
@@ -603,12 +620,16 @@ def test_literal_taps_plant_runs(tmp_path, fast_cfg):
     assert code == 0
 
 
-UNSAFE_IDS = ["../../esc", "/abs", "sub/dir", "back\\slash", "nul\0byte", ".", "..", ""]
+UNSAFE_IDS = ["../../esc", "/abs", "sub/dir", "back\\slash", "nul\0byte", ".", "..", "",
+              # ids a similarity CSV cannot carry
+              "a,b", "#hash", "line\nbreak", "carriage\rreturn", "form\x0cfeed",
+              "group\x1dsep", "next\x85line", "para\u2029sep"]
 
 
 @pytest.mark.parametrize("sid", UNSAFE_IDS,
                          ids=["parent", "absolute", "subdir", "backslash", "nul", "dot",
-                              "dotdot", "empty"])
+                              "dotdot", "empty", "comma", "hash", "newline", "return",
+                              "formfeed", "groupsep", "nextline", "parasep"])
 @pytest.mark.parametrize("command", ["shape", "acoustic"])
 def test_subject_id_that_is_not_a_file_name_exits_two(tmp_path, fast_cfg, corpus, capsys,
                                                       command, sid):

@@ -326,3 +326,53 @@ def test_batch_rows_fail_where_fit_ellipse_raises():
     np.testing.assert_array_equal(centers[3], conic_to_geometric(conics[3]).center)
     empty_conics, empty_centers = fit_conics([])
     assert empty_conics.shape == (0, 6) and empty_centers.shape == (0, 2)
+
+
+def collinear_slices(seed, count=50):
+    """Points on lines of general slope: rounding keeps S3 invertible."""
+    rng = np.random.default_rng(seed)
+    slices = []
+    for _ in range(count):
+        n = int(rng.integers(5, 31))
+        t = rng.uniform(-10, 10, n)
+        slices.append(rng.uniform(-50, 50, 2) + t[:, None] * rng.normal(size=2))
+    return slices
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(4))
+def test_collinear_slices_get_no_fit(seed):
+    slices = collinear_slices(seed)
+    conics, centers = fit_conics(slices)
+    assert np.isnan(conics).all() and np.isnan(centers).all()
+    for pts in slices[:10]:
+        with pytest.raises(EllipseFitError):
+            fit_ellipse(pts)
+
+
+@pytest.mark.parametrize("ecc", [0.97, 0.99999])
+def test_thin_ellipses_still_fit(ecc):
+    e = make_ellipse((3.0, -1.0), (3.0, 3.0 * np.sqrt(1 - ecc**2)), 0.7)
+    assert_same_ellipse(fit_ellipse(sample(e, 64)), e.center, e.axes, e.angle, tol=1e-6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_spread_check_changes_no_other_fit(seed, monkeypatch):
+    good = []
+    for pts in mixed_slices(seed):
+        try:
+            reference_fit_ellipse(pts)
+            good.append(pts)
+        except EllipseFitError:
+            pass
+    assert len(good) == 24
+    conics, centers = fit_conics(good)
+    # the collinear slices leave the rest of a batch alone
+    mixed_conics, mixed_centers = fit_conics(collinear_slices(seed, 10) + good)
+    np.testing.assert_array_equal(mixed_conics[10:], conics)
+    np.testing.assert_array_equal(mixed_centers[10:], centers)
+    # and the check marks no non-degenerate slice
+    monkeypatch.setattr("earcanal.ellipse._MIN_SPREAD", -np.inf)
+    unchecked_conics, unchecked_centers = fit_conics(good)
+    np.testing.assert_array_equal(conics, unchecked_conics)
+    np.testing.assert_array_equal(centers, unchecked_centers)

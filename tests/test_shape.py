@@ -287,3 +287,114 @@ def test_matrix_rejects_bad_subject_lists():
         shape_similarity_matrix([("a", a), ("a", a)])
     with pytest.raises(ValueError):
         shape_similarity_matrix([("a", a)])
+
+
+def mirrored_grid(grid_size):
+    """Step and rotation-grid trig, cos symmetric and sin antisymmetric
+    bit for bit, as the similarity builds them."""
+    step = 2.0 * np.pi / grid_size
+    k = np.arange(grid_size)
+    mirror = np.minimum(k, grid_size - k)
+    cos_t = np.cos(mirror * step)
+    sin_t = np.where(k <= grid_size - k, 1.0, -1.0) * np.sin(mirror * step)
+    if grid_size % 2 == 0:
+        sin_t[grid_size // 2] = 0.0
+    return step, cos_t, sin_t
+
+
+def reference_similarity(a, b, grid_size):
+    """The per-pair body the Gram product replaced: angles and
+    magnitudes of the common prefix, the mirrored trig grid built for
+    the pair, and an argmax over the whole grid."""
+    n = min(a.n_slices, b.n_slices)
+    ca, cb = a.centers[1:n], b.centers[1:n]
+    ang_a, mag_a = np.arctan2(ca[:, 1], ca[:, 0]), np.hypot(ca[:, 0], ca[:, 1])
+    ang_b, mag_b = np.arctan2(cb[:, 1], cb[:, 0]), np.hypot(cb[:, 0], cb[:, 1])
+    keep = (mag_a > 0) & (mag_b > 0)
+    delta = ang_b[keep] - ang_a[keep]
+    step, cos_t, sin_t = mirrored_grid(grid_size)
+    score = np.cos(delta).mean() * cos_t + np.sin(delta).mean() * sin_t
+    best = int(np.argmax(score))
+    return float(score[best]), float(best * step), int(keep.sum())
+
+
+def reference_matrix(tracks, grid_size):
+    """The double loop over subject pairs the Gram product replaced."""
+    m = len(tracks)
+    values = np.full((m, m), np.nan)
+    for i in range(m):
+        for j in range(i + 1, m):
+            values[i, j] = values[j, i] = reference_similarity(tracks[i], tracks[j], grid_size)[0]
+    return values
+
+
+def random_tracks(rng, m):
+    """Tracks of unequal lengths with zero-magnitude depths."""
+    tracks = []
+    for _ in range(m):
+        n = int(rng.integers(2, 50))
+        c = rng.normal(size=(n, 2)) * rng.uniform(0.01, 10.0)
+        c[rng.random(n) < 0.2] = 0.0
+        c[0] = 0.0
+        c[1] = rng.normal(size=2)  # every pair shares a nonzero depth
+        tracks.append(track(c))
+    return tracks
+
+
+@pytest.mark.parametrize("grid_size", [5, 720, 3600, 7200])
+@pytest.mark.parametrize("seed", range(3))
+def test_gram_product_matches_the_pair_loop(grid_size, seed):
+    rng = np.random.default_rng([seed, grid_size])
+    tracks = random_tracks(rng, 7)
+    m = shape_similarity_matrix([(str(i), t) for i, t in enumerate(tracks)], grid_size)
+    np.testing.assert_allclose(m.values, reference_matrix(tracks, grid_size), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(m.values, m.values.T)
+    for i, a in enumerate(tracks):
+        for j, b in enumerate(tracks):
+            if i == j:
+                continue
+            got = shape_similarity(a, b, grid_size)
+            phi, theta, count = reference_similarity(a, b, grid_size)
+            assert abs(got.phi - phi) <= 1e-12
+            assert (got.best_theta, got.n_compared) == (theta, count)
+
+
+def test_matrix_rejects_mixed_slice_widths_and_disjoint_tracks():
+    a = spiral_track()
+    with pytest.raises(ValueError, match="slice widths differ"):
+        shape_similarity_matrix([("a", a), ("b", a), ("c", spiral_track(delta_z=0.2))])
+    apart = track([[0, 0], [0, 0], [1, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        shape_similarity_matrix([("a", track([[0, 0], [1, 0], [0, 0]])), ("b", apart)])
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_collinear_interior_slice_of_general_slope_is_interpolated(seed):
+    s = slices_from_centers([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
+    t = np.random.default_rng(seed).uniform(-1.0, 1.0, 12)
+    line = np.column_stack([0.4 + 0.7 * t, 0.15 - 1.3 * t])
+    s = SliceSet(s.delta_z, s.z_origin, s.bins[:2] + (line,) + s.bins[3:])
+    fn = shape_center_fn(s)
+    assert fn.interpolated == (2,)
+    np.testing.assert_allclose(fn.raw_centers[2], [0.4, 0.15], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("grid_size", [4, 5, 8, 720])
+def test_half_step_ties_follow_the_whole_grid_argmax(grid_size):
+    """With one compared depth and a = (1, 0), z is b's unit phasor bit
+    for bit, so the whole-grid score can be formed here.  At half-step
+    angles rounding ties the two nearest indices or lifts the farther
+    one; the result must still be the lowest index of the maximum."""
+    step, cos_t, sin_t = mirrored_grid(grid_size)
+    a = track([[0.0, 0.0], [1.0, 0.0]])
+    odd = 0
+    for j in range(grid_size):
+        b = np.array([np.cos((j + 0.5) * step), np.sin((j + 0.5) * step)])
+        u = b / np.hypot(b[0], b[1])
+        score = u[0] * cos_t + u[1] * sin_t
+        want = int(np.argmax(score))
+        nearest = int(np.rint(np.arctan2(u[1], u[0]) / step)) % grid_size
+        odd += want != nearest or (score == score[want]).sum() > 1
+        got = shape_similarity(a, track([[0.0, 0.0], b]), grid_size)
+        assert (got.best_theta, got.phi) == (want * step, score[want])
+    assert odd > 0
