@@ -2,13 +2,18 @@
 
 A maximum length sequence (MLS) excites the acoustic plant; the plant's
 impulse response is recovered by synchronous averaging of the repeated
-periods followed by circular cross-correlation.  The recovered response
-is then reduced to a comparable feature: leading dead time is trimmed,
-the minimum-phase equivalent is taken (a canal response is minimum phase,
-and this removes residual alignment differences between takes), the band
-of interest is isolated with a Butterworth bandpass, and the result is
-truncated to a common length and scaled to unit power.  Features are
-compared with cosine similarity.
+periods followed by circular cross-correlation with the sequence.  Both
+ends use the period: a simulated recording is one period's linear
+convolution, its tail folded onto the period and tiled, and the
+correlation with an m-sequence is a Walsh-Hadamard transform between two
+fixed permutations, computed with additions only (Cohn & Lempel, IEEE
+Trans. Inf. Theory 23(1), 1977; Borish & Angell, JAES 31(7), 1983).
+The recovered response is then reduced to a comparable feature: leading
+dead time is trimmed, the minimum-phase equivalent is taken (a canal
+response is minimum phase, and this removes residual alignment
+differences between takes), the band of interest is isolated with a
+Butterworth bandpass, and the result is truncated to a common length and
+scaled to unit power.  Features are compared with cosine similarity.
 
 Stage order for :class:`ImpulseResponse` values is raw, trimmed,
 min_phase, bandpassed, normalized; each operation only accepts input
@@ -73,12 +78,43 @@ class ExcitationSignal:
         return self.samples.shape[0]
 
     @functools.cached_property
-    def _conj_spectrum(self) -> np.ndarray:
-        """The conjugate half spectrum the recovery correlates with: the
-        same for every take, so computed once per excitation."""
-        spec = np.conj(np.fft.rfft(self.samples))
-        spec.flags.writeable = False
-        return spec
+    def _hadamard_permutations(self) -> tuple:
+        """``(cols, rows)``, the int32 permutations that turn circular
+        correlation with this sequence into a Walsh-Hadamard transform of
+        size ``2**order``; the same for every take, so built once.
+
+        With b the sequence's bits (1 for +1), sample n goes to column
+        ``sum_i b[n+i] << i``, its m-bit window.  In an m-sequence each
+        later bit is a fixed linear function of a window, b[n+j] =
+        <r_j, window_n> over GF(2), so correlation lag k reads transform
+        row r_(-k).  Bit i of r_j is b[n_i + j], n_i being the sample
+        whose window is ``1 << i``.  Raises ValueError unless the windows
+        are all distinct and nonzero and b[n+m] = <r_m, window_n>: only
+        then is the sequence an m-sequence.
+        """
+        m, length = self.order, self.length
+        bits = (self.samples > 0).astype(np.int32)
+        ext = np.concatenate([bits, bits])
+        cols = np.zeros(length, np.int32)
+        for i in range(m):
+            cols |= ext[i : i + length] << i
+        # L windows cover all L nonzero values only if none repeats
+        if np.bincount(cols, minlength=length + 1)[1:].min() != 1:
+            raise ValueError("excitation is not a maximum length sequence: a window repeats")
+        where = np.empty(length + 1, np.int32)
+        where[cols] = np.arange(length)
+        unit = where[1 << np.arange(m)]
+        feedback = int(np.dot(ext[unit + m], 1 << np.arange(m)))
+        parity = cols & feedback
+        for shift in (16, 8, 4, 2, 1):
+            parity ^= parity >> shift
+        if not np.array_equal(parity & 1, ext[m : m + length]):
+            raise ValueError("excitation is not a maximum length sequence: it is not linear")
+        rows = np.zeros(length, np.int32)
+        for i, start in enumerate(unit):
+            rows |= ext[start + length : start : -1] << i
+        cols.flags.writeable = rows.flags.writeable = False
+        return cols, rows
 
 
 @dataclass(frozen=True)
@@ -175,7 +211,10 @@ def simulate_measurement(
     The plant starts from rest, so the first emitted period carries its
     charge-up transient; every later period equals the circular
     convolution of one excitation period with the plant, which is what
-    the recovery step relies on after discarding the first period.
+    the recovery step relies on after discarding the first period.  So
+    one period is convolved linearly: its first period of output is the
+    transient one, and that plus the tail spilling past it is the steady
+    period, tiled ``repeats`` times.
     The noiseless recording is the convolution alone; :func:`add_noise`
     then models the microphone chain.  Takes of one plant differ only in
     their noise, so a caller simulating many takes can compute the
@@ -192,9 +231,13 @@ def simulate_measurement(
         )
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    x = np.tile(excitation.samples, repeats + 1)
-    n = _fast_len(x.shape[0] + h.shape[0] - 1)
-    clean = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)[: x.shape[0]]
+    tail = h.shape[0] - 1
+    n = _next_pow2(length + tail)
+    y = np.fft.irfft(np.fft.rfft(excitation.samples, n) * np.fft.rfft(h, n), n)
+    clean = np.empty((repeats + 1) * length)
+    clean[:length] = y[:length]
+    y[:tail] += y[length : length + tail]
+    clean[length:].reshape(repeats, length)[:] = y[:length]
     return add_noise(clean, noise_rms, rng)
 
 
@@ -226,11 +269,19 @@ def recover_impulse_response(
     The first period is discarded as warm-up; the remaining ``repeats``
     periods are averaged sample-wise (synchronous addition, suppressing
     uncorrelated noise by 1/sqrt(repeats)); circular cross-correlation
-    with the excitation then inverts the convolution.  Because the MLS
-    autocorrelation's off-peak value is -1 rather than 0, the correlation
-    scaled by 1/(length+1) recovers every tap offset by -sum(h)/(length+1);
-    the offset is removed exactly by adding the sum of the biased estimate
-    (the bias makes that sum equal sum(h)/(length+1)).
+    with the excitation then inverts the convolution.  The correlation is
+    a fast Walsh-Hadamard transform: the average is scattered into a
+    ``2**order`` buffer by the excitation's column permutation,
+    transformed one bit per stage with additions and subtractions, and
+    gathered by its row permutation (Cohn & Lempel, IEEE Trans. Inf.
+    Theory 23(1), 1977; Borish & Angell, JAES 31(7), 1983).  A +1 sample
+    is bit 1, which the transform counts as -1, hence the sign of the
+    scale.  Because the MLS autocorrelation's off-peak value is -1 rather
+    than 0, the correlation scaled by 1/(length+1) recovers every tap
+    offset by -sum(h)/(length+1); the offset is removed exactly by adding
+    the sum of the biased estimate (the bias makes that sum equal
+    sum(h)/(length+1)).  Raises ValueError if the excitation is not an
+    m-sequence.
     """
     rec = np.asarray(recorded, dtype=np.float64)
     length = excitation.length
@@ -242,9 +293,17 @@ def recover_impulse_response(
             f"recording holds {rec.shape[0]} samples, need at least {need} "
             f"({repeats + 1} periods of {length})"
         )
-    avg = rec[length:need].reshape(repeats, length).mean(axis=0)
-    spec = np.fft.rfft(avg) * excitation._conj_spectrum
-    corr = np.fft.irfft(spec, n=length) / (length + 1)
+    cols, rows = excitation._hadamard_permutations
+    a = np.zeros(length + 1)
+    a[cols] = rec[length:need].reshape(repeats, length).mean(axis=0)
+    # constant-geometry stages: each transforms the lowest index bit and
+    # rotates it to the top, so after ``order`` stages the order is natural
+    b, half = np.empty_like(a), a.shape[0] // 2
+    for _ in range(excitation.order):
+        np.add(a[0::2], a[1::2], out=b[:half])
+        np.subtract(a[0::2], a[1::2], out=b[half:])
+        a, b = b, a
+    corr = a[rows] * (-1.0 / (length + 1))
     h = corr + corr.sum()
     return ImpulseResponse(h, excitation.sample_rate, "raw")
 
@@ -271,21 +330,6 @@ def trim_pre_rise(
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
-
-
-def _fast_len(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c at or above ``n``: an FFT size
-    numpy transforms fast, and often much nearer ``n`` than a power of
-    two."""
-    best = _next_pow2(n)
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 * _next_pow2(-(-n // p35)))
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseResponse:

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import logging
 import os
 import struct
 import sys
@@ -55,6 +56,21 @@ from earcanal.synth import (
 
 class InputError(Exception):
     """Unusable input or configuration (exit code 2)."""
+
+
+class _StderrHandler(logging.Handler):
+    """Writes ``<level>: <message>`` to ``sys.stderr`` as it is when the
+    record is emitted, so a redirected or captured stderr receives it."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            print(f"{record.levelname.lower()}: {self.format(record)}", file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+log = logging.getLogger(__name__)
+log.addHandler(_StderrHandler())
 
 
 def _load_json(path: Path) -> dict:
@@ -216,7 +232,7 @@ def cmd_shape(args) -> int:
         matrix = shape_similarity_matrix(tracks, cfg.theta_samples)
         outputs[out / "shape_similarity.csv"] = matrix.to_csv()
     else:
-        print("warning: only one subject; similarity matrix skipped", file=sys.stderr)
+        log.warning("only one subject; similarity matrix skipped")
     _write_all(outputs)
     cfg.dump(out / "config.json", command="shape")
     return 0
@@ -354,7 +370,7 @@ def cmd_acoustic(args) -> int:
         matrix = acoustic_similarity_matrix(all_feats, cfg.similarity_mode)
         outputs[out / "acoustic_similarity.csv"] = matrix.to_csv()
     else:
-        print("warning: only one subject; similarity matrix skipped", file=sys.stderr)
+        log.warning("only one subject; similarity matrix skipped")
     _write_all(outputs)
     cfg.dump(out / "config.json", command="acoustic")
     return 0

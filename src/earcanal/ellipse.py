@@ -170,17 +170,8 @@ def fit_conics(bins) -> tuple:
                     [m[1, 0], m[0, 1], n]])
     # a failed slice gets a harmless system, so it cannot stop the others
     s1[~ok], s2[~ok], s3[~ok] = 0.0, 0.0, np.eye(3)
-    s2t = np.swapaxes(s2, 1, 2)
-    try:
-        t = -np.linalg.solve(s3, s2t)
-    except np.linalg.LinAlgError:
-        # some slice is singular: find which, one by one
-        t = np.zeros_like(s3)
-        for i in range(len(fit)):
-            try:
-                t[i] = -np.linalg.solve(s3[i], s2t[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
+    # no block is singular: centered, det s3 = n (m20 m02 - m11^2) >= n^3 _MIN_SPREAD
+    t = -np.linalg.solve(s3, np.swapaxes(s2, 1, 2))
     mat = s1 + s2 @ t
     # premultiply by the inverse constraint matrix: rows reordered/scaled
     mat = np.stack([mat[:, 2] / 2.0, -mat[:, 1], mat[:, 0] / 2.0], axis=1)

@@ -181,6 +181,57 @@ def test_recovery_needs_enough_periods():
         recover_impulse_response(np.zeros(4 * mls.length), mls, repeats=0)
 
 
+def test_hadamard_permutations_are_bijections():
+    for order in range(2, 21):
+        cols, rows = generate_mls(order)._hadamard_permutations
+        assert cols.dtype == rows.dtype == np.int32
+        # every nonzero m-bit window once; index 0 stays out of the gather
+        nonzero = np.arange(1, 2**order)
+        np.testing.assert_array_equal(np.sort(cols), nonzero)
+        np.testing.assert_array_equal(np.sort(rows), nonzero)
+
+
+def direct_correlation(avg, samples):
+    """sum_n avg[n] s[n - k] for every lag k, from the circulant matrix."""
+    L = samples.shape[0]
+    lags = (np.arange(L)[None, :] - np.arange(L)[:, None]) % L
+    corr = samples[lags] @ avg / (L + 1)
+    return corr + corr.sum()
+
+
+@pytest.mark.parametrize("order", [2, 3, 5, 8, 9])
+def test_recovery_of_any_m_sequence_is_the_direct_correlation(order):
+    # the reversed sequence is the m-sequence of the reciprocal primitive
+    # polynomial; a shift starts the register elsewhere
+    base = generate_mls(order).samples
+    rng = np.random.default_rng(order)
+    for samples in (base, base[::-1], np.roll(base, 3 * order)):
+        mls = ExcitationSignal(samples.copy(), order)
+        L = mls.length
+        rec = rng.normal(size=3 * L)
+        want = direct_correlation((rec[L:2 * L] + rec[2 * L:]) / 2.0, mls.samples)
+        got = recover_impulse_response(rec, mls, repeats=2).samples
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# the lexicographically least de Bruijn sequence of order 5 with one 0
+# dropped from its run of five: every nonzero 5-bit window once, as in an
+# m-sequence, but no linear recurrence yields it
+DE_BRUIJN_5 = np.array([int(c) for c in "0000100011001010011101011011111"]) * 2.0 - 1.0
+
+
+def test_recovery_rejects_a_sequence_that_is_not_an_m_sequence():
+    mls = generate_mls(5)
+    for samples, reason in [
+        (DE_BRUIJN_5, "not linear"),
+        (-mls.samples, "window repeats"),  # the all-zero window appears
+        (np.random.default_rng(0).choice([-1.0, 1.0], 31), "window repeats"),
+    ]:
+        excitation = ExcitationSignal(samples, 5)  # still constructs
+        with pytest.raises(ValueError, match=reason):
+            recover_impulse_response(np.zeros(3 * 31), excitation, repeats=2)
+
+
 def test_averaging_suppresses_noise():
     mls = generate_mls(10)
     h = np.array([1.0, 0.5, 0.25])

@@ -491,6 +491,20 @@ def test_single_subject_skips_matrix(tmp_path, fast_cfg, corpus, capsys):
     assert not (out / "shape_similarity.csv").exists()
 
 
+def test_single_subject_acoustic_warns_once_per_run(tmp_path, fast_cfg, corpus, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        {"subjects": {"twin_a": {"plant": str(corpus / "twin_a_plant.json")}}}))
+    # the warning goes through the module logger's one handler, however
+    # often main runs, and to the stderr of the moment
+    for run in range(2):
+        assert main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / f"o{run}"),
+                     "--manifest", str(manifest)]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: only one subject; similarity matrix skipped\n"
+    assert not (tmp_path / "o1" / "acoustic_similarity.csv").exists()
+
+
 def test_missing_inputs_exit_two(tmp_path, capsys):
     code = main(["shape", "--out", str(tmp_path / "o"),
                  "--manifest", str(tmp_path / "nope.json")])

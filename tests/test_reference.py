@@ -4,7 +4,10 @@ The package computes the MLS, the Butterworth design, the bandpass,
 the measurement convolution and the WAV decoding itself; scipy is a
 test dependency only.  Each replacement is pinned here to the scipy
 call it stands in for, with the tolerance stated in the test, and the
-WAV layouts scipy reads are run through the CLI.
+WAV layouts scipy reads are run through the CLI.  The one-period
+simulation and the Hadamard-transform recovery are pinned the same way
+to copies of the tiled FFT simulation and odd-length FFT correlation
+they replaced.
 """
 
 import json
@@ -123,6 +126,73 @@ def test_criterion_7_features_match_the_scipy_chain():
         recording = add_noise(signal.fftconvolve(x, plant)[: x.shape[0]], noise, rng)
         want = scipy_feature(recording, scipy_excitation)
         assert float(np.max(np.abs(got.samples - want))) <= 1e-12
+
+
+# The measurement chain as it ran before the period was used: every
+# tiled period convolved at a 5-smooth FFT size, and the correlation as
+# FFTs of the odd period length.
+def fast_len(n):
+    best = 1 << max(0, int(n - 1).bit_length())
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * (1 << max(0, int(-(-n // p35) - 1).bit_length())))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def tiled_simulation(excitation, plant, repeats):
+    x = np.tile(excitation.samples, repeats + 1)
+    n = fast_len(x.shape[0] + plant.shape[0] - 1)
+    return np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(plant, n), n)[: x.shape[0]]
+
+
+def fft_recovery(recorded, excitation, repeats):
+    L = excitation.length
+    avg = recorded[L : (repeats + 1) * L].reshape(repeats, L).mean(axis=0)
+    spec = np.fft.rfft(avg) * np.conj(np.fft.rfft(excitation.samples))
+    corr = np.fft.irfft(spec, n=L) / (L + 1)
+    return corr + corr.sum()
+
+
+@pytest.mark.parametrize("order", range(2, 19))
+def test_one_period_chain_matches_the_tiled_fft_chain(order):
+    excitation = generate_mls(order)
+    L = excitation.length
+    rng = np.random.default_rng(order)
+    repeats = 3 if order <= 14 else 1
+    for taps in sorted({1, 2, L // 3 + 1, L - 1, L}):
+        plant = rng.normal(size=taps) * 0.9995 ** np.arange(taps)
+        got = simulate_measurement(excitation, plant, repeats)
+        want = tiled_simulation(excitation, plant, repeats)
+        assert got.shape == want.shape
+        assert relative_to_peak(got, want) <= 1e-12, taps
+        ir = recover_impulse_response(want, excitation, repeats).samples
+        assert relative_to_peak(ir, fft_recovery(want, excitation, repeats)) <= 1e-12, taps
+    # a recording that is not periodic, as a WAV take is, with a tail
+    # past the periods the recovery reads
+    recorded = rng.normal(size=(repeats + 1) * L + 5)
+    ir = recover_impulse_response(recorded, excitation, repeats).samples
+    assert relative_to_peak(ir, fft_recovery(recorded, excitation, repeats)) <= 1e-12
+
+
+def test_criterion_7_features_match_the_tiled_fft_chain():
+    # every take of the criterion-7 cohort (family seed 0, default config)
+    excitation = generate_mls(DEFAULTS.mls_order)
+    for sidx, spec in enumerate(make_subject_family(0)):
+        plant = generate_plant(spec.plant).samples
+        clean = simulate_measurement(excitation, plant, DEFAULTS.repeats)
+        old_clean = tiled_simulation(excitation, plant, DEFAULTS.repeats)
+        for take in range(DEFAULTS.takes):
+            rng = [0, sidx, take]
+            got = response_feature(recover_impulse_response(
+                add_noise(clean, DEFAULTS.noise_rms, rng), excitation))
+            old = add_noise(old_clean, DEFAULTS.noise_rms, rng)
+            want = response_feature(ImpulseResponse(
+                fft_recovery(old, excitation, DEFAULTS.repeats), 44100, "raw"))
+            assert float(np.max(np.abs(got.samples - want.samples))) <= 1e-12, (sidx, take)
 
 
 GUID_PCM = struct.pack("<H", 1) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
