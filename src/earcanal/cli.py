@@ -45,7 +45,7 @@ from earcanal.acoustics import (
 from earcanal.analysis import SimilarityMatrix, emit_report
 from earcanal.config import PipelineConfig
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
-from earcanal.shape import shape_center_fn, shape_similarity_matrix
+from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
     PlantGenerator,
     generate_canal_mesh,
@@ -201,6 +201,12 @@ def _write_all(outputs: dict) -> None:
             path.write_text(data)
 
 
+def _center_track(stl_path: Path, cfg: PipelineConfig) -> ShapeCenterFn:
+    """One subject's center track; its mesh is freed before the next is read."""
+    slices = slice_centroids(triangle_centroids(parse_stl(stl_path.read_bytes())), cfg.delta_z)
+    return shape_center_fn(slices, cfg.min_slice_points)
+
+
 def cmd_shape(args) -> int:
     cfg = _load_config(args)
     manifest_path = Path(args.manifest)
@@ -214,9 +220,7 @@ def cmd_shape(args) -> int:
         if not stl_path.is_file():
             raise InputError(f"no such file: {stl_path} (subject {sid!r})")
         try:
-            mesh = parse_stl(stl_path.read_bytes())
-            slices = slice_centroids(triangle_centroids(mesh), cfg.delta_z)
-            tracks.append((sid, shape_center_fn(slices, cfg.min_slice_points)))
+            tracks.append((sid, _center_track(stl_path, cfg)))
         except ValueError as exc:
             failures.append(f"{sid}: {exc}")
     if failures:

@@ -108,6 +108,20 @@ def _by_slice(rows) -> np.ndarray:
     return np.moveaxis(np.array(rows), -1, 0)
 
 
+def _moment_sums(x, y, starts) -> dict:
+    """Per-slice sums of x^a y^b for 0 < a + b <= 4, keyed (a, b).  Each product is
+    its prefix times one factor: the left-to-right product x...x y...y."""
+    m, xa = {}, None  # xa is x^a; None stands for x^0
+    for a in range(5):
+        term = xa = x if a == 1 else xa * x if a else None
+        for b in range(5 - a):
+            if b:
+                term = y if term is None else term * y
+            if a + b:
+                m[a, b] = np.add.reduceat(term, starts)
+    return m
+
+
 def fit_conics(bins) -> tuple:
     """Fit one ellipse to each (k, 2) point array in ``bins``, as a batch.
 
@@ -145,16 +159,8 @@ def fit_conics(bins) -> tuple:
     x /= np.repeat(s, counts)
     y /= np.repeat(s, counts)
 
-    # sums of x^a y^b for 0 < a + b <= 4, one product alive at a time
-    m = {}
-    for a in range(5):
-        for b in range(5 - a):
-            if a + b:
-                term = np.ones_like(x)
-                for factor in [x] * a + [y] * b:
-                    term *= factor
-                m[a, b] = np.add.reduceat(term, starts)
-    del x, y, term
+    m = _moment_sums(x, y, starts)
+    del x, y
     # collinear points fit rounding noise; after the scaling m20 + m02 = n,
     # so this determinant ratio is 0 for them and 1/4 for a circle
     ok &= (m[2, 0] * m[0, 2] - m[1, 1] ** 2) / (n * n) >= _MIN_SPREAD

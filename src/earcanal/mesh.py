@@ -17,6 +17,7 @@ import numpy as np
 from earcanal.config import readonly_view
 
 _BINARY_HEADER_LEN = 80
+_MAX_SLICES = 2**20  # most slices of one cloud: 105 m of canal at delta_z 0.1
 _FACET_DTYPE = np.dtype([
     ("normal", "<f4", (3,)),
     ("vertices", "<f4", (3, 3)),
@@ -78,12 +79,14 @@ class SliceSet:
 # three times "vertex" and 3 numbers, then "endloop endfacet".  Keyword
 # and number columns are counted from the facet's first token.
 _FACET_TOKENS = 21
-_FACET_WORDS = {1: "normal", 5: "outer", 6: "loop", 7: "vertex", 11: "vertex",
-                15: "vertex", 19: "endloop", 20: "endfacet"}
+_FACET_WORDS = {1: b"normal", 5: b"outer", 6: b"loop", 7: b"vertex", 11: b"vertex",
+                15: b"vertex", 19: b"endloop", 20: b"endfacet"}
 _FACET_NUMBERS = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
+# str.split also splits at the ASCII separators 0x1c-0x1f; bytes.split does not
+_SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
-def _first_other_word(column: list, word: str) -> int | None:
+def _first_other_word(column: list, word: bytes) -> int | None:
     """Index of the first token in ``column`` that is not ``word`` in
     any letter case, or None."""
     if column == [word] * len(column):
@@ -91,7 +94,7 @@ def _first_other_word(column: list, word: str) -> int | None:
     return next((i for i, tok in enumerate(column) if tok.lower() != word), None)
 
 
-def _is_number(tok: str) -> bool:
+def _is_number(tok: bytes) -> bool:
     try:
         float(tok)
     except ValueError:
@@ -102,44 +105,44 @@ def _is_number(tok: str) -> bool:
 def _parse_ascii_stl(data: bytes) -> TriangleMesh:
     """Parse ASCII STL a column at a time.
 
-    The text is split once.  Each facet is exactly 21 tokens, so facet k
-    begins 21k tokens after the solid's name, and each keyword or number
-    of every facet is one list slice with step 21.  The solid ends at
-    the first facet position that does not hold ``facet``; anything
-    after its ``endsolid`` is ignored.  On malformed input the error is
-    the one found first in token order, as a token-by-token reader would
-    report it.
+    The bytes, not a decoded copy, are split once, where ``str.split``
+    splits.  Each facet is exactly 21 tokens, so facet k begins 21k
+    tokens after the solid's name, and each keyword or number of every
+    facet is one list slice with step 21.  The solid ends at the first
+    facet position that does not hold ``facet``; anything after its
+    ``endsolid`` is ignored.  On malformed input the error is the one
+    found first in token order, as a token-by-token reader reports it.
     """
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
-    tokens = text.split()
-    del text
+    if not data.isascii():
+        try:
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
+    tokens = data.translate(_SEPARATORS_TO_SPACE).split()
     if not tokens:
         raise StlParseError("truncated ASCII STL: unexpected end of file")
-    if tokens[0].lower() != "solid":
-        raise StlParseError(f"expected 'solid' in ASCII STL, got {tokens[0]!r}")
+    if tokens[0].lower() != b"solid":
+        raise StlParseError(f"expected 'solid' in ASCII STL, got {tokens[0].decode()!r}")
     # solid name: arbitrary tokens up to the first facet (or endsolid)
     first = 1
-    while first < len(tokens) and tokens[first].lower() not in ("facet", "endsolid"):
+    while first < len(tokens) and tokens[first].lower() not in (b"facet", b"endsolid"):
         first += 1
     heads = tokens[first::_FACET_TOKENS]
-    n = _first_other_word(heads, "facet")
+    n = _first_other_word(heads, b"facet")
     n = len(heads) if n is None else n
     end = first + _FACET_TOKENS * n  # the token that closes the solid
 
     errors = {}  # token position -> message
     if end >= len(tokens):
         errors[len(tokens)] = "truncated ASCII STL: unexpected end of file"
-    elif tokens[end].lower() != "endsolid":
-        errors[end] = f"expected 'facet' or 'endsolid', got {tokens[end].lower()!r}"
+    elif tokens[end].lower() != b"endsolid":
+        errors[end] = f"expected 'facet' or 'endsolid', got {tokens[end].lower().decode()!r}"
     for col, word in _FACET_WORDS.items():
         column = tokens[first + col : end : _FACET_TOKENS]
         bad = _first_other_word(column, word)
         if bad is not None:
             errors[first + col + _FACET_TOKENS * bad] = (
-                f"expected {word!r} in ASCII STL, got {column[bad]!r}"
+                f"expected {word.decode()!r} in ASCII STL, got {column[bad].decode()!r}"
             )
     values = np.empty((len(_FACET_NUMBERS), n))
     for row, col in enumerate(_FACET_NUMBERS):
@@ -149,7 +152,7 @@ def _parse_ascii_stl(data: bytes) -> TriangleMesh:
         except ValueError:
             bad = next(i for i, tok in enumerate(column) if not _is_number(tok))
             errors[first + col + _FACET_TOKENS * bad] = (
-                f"expected a number in ASCII STL, got {column[bad]!r}"
+                f"expected a number in ASCII STL, got {column[bad].decode()!r}"
             )
     if errors:
         raise StlParseError(errors[min(errors)])
@@ -213,7 +216,13 @@ def write_binary_stl(mesh: TriangleMesh, header: bytes = b"earcanal binary STL")
 def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
     """Arithmetic mean of each triangle's three vertices: a read-only
     (n, 3) array with one (x, y, z) point per triangle."""
-    return readonly_view(mesh.vertices.mean(axis=1))
+    # bitwise vertices.mean(axis=1), in place: its sum (0 + v0 + v1 + v2)
+    # starts from 0, which only turns -0.0 + -0.0 + -0.0 into 0.0
+    c = mesh.vertices[:, 0] + mesh.vertices[:, 1]
+    c += mesh.vertices[:, 2]
+    c += 0.0
+    c /= 3
+    return readonly_view(c)
 
 
 def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> SliceSet:
@@ -223,6 +232,8 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
     (n+1)*delta_z`` (bin 0 is closed below).  ``z_origin`` defaults to the
     minimum z of the cloud, the ear-entrance end; an explicit value must
     not exceed that minimum, since slicing indexes depth from the entrance.
+    More than ``_MAX_SLICES`` slices raise ValueError before any is made.
+    Every bin is a read-only view into one gathered array of the points.
     """
     if delta_z <= 0:
         raise ValueError(f"delta_z must be positive, got {delta_z}")
@@ -234,7 +245,7 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
     if not np.isfinite(points).all():
         raise ValueError("centroid cloud contains non-finite coordinates")
     z = points[:, 2]
-    zmin = float(z.min())
+    zmin, zmax = float(z.min()), float(z.max())
     if z_origin is None:
         z_origin = zmin
     elif z_origin > zmin:
@@ -242,12 +253,17 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
             f"z_origin {z_origin} exceeds the minimum cloud z {zmin}; "
             "slicing must start at the ear-entrance end"
         )
-    rel = z - z_origin
-    idx = np.ceil(rel / delta_z).astype(np.int64) - 1
+    count = np.ceil((zmax - z_origin) / delta_z)
+    if not count <= _MAX_SLICES:
+        raise ValueError(f"{count:g} slices of delta_z {delta_z} for z from {z_origin} to "
+                         f"{zmax}; at most {_MAX_SLICES} are allowed")
+    idx = np.ceil((z - z_origin) / delta_z).astype(np.int64) - 1
     idx[idx < 0] = 0  # points exactly at the origin belong to bin 0
     # one stable sort groups the points by bin in their original order,
     # so the work is O(points log points) however many bins there are
     order = np.argsort(idx, kind="stable")
-    cuts = np.searchsorted(idx[order], np.arange(1, int(idx.max()) + 1))
-    bins = tuple(readonly_view(xy) for xy in np.split(points[order, :2], cuts))
+    xy = np.take(points, order, axis=0)[:, :2]
+    xy.flags.writeable = False
+    ends = np.cumsum(np.bincount(idx)).tolist()
+    bins = tuple(xy[a:b] for a, b in zip([0] + ends[:-1], ends))
     return SliceSet(float(delta_z), float(z_origin), bins)

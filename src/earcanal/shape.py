@@ -82,8 +82,7 @@ class ShapeCenterFn:
     def to_csv(self) -> str:
         """CSV rendering with columns n, x_n, y_n."""
         lines = ["n,x_n,y_n"]
-        for n, (x, y) in enumerate(self.centers):
-            lines.append(f"{n},{float(x)!r},{float(y)!r}")
+        lines += [f"{n},{x!r},{y!r}" for n, (x, y) in enumerate(self.centers.tolist())]
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from earcanal.acoustics import (
 )
 from earcanal.analysis import SimilarityMatrix
 from earcanal.cli import main
+from earcanal.mesh import TriangleMesh, parse_stl, write_binary_stl
 from earcanal.synth import PlantGenerator, generate_plant
 
 # small but structurally complete: MLS period 4095 still covers the
@@ -475,6 +477,41 @@ def test_unfittable_mesh_exits_one(tmp_path, capsys):
     assert code == 1
     assert "flat" in capsys.readouterr().err
     # computational failure leaves no partial outputs behind
+    assert not (tmp_path / "o").exists()
+
+
+def test_shape_holds_one_mesh_at_a_time(tmp_path, fast_cfg, corpus, monkeypatch):
+    meshes, alive = [], []
+
+    def tracking_parse(data):
+        # which earlier meshes are still alive as the next file is parsed
+        alive.append([ref() is not None for ref in meshes])
+        mesh = parse_stl(data)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(cli, "parse_stl", tracking_parse)
+    assert main(["shape", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(corpus / "shape_manifest.json")]) == 0
+    assert alive == [[False] * k for k in range(4)]
+
+
+def test_outlier_vertex_exits_one_without_a_traceback(tmp_path, corpus):
+    mesh = parse_stl((corpus / "twin_a.stl").read_bytes())
+    vertices = mesh.vertices.copy()
+    vertices[7, 1, 2] = 1e12  # one vertex a thousand km down the canal
+    (tmp_path / "outlier.stl").write_bytes(
+        write_binary_stl(TriangleMesh(vertices, mesh.normals, mesh.source_format)))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {
+        "intact": str(corpus / "twin_b.stl"), "outlier": "outlier.stl"}}))
+    proc = subprocess.run([sys.executable, "-m", "earcanal.cli", "shape", "--manifest",
+                           str(manifest), "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: outlier: ")
+    assert "slices of delta_z 0.1" in proc.stderr and "at most 1048576" in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earcanal import ellipse
 from earcanal.ellipse import EllipseFitError, conic_to_geometric, fit_conics, fit_ellipse
 
 
@@ -376,3 +377,53 @@ def test_spread_check_changes_no_other_fit(seed, monkeypatch):
     unchecked_conics, unchecked_centers = fit_conics(good)
     np.testing.assert_array_equal(conics, unchecked_conics)
     np.testing.assert_array_equal(centers, unchecked_centers)
+
+
+def product_loop_sums(x, y, starts):
+    """The moment sums as each was built before: ones times a factors x,
+    then b factors y."""
+    m = {}
+    for a in range(5):
+        for b in range(5 - a):
+            if a + b:
+                term = np.ones_like(x)
+                for factor in [x] * a + [y] * b:
+                    term *= factor
+                m[a, b] = np.add.reduceat(term, starts)
+    return m
+
+
+def scanner_batch(seed, points=400_000, count=800):
+    """One mesh's worth of noisy ellipse slices."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.multinomial(points - 5 * count, np.full(count, 1 / count)) + 5
+    slices = []
+    for k in sizes:
+        e = make_ellipse(rng.uniform(-20, 20, 2), sorted(rng.uniform(0.5, 4, 2), reverse=True),
+                         rng.uniform(0, np.pi))
+        slices.append(sample(e, k, rng=rng) + rng.normal(scale=0.05, size=(k, 2)))
+    return slices
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("make", [lambda: mixed_slices(0), lambda: mixed_slices(1),
+                                  lambda: scanner_batch(2)],
+                         ids=["mixed_0", "mixed_1", "scanner_400k"])
+def test_moment_sums_are_bitwise_the_product_loop(make, monkeypatch):
+    slices = make()
+    pts = np.concatenate(slices)
+    starts = np.concatenate([[0], np.cumsum([len(b) for b in slices])[:-1]])
+    want = product_loop_sums(pts[:, 0], pts[:, 1], starts)
+    got = ellipse._moment_sums(pts[:, 0], pts[:, 1], starts)
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(bits(got[key]), bits(want[key]))
+    # and so the fits are bitwise the fits of the product loop
+    conics, centers = fit_conics(slices)
+    monkeypatch.setattr(ellipse, "_moment_sums", product_loop_sums)
+    old_conics, old_centers = fit_conics(slices)
+    np.testing.assert_array_equal(bits(conics), bits(old_conics))
+    np.testing.assert_array_equal(bits(centers), bits(old_centers))

@@ -254,6 +254,106 @@ def test_column_parser_matches_the_token_reader(data):
         np.testing.assert_array_equal(got[1], want[1])
 
 
+def str_column_parse_ascii(data: bytes) -> TriangleMesh:
+    """The column parser on the ``str`` tokens of a decoded copy, as it
+    was before it split the bytes themselves."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
+    tokens = text.split()
+    words = {1: "normal", 5: "outer", 6: "loop", 7: "vertex", 11: "vertex",
+             15: "vertex", 19: "endloop", 20: "endfacet"}
+    numbers = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
+
+    def first_other_word(column, word):
+        return next((i for i, tok in enumerate(column) if tok.lower() != word), None)
+
+    if not tokens:
+        raise StlParseError("truncated ASCII STL: unexpected end of file")
+    if tokens[0].lower() != "solid":
+        raise StlParseError(f"expected 'solid' in ASCII STL, got {tokens[0]!r}")
+    first = 1
+    while first < len(tokens) and tokens[first].lower() not in ("facet", "endsolid"):
+        first += 1
+    heads = tokens[first::21]
+    n = first_other_word(heads, "facet")
+    n = len(heads) if n is None else n
+    end = first + 21 * n
+    errors = {}
+    if end >= len(tokens):
+        errors[len(tokens)] = "truncated ASCII STL: unexpected end of file"
+    elif tokens[end].lower() != "endsolid":
+        errors[end] = f"expected 'facet' or 'endsolid', got {tokens[end].lower()!r}"
+    for col, word in words.items():
+        column = tokens[first + col : end : 21]
+        bad = first_other_word(column, word)
+        if bad is not None:
+            errors[first + col + 21 * bad] = f"expected {word!r} in ASCII STL, got {column[bad]!r}"
+    values = np.empty((len(numbers), n))
+    for row, col in enumerate(numbers):
+        column = tokens[first + col : end : 21]
+        for i, tok in enumerate(column):
+            try:
+                values[row, i] = float(tok)
+            except ValueError:
+                errors[first + col + 21 * i] = f"expected a number in ASCII STL, got {tok!r}"
+                break
+    if errors:
+        raise StlParseError(errors[min(errors)])
+    if n == 0:
+        raise StlParseError("ASCII STL contains no facets")
+    return TriangleMesh(values[3:].T.reshape(n, 3, 3), values[:3].T, "ascii_stl")
+
+
+def assert_same_outcome(got, want):
+    """Equal error type and message, or bitwise-equal arrays."""
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=mutated_stl())
+def test_bytes_tokens_match_the_str_tokens(data):
+    assert_same_outcome(outcome(_parse_ascii_stl, data), outcome(str_column_parse_ascii, data))
+
+
+def spelled(data: bytes, sep: bytes, case) -> bytes:
+    """``data`` with its tokens joined by ``sep`` and its keywords in the
+    letter case ``case`` gives them, the solid name left as it is."""
+    tokens = data.split()
+    keywords = {b"solid", b"facet", b"normal", b"outer", b"loop", b"vertex", b"endloop",
+                b"endfacet", b"endsolid"}
+    return sep.join(case(t) if t.lower() in keywords else t for t in tokens)
+
+
+@pytest.mark.parametrize("sep", [b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\t", b"\r",
+                                 b"\r\n\t", b" \x1c\x1f\n"])
+@pytest.mark.parametrize("case", [bytes.upper, bytes.capitalize, bytes.swapcase])
+def test_valid_files_parse_as_the_str_tokens_do(sep, case):
+    for base in (ASCII_TETRA, ascii_text(random_mesh(30, seed=6))):
+        data = spelled(base.replace(b"solid scan", b"solid  multi token scan name"), sep, case)
+        want = outcome(str_column_parse_ascii, data)
+        assert not isinstance(want[0], type)
+        assert_same_outcome(outcome(_parse_ascii_stl, data), want)
+
+
+@pytest.mark.parametrize("data", [
+    ASCII_TETRA.replace(b"unit tetra", "unit t\u00e9tra".encode()),
+    ASCII_TETRA.replace(b"vertex 0 1 0", "vertex 0 1 \u2212".encode(), 1),
+    ASCII_TETRA.replace(b"solid", b"SOLID\x1c", 1),
+    b"solid\x1d",
+    b"\x1fsolid x facet",
+], ids=["non_ascii_name", "non_ascii_number", "separator_after_solid", "empty_solid",
+        "leading_separator"])
+def test_odd_bytes_give_the_str_token_message(data):
+    assert_same_outcome(outcome(_parse_ascii_stl, data), outcome(str_column_parse_ascii, data))
+
+
 def test_scanner_style_ascii_is_exact():
     mesh = random_mesh(200, seed=9)
     data = ascii_text(mesh)
@@ -302,6 +402,22 @@ def test_translated_shifts_centroids():
     base = triangle_centroids(mesh)
     np.testing.assert_allclose(moved - base - np.array([1.0, -2.0, 0.5]),
                                np.zeros_like(base), rtol=0, atol=1e-12)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_centroids_are_bitwise_the_vertex_mean(seed):
+    rng = np.random.default_rng(seed)
+    n = 5000
+    # magnitudes from subnormal to 1e300, signed zeros, and sums that round
+    verts = rng.normal(size=(n, 3, 3)) * 10.0 ** rng.integers(-310, 301, size=(n, 3, 3))
+    verts[rng.random((n, 3, 3)) < 0.05] = -0.0
+    verts[:50] = rng.integers(-3, 4, size=(50, 3, 3)) * 0.1
+    mesh = TriangleMesh(verts, np.zeros((n, 3)), "ascii_stl")
+    np.testing.assert_array_equal(bits(triangle_centroids(mesh)), bits(verts.mean(axis=1)))
 
 
 def cloud_at_z(zs):
@@ -382,3 +498,51 @@ def test_binning_partitions_the_cloud(zs, delta):
     idx = np.maximum(np.ceil(rel / delta).astype(np.int64) - 1, 0)
     for n, b in enumerate(s.bins):
         np.testing.assert_array_equal(b, cloud[idx == n, :2])
+
+
+def split_slices(points, delta_z, z_origin=None):
+    """The bins as the argsort and ``np.split`` slicer made them."""
+    z = points[:, 2]
+    z_origin = float(z.min()) if z_origin is None else z_origin
+    idx = np.ceil((z - z_origin) / delta_z).astype(np.int64) - 1
+    idx[idx < 0] = 0
+    order = np.argsort(idx, kind="stable")
+    cuts = np.searchsorted(idx[order], np.arange(1, int(idx.max()) + 1))
+    return np.split(points[order, :2], cuts)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bins_are_bitwise_the_split_bins(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 3000))
+    # clustered depths leave empty interior bins; some points sit on edges
+    zs = rng.choice(rng.uniform(-5, 40, 12), n) + rng.normal(scale=0.3, size=n)
+    zs[: n // 10] = np.round(zs[: n // 10], 1)
+    points = np.column_stack([rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-5, 5, (n, 2)), zs])
+    for delta_z, z_origin in [(0.1, None), (0.5, None), (0.1, zs.min() - 3.05), (0.25, -7.0)]:
+        s = slice_centroids(points, delta_z, z_origin)
+        want = split_slices(points, delta_z, z_origin)
+        assert len(s.bins) == len(want)
+        assert any(len(b) == 0 for b in want[1:-1]) or delta_z == 0.5
+        for got, ref in zip(s.bins, want):
+            assert got.shape == ref.shape and not got.flags.writeable
+            np.testing.assert_array_equal(bits(got), bits(ref))
+
+
+@pytest.mark.parametrize("zs", [[0.0, 1.0, 1e300], [0.0, 1e17]], ids=["overflow", "huge"])
+def test_slice_count_is_bounded(zs):
+    # 1e300 / 0.1 overflows the old int64 index into one slice of all points,
+    # and 1e17 / 0.1 slices asked for exbibytes
+    with pytest.raises(ValueError, match=r"slices of delta_z 0.1 for z from 0.0 to .*at most 1048576"):
+        slice_centroids(cloud_at_z(zs), 0.1)
+
+
+def test_slice_bound_counts_from_an_explicit_origin():
+    s = slice_centroids(cloud_at_z([0.0, 1.0]), 0.5)
+    assert len(s.bins) == 2
+    with pytest.raises(ValueError, match="1.04858e\\+06 slices"):
+        slice_centroids(cloud_at_z([0.0, 1.0]), 1.0, z_origin=-(2.0**20))
+    with pytest.raises(ValueError, match="inf slices"):
+        slice_centroids(cloud_at_z([0.0, 1.0]), 0.5, z_origin=-np.inf)
+    with pytest.raises(ValueError, match="nan slices"):
+        slice_centroids(cloud_at_z([0.0, 1.0]), 0.5, z_origin=np.nan)

@@ -398,3 +398,25 @@ def test_half_step_ties_follow_the_whole_grid_argmax(grid_size):
         got = shape_similarity(a, track([[0.0, 0.0], b]), grid_size)
         assert (got.best_theta, got.phi) == (want * step, score[want])
     assert odd > 0
+
+
+def numpy_scalar_csv(fn):
+    """``to_csv`` as it formatted numpy scalars one at a time."""
+    lines = ["n,x_n,y_n"]
+    for n, (x, y) in enumerate(fn.centers):
+        lines.append(f"{n},{float(x)!r},{float(y)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csv_rows_are_the_numpy_scalar_rows(seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-30, 30, size=(300, 2))
+    centers[1:20] = [[-0.0, 0.0], [5e-324, -5e-324], [2.2e-308, -1e-310], [1e300, -1e300],
+                     [0.1, 1 / 3], [1e16, 2.0**53 + 2], [np.pi, -np.e], [1e-5, 123456789.0],
+                     [-0.0, -0.0], [0.5, 1e22], [1e23, 9.999999999999999e22], [1.0, -1.0],
+                     [4.9e-324, 1.7976931348623157e308], [-1e-7, 1e-4], [100.0, 1e15],
+                     [2.5e-16, 0.30000000000000004], [7.0, 1e21], [-123.456, 6.02e23],
+                     [3e-320, -0.0]]
+    fn = track(centers)
+    assert fn.to_csv() == numpy_scalar_csv(fn)
