@@ -56,7 +56,6 @@ from earcanal.analysis import (
     linear_regression,
     matrix_statistics,
     regress_all_subjects,
-    shape_acoustic_pairs,
 )
 from earcanal.synth import (
     CanalGenerator,
@@ -109,7 +108,6 @@ __all__ = [
     "recover_impulse_response",
     "regress_all_subjects",
     "response_feature",
-    "shape_acoustic_pairs",
     "shape_center_fn",
     "shape_similarity",
     "shape_similarity_matrix",

@@ -12,19 +12,21 @@ pair, stands out from the cohort.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from earcanal.config import readonly_view
+from earcanal.config import json_text, readonly_view
 
 
 def _fmt(x: float) -> str:
     """Shortest exact decimal form; the one format used in every output
     file so reruns are byte-identical."""
     return repr(float(x))
+
+
+_fmt_cells = np.frompyfunc(_fmt, 1, 1)  # _fmt of every element, as an object array
 
 
 def mirror_upper(cells: np.ndarray) -> np.ndarray:
@@ -97,26 +99,19 @@ class SimilarityMatrix:
 
     def off_diagonal_pairs(self):
         """Unordered pairs as ``(id_a, id_b, value)`` in row-major order."""
-        m = self.n_subjects
-        return [
-            (self.ids[i], self.ids[j], float(self.values[i, j]))
-            for i in range(m)
-            for j in range(i + 1, m)
-        ]
+        i, j = np.triu_indices(self.n_subjects, 1)
+        ids = np.array(self.ids, dtype=object)
+        return list(zip(ids[i].tolist(), ids[j].tolist(), self.values[i, j].tolist()))
 
     def to_csv(self, comments: tuple = ()) -> str:
+        shown = ~np.eye(self.n_subjects, dtype=bool) & ~np.isnan(self.values)
+        cells = np.where(shown, _fmt_cells(self.values), "")
+        if self.stds is not None:
+            spread = shown & ~np.isnan(self.stds)
+            cells = np.where(spread, cells + "±" + _fmt_cells(self.stds), cells)
         lines = [f"# {c}" for c in comments]
         lines.append("subject," + ",".join(self.ids))
-        for i, sid in enumerate(self.ids):
-            cells = []
-            for j in range(self.n_subjects):
-                if i == j or np.isnan(self.values[i, j]):
-                    cells.append("")
-                elif self.stds is not None and not np.isnan(self.stds[i, j]):
-                    cells.append(f"{_fmt(self.values[i, j])}±{_fmt(self.stds[i, j])}")
-                else:
-                    cells.append(_fmt(self.values[i, j]))
-            lines.append(sid + "," + ",".join(cells))
+        lines += [sid + "," + ",".join(row) for sid, row in zip(self.ids, cells.tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -205,8 +200,7 @@ def matrix_statistics(m: SimilarityMatrix, pair: tuple) -> MatrixStatistics:
     Requires a fully populated off-diagonal: a missing cell would bias
     the mean silently.
     """
-    off = m.off_diagonal_pairs()
-    vals = np.array([v for _, _, v in off])
+    vals = m.values[np.triu_indices(m.n_subjects, 1)]
     if np.isnan(vals).any():
         raise ValueError("matrix has undefined off-diagonal cells")
     overall = float(vals.mean())
@@ -217,61 +211,62 @@ def matrix_statistics(m: SimilarityMatrix, pair: tuple) -> MatrixStatistics:
     return MatrixStatistics(overall, pair_value, excess)
 
 
-def linear_regression(pairs, subject_id: str | None = None) -> RegressionResult:
-    """Least-squares line, Pearson r, and R^2 for (x, y) pairs.
-
-    Zero x-variance leaves the slope undefined and is an error; zero
-    y-variance is flagged degenerate with r = R^2 = 0 (the fitted line is
-    flat and explains nothing that varies).
-    """
-    pts = [(float(x), float(y)) for x, y in pairs]
-    if len(pts) < 2:
-        raise ValueError(f"regression needs at least 2 pairs, got {len(pts)}")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    sxy = float(np.dot(dx, dy))
-    if sxx == 0.0:
+def _regressions(x: np.ndarray, y: np.ndarray, ids) -> list:
+    """Least-squares line, Pearson r, and R^2 of each row pair of the
+    (B, n) arrays ``x`` and ``y``, one :class:`RegressionResult` per id.
+    Zero x-variance in any row leaves its slope undefined and is an error;
+    a row of zero y-variance is flagged degenerate with r = R^2 = 0 (the
+    fitted line is flat and explains nothing that varies)."""
+    if x.shape[1] < 2:
+        raise ValueError(f"regression needs at least 2 pairs, got {x.shape[1]}")
+    x_mean, y_mean = x.mean(axis=1), y.mean(axis=1)
+    dx = x - x_mean[:, None]
+    dy = y - y_mean[:, None]
+    # np.dot of each row pair: the same BLAS dot as on one row alone
+    sxx, syy, sxy = (np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+                     for a, b in ((dx, dx), (dy, dy), (dx, dy)))
+    if (sxx == 0.0).any():
         raise ValueError("x values are all equal; slope is undefined")
     slope = sxy / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    if syy == 0.0:
-        return RegressionResult(tuple(pts), slope, intercept, 0.0, 0.0, subject_id, True)
-    r = sxy / np.sqrt(sxx * syy)
-    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
-    r_squared = 1.0 - ss_res / syy
-    return RegressionResult(tuple(pts), slope, intercept, float(r), float(r_squared), subject_id)
+    intercept = y_mean - slope * x_mean
+    degenerate = syy == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(degenerate, 0.0, sxy / np.sqrt(sxx * syy))
+        ss_res = ((y - (slope[:, None] * x + intercept[:, None])) ** 2).sum(axis=1)
+        r_squared = np.where(degenerate, 0.0, 1.0 - ss_res / syy)
+    fits = zip(ids, x.tolist(), y.tolist(), slope.tolist(), intercept.tolist(),
+               r.tolist(), r_squared.tolist(), degenerate.tolist())
+    return [RegressionResult(tuple(zip(xs, ys)), b, c, rr, r2, sid, deg)
+            for sid, xs, ys, b, c, rr, r2, deg in fits]
 
 
-def shape_acoustic_pairs(
-    shape_m: SimilarityMatrix,
-    acoustic_m: SimilarityMatrix,
-    subject_id: str,
-) -> list:
-    """Paired (shape, acoustic) similarities of one subject against every
-    other subject, ordered by subject index.  Same-subject comparison is
-    excluded; the acoustic value is the cell mean."""
-    if set(shape_m.ids) != set(acoustic_m.ids):
-        raise ValueError("shape and acoustic matrices cover different subjects")
-    if shape_m.n_subjects < 3:
-        raise ValueError("need at least 3 subjects (2 pairs) for a regression")
-    pairs = []
-    for other in shape_m.ids:
-        if other == subject_id:
-            continue
-        pairs.append((shape_m.cell(subject_id, other), acoustic_m.cell(subject_id, other)))
-    return pairs
+def linear_regression(pairs, subject_id: str | None = None) -> RegressionResult:
+    """Least-squares line, Pearson r, and R^2 for (x, y) pairs: the batch
+    of one of :func:`regress_all_subjects`."""
+    pts = np.array([(float(x), float(y)) for x, y in pairs]).reshape(-1, 2)
+    x, y = np.ascontiguousarray(pts.T)
+    return _regressions(x[None], y[None], (subject_id,))[0]
 
 
 def regress_all_subjects(shape_m: SimilarityMatrix, acoustic_m: SimilarityMatrix) -> list:
-    """One regression per subject, in matrix id order."""
-    return [
-        linear_regression(shape_acoustic_pairs(shape_m, acoustic_m, sid), sid)
-        for sid in shape_m.ids
-    ]
+    """One regression per subject, in shape-matrix id order, all in one batch.
+
+    Subject n's pairs are its (shape, acoustic) similarities against every
+    other subject, in id order; the acoustic value is the cell mean.
+    """
+    if set(shape_m.ids) != set(acoustic_m.ids):
+        raise ValueError("shape and acoustic matrices cover different subjects")
+    m = shape_m.n_subjects
+    if m < 3:
+        raise ValueError("need at least 3 subjects (2 pairs) for a regression")
+    # the acoustic row of each shape id: the two sorted id lists match by rank
+    rows = np.empty(m, dtype=np.intp)
+    rows[np.argsort(np.array(shape_m.ids, dtype=object))] = np.argsort(
+        np.array(acoustic_m.ids, dtype=object))
+    off = ~np.eye(m, dtype=bool)
+    x = shape_m.values[off].reshape(m, m - 1)
+    y = acoustic_m.values[np.ix_(rows, rows)][off].reshape(m, m - 1)
+    return _regressions(x, y, shape_m.ids)
 
 
 def _svg_scatter(result: RegressionResult) -> str:
@@ -388,7 +383,7 @@ def emit_report(
                 "pair_value": st.pair_value,
                 "percent_excess": st.percent_excess,
             }
-    files["summary.json"] = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    files["summary.json"] = json_text(summary)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():

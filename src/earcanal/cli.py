@@ -43,7 +43,7 @@ from earcanal.acoustics import (
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
-from earcanal.config import PipelineConfig
+from earcanal.config import PipelineConfig, json_text
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
@@ -231,7 +231,7 @@ def cmd_shape(args) -> int:
     outputs = {}
     for sid, track in tracks:
         outputs[out / f"ec_{sid}.csv"] = track.to_csv()
-        outputs[out / f"ec_{sid}.json"] = json.dumps(track.to_dict(), indent=2, sort_keys=True) + "\n"
+        outputs[out / f"ec_{sid}.json"] = json_text(track.to_dict())
     if len(tracks) >= 2:
         matrix = shape_similarity_matrix(tracks, cfg.theta_samples)
         outputs[out / "shape_similarity.csv"] = matrix.to_csv()
@@ -368,7 +368,7 @@ def cmd_acoustic(args) -> int:
                 "feature_length": cfg.feature_length,
             },
         }
-        outputs[out / f"{stem}.json"] = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+        outputs[out / f"{stem}.json"] = json_text(sidecar)
 
     if len({sid for sid, _, _ in all_feats}) >= 2:
         matrix = acoustic_similarity_matrix(all_feats, cfg.similarity_mode)
@@ -438,18 +438,14 @@ def cmd_synth(args) -> int:
         for spec in family:
             mesh = generate_canal_mesh(spec.canal)
             outputs[corpus / f"{spec.subject_id}.stl"] = write_binary_stl(mesh)
-            outputs[corpus / f"{spec.subject_id}_plant.json"] = (
-                json.dumps(spec.plant.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
+            outputs[corpus / f"{spec.subject_id}_plant.json"] = json_text(spec.plant.to_dict())
             shape_subjects[spec.subject_id] = f"{spec.subject_id}.stl"
             acoustic_subjects[spec.subject_id] = {"plant": f"{spec.subject_id}_plant.json"}
-        outputs[corpus / "shape_manifest.json"] = json.dumps(
-            {"schema": "shape_manifest/1", "subjects": shape_subjects}, indent=2, sort_keys=True
-        ) + "\n"
-        outputs[corpus / "acoustic_manifest.json"] = json.dumps(
-            {"schema": "acoustic_manifest/1", "subjects": acoustic_subjects}, indent=2, sort_keys=True
-        ) + "\n"
-        outputs[corpus / "family.json"] = json.dumps(family.to_dict(), indent=2, sort_keys=True) + "\n"
+        outputs[corpus / "shape_manifest.json"] = json_text(
+            {"schema": "shape_manifest/1", "subjects": shape_subjects})
+        outputs[corpus / "acoustic_manifest.json"] = json_text(
+            {"schema": "acoustic_manifest/1", "subjects": acoustic_subjects})
+        outputs[corpus / "family.json"] = json_text(family.to_dict())
         _write_all(outputs)
         cfg.dump(corpus / "config.json", command="synth")
     return 0

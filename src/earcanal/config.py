@@ -6,9 +6,10 @@ outputs.  Its field defaults are the only place a default is written
 down: ``DEFAULTS`` carries them to the keyword defaults of the stage
 functions.
 
-The module also holds the two rules the value types share.
+The module also holds the rules the value types and writers share.
 :class:`Record` is the JSON rule of the types read from JSON: the config
 here, and the canal and plant generators of ``earcanal.synth``.
+:func:`json_text` is the text of every JSON file written.
 :func:`readonly_view` is how a type that holds an array stores it.
 """
 
@@ -29,6 +30,12 @@ def readonly_view(a) -> np.ndarray:
     v = np.ascontiguousarray(a, dtype=np.float64).view()
     v.flags.writeable = False
     return v
+
+
+def json_text(obj) -> str:
+    """The text of a JSON output file: sorted keys, two-space indent and
+    a final newline, so reruns write identical bytes."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _is_a(value, types) -> bool:
@@ -134,7 +141,7 @@ class PipelineConfig(Record):
         d = self.to_dict()
         if command is not None:
             d["command"] = command
-        Path(path).write_text(json.dumps(d, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json_text(d))
 
 
 DEFAULTS = PipelineConfig()

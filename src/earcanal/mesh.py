@@ -82,6 +82,7 @@ _FACET_TOKENS = 21
 _FACET_WORDS = {1: b"normal", 5: b"outer", 6: b"loop", 7: b"vertex", 11: b"vertex",
                 15: b"vertex", 19: b"endloop", 20: b"endfacet"}
 _FACET_NUMBERS = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
+_LOWER_BLOCK = 1 << 16  # bytes parse_stl lower-cases at a time to find a structure word
 # str.split also splits at the ASCII separators 0x1c-0x1f; bytes.split does not
 _SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
@@ -192,8 +193,10 @@ def parse_stl(data: bytes) -> TriangleMesh:
     data = bytes(data)
     head = data.lstrip()[:5].lower()
     # binary files may legally start with 'solid' inside the 80-byte header,
-    # so 'solid' alone is not enough -- require ASCII structure words too.
-    if head == b"solid" and (b"facet" in data or b"endsolid" in data):
+    # so 'solid' alone is not enough -- require an ASCII structure word too,
+    # in any letter case.  Blocks overlap by 7 bytes, so no word is split.
+    blocks = (data[i : i + _LOWER_BLOCK + 7].lower() for i in range(0, len(data), _LOWER_BLOCK))
+    if head == b"solid" and any(b"facet" in b or b"endsolid" in b for b in blocks):
         return _parse_ascii_stl(data)
     return _parse_binary_stl(data)
 

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from earcanal.analysis import (
+    RegressionResult,
     SimilarityMatrix,
+    _fmt,
     emit_report,
     linear_regression,
     matrix_statistics,
     regress_all_subjects,
-    shape_acoustic_pairs,
 )
+from earcanal.config import json_text
 
 
 def tri_matrix(vals, ids=("a", "b", "c"), kind="shape", stds=None):
@@ -187,20 +189,24 @@ def test_regression_dict_form():
 def test_pairing_excludes_self_and_orders_by_ids():
     shape = tri_matrix([0.9, 0.8, 0.7])
     acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
-    assert shape_acoustic_pairs(shape, acoustic, "b") == [(0.9, 0.5), (0.7, 0.3)]
-    assert shape_acoustic_pairs(shape, acoustic, "a") == [(0.9, 0.5), (0.8, 0.4)]
+    pairs = {res.subject_id: res.pairs for res in regress_all_subjects(shape, acoustic)}
+    assert pairs == {
+        "a": ((0.9, 0.5), (0.8, 0.4)),
+        "b": ((0.9, 0.5), (0.7, 0.3)),
+        "c": ((0.8, 0.4), (0.7, 0.3)),
+    }
 
 
 def test_pairing_validation():
     shape = tri_matrix([0.9, 0.8, 0.7])
     other = tri_matrix([0.5, 0.4, 0.3], ids=("a", "b", "z"), kind="acoustic")
-    with pytest.raises(ValueError):
-        shape_acoustic_pairs(shape, other, "a")
+    with pytest.raises(ValueError, match="different subjects"):
+        regress_all_subjects(shape, other)
     two = SimilarityMatrix(("a", "b"), np.array([[np.nan, 0.5], [0.5, np.nan]]))
     two_a = SimilarityMatrix(("a", "b"), np.array([[np.nan, 0.5], [0.5, np.nan]]),
                              kind="acoustic")
-    with pytest.raises(ValueError):
-        shape_acoustic_pairs(two, two_a, "a")
+    with pytest.raises(ValueError, match="need at least 3 subjects"):
+        regress_all_subjects(two, two_a)
 
 
 def test_regress_all_subjects_order():
@@ -286,3 +292,165 @@ def test_emit_report_is_deterministic(tmp_path):
     emit_report(shape, acoustic, tmp_path / "two", designated_pair=("a", "b"))
     for f in sorted((tmp_path / "one").iterdir()):
         assert f.read_bytes() == (tmp_path / "two" / f.name).read_bytes(), f.name
+
+
+# The per-subject, per-cell code that the batch regression and the array
+# CSV writer replaced, kept as references for bitwise comparison.
+
+
+def loop_linear_regression(pairs, subject_id=None):
+    pts = [(float(x), float(y)) for x, y in pairs]
+    if len(pts) < 2:
+        raise ValueError(f"regression needs at least 2 pairs, got {len(pts)}")
+    x = np.array([p[0] for p in pts])
+    y = np.array([p[1] for p in pts])
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(np.dot(dx, dx))
+    syy = float(np.dot(dy, dy))
+    sxy = float(np.dot(dx, dy))
+    if sxx == 0.0:
+        raise ValueError("x values are all equal; slope is undefined")
+    slope = sxy / sxx
+    intercept = float(y.mean() - slope * x.mean())
+    if syy == 0.0:
+        return RegressionResult(tuple(pts), slope, intercept, 0.0, 0.0, subject_id, True)
+    r = sxy / np.sqrt(sxx * syy)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    r_squared = 1.0 - ss_res / syy
+    return RegressionResult(tuple(pts), slope, intercept, float(r), float(r_squared), subject_id)
+
+
+def loop_shape_acoustic_pairs(shape_m, acoustic_m, subject_id):
+    if set(shape_m.ids) != set(acoustic_m.ids):
+        raise ValueError("shape and acoustic matrices cover different subjects")
+    if shape_m.n_subjects < 3:
+        raise ValueError("need at least 3 subjects (2 pairs) for a regression")
+    pairs = []
+    for other in shape_m.ids:
+        if other == subject_id:
+            continue
+        pairs.append((shape_m.cell(subject_id, other), acoustic_m.cell(subject_id, other)))
+    return pairs
+
+
+def loop_regress_all_subjects(shape_m, acoustic_m):
+    return [
+        loop_linear_regression(loop_shape_acoustic_pairs(shape_m, acoustic_m, sid), sid)
+        for sid in shape_m.ids
+    ]
+
+
+def loop_to_csv(matrix, comments=()):
+    lines = [f"# {c}" for c in comments]
+    lines.append("subject," + ",".join(matrix.ids))
+    for i, sid in enumerate(matrix.ids):
+        cells = []
+        for j in range(matrix.n_subjects):
+            if i == j or np.isnan(matrix.values[i, j]):
+                cells.append("")
+            elif matrix.stds is not None and not np.isnan(matrix.stds[i, j]):
+                cells.append(f"{_fmt(matrix.values[i, j])}±{_fmt(matrix.stds[i, j])}")
+            else:
+                cells.append(_fmt(matrix.values[i, j]))
+        lines.append(sid + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def random_matrix(m, rng, kind="shape", ids=None):
+    v = rng.uniform(-1, 1, size=(m, m))
+    v = np.triu(v, 1) + np.triu(v, 1).T
+    np.fill_diagonal(v, np.nan)
+    ids = ids or tuple(f"s{k:03d}" for k in range(m))
+    return SimilarityMatrix(ids, v, kind=kind)
+
+
+def assert_same_regressions(got, want):
+    assert got == want
+    # == takes -0.0 for 0.0; the JSON text does not
+    assert json_text([r.to_dict() for r in got]) == json_text([r.to_dict() for r in want])
+
+
+@pytest.mark.parametrize("m", [3, 4, 10, 50, 300])
+def test_batch_regressions_are_bitwise_the_loop(m):
+    rng = np.random.default_rng(m)
+    shape = random_matrix(m, rng)
+    acoustic = random_matrix(m, rng, kind="acoustic")
+    assert_same_regressions(regress_all_subjects(shape, acoustic),
+                            loop_regress_all_subjects(shape, acoustic))
+
+
+@pytest.mark.parametrize("m", [3, 10, 50])
+def test_batch_regressions_align_permuted_ids(m):
+    rng = np.random.default_rng(100 + m)
+    shape = random_matrix(m, rng)
+    acoustic = random_matrix(m, rng, kind="acoustic")
+    order = rng.permutation(m)
+    permuted = SimilarityMatrix(tuple(acoustic.ids[k] for k in order),
+                                acoustic.values[np.ix_(order, order)], kind="acoustic")
+    got = regress_all_subjects(shape, permuted)
+    assert_same_regressions(got, loop_regress_all_subjects(shape, permuted))
+    assert_same_regressions(got, regress_all_subjects(shape, acoustic))
+
+
+def test_batch_regression_of_a_constant_subject_is_degenerate():
+    rng = np.random.default_rng(5)
+    shape = random_matrix(6, rng)
+    v = random_matrix(6, rng).values.copy()
+    v[2, :] = v[:, 2] = 0.375
+    v[2, 2] = np.nan
+    acoustic = SimilarityMatrix(shape.ids, v, kind="acoustic")
+    got = regress_all_subjects(shape, acoustic)
+    assert [r.degenerate for r in got] == [False, False, True, False, False, False]
+    assert got[2].r == got[2].r_squared == 0.0
+    assert_same_regressions(got, loop_regress_all_subjects(shape, acoustic))
+
+
+def test_linear_regression_is_bitwise_the_loop():
+    rng = np.random.default_rng(11)
+    cases = [list(zip(rng.normal(size=n), rng.normal(size=n))) for n in (2, 3, 7, 40)]
+    cases += [[(0, 1), (1, 1), (2, 1)], [(1, 2), (2, 4), (3, 6)], [(0, 0), (1, 1), (2, 1)]]
+    for pairs in cases:
+        assert_same_regressions([linear_regression(pairs, "s")],
+                                [loop_linear_regression(pairs, "s")])
+    for pairs, message in (([(1, 0), (1, 1)], "all equal"), ([(1, 1)], "at least 2"),
+                           ([], "at least 2")):
+        with pytest.raises(ValueError, match=message):
+            linear_regression(pairs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 10, 50, 300])
+def test_to_csv_is_bytewise_the_loop(m):
+    rng = np.random.default_rng(m)
+    matrix = random_matrix(m, rng)
+    assert matrix.to_csv(("a comment",)) == loop_to_csv(matrix, ("a comment",))
+    stds = np.abs(random_matrix(m, rng).values)
+    acoustic = SimilarityMatrix(matrix.ids, matrix.values, kind="acoustic", stds=stds)
+    assert acoustic.to_csv() == loop_to_csv(acoustic)
+
+
+def test_to_csv_of_odd_cells_is_bytewise_the_loop():
+    values = tri_matrix([-0.0, 5e-324, np.nan, 2.2250738585072014e-308, -1.0, 1 / 3],
+                        ids=("a", "b", "c", "d")).values
+    stds = np.full((4, 4), np.nan)
+    upper = np.triu_indices(4, 1)
+    stds[upper] = [1e300, np.nan, 0.0, -0.0, 5e-324, np.nan]
+    stds.T[upper] = stds[upper]
+    for matrix in (SimilarityMatrix(("a", "b", "c", "d"), values),
+                   SimilarityMatrix(("a", "b", "c", "d"), values, "acoustic", stds)):
+        assert matrix.to_csv() == loop_to_csv(matrix)
+    text = matrix.to_csv()
+    # a NaN mean hides its std; a NaN std leaves the mean alone
+    assert "\na,,-0.0±1e+300,5e-324,\n" in text
+    assert "\nb,-0.0±1e+300,,2.2250738585072014e-308±-0.0,-1.0±5e-324\n" in text
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10])
+def test_off_diagonal_pairs_and_statistics_read_the_upper_triangle(m):
+    matrix = random_matrix(m, np.random.default_rng(m))
+    want = [(a, b, matrix.cell(a, b))
+            for k, a in enumerate(matrix.ids) for b in matrix.ids[k + 1:]]
+    assert matrix.off_diagonal_pairs() == want
+    if m >= 2:
+        st = matrix_statistics(matrix, matrix.ids[:2])
+        assert st.overall_mean == float(np.array([v for _, _, v in want]).mean())

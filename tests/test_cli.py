@@ -250,6 +250,19 @@ def test_correlate_rejects_mismatched_subjects(tmp_path, shape_out, acoustic_out
     assert "different subjects" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ids", [(), ("a",), ("a", "b")], ids=["none", "one", "two"])
+def test_correlate_needs_three_subjects(tmp_path, capsys, ids):
+    rows = ["subject" + "".join("," + sid for sid in ids)]
+    rows += [a + "".join("," + ("" if a == b else "0.5") for b in ids) for a in ids]
+    for kind in ("shape", "acoustic"):
+        (tmp_path / f"{kind}.csv").write_text("\n".join(rows) + "\n")
+    code = main(["correlate", "--out", str(tmp_path / "r"), "--shape", str(tmp_path / "shape.csv"),
+                 "--acoustic", str(tmp_path / "acoustic.csv")])
+    assert code == 1
+    assert "need at least 3 subjects" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_wav_takes_route(tmp_path, fast_cfg):
     taps = 0.9 ** np.arange(256)
     plant = ImpulseResponse(taps, 44100, "raw")
@@ -478,6 +491,39 @@ def test_unfittable_mesh_exits_one(tmp_path, capsys):
     assert "flat" in capsys.readouterr().err
     # computational failure leaves no partial outputs behind
     assert not (tmp_path / "o").exists()
+
+
+def ascii_stl(mesh: TriangleMesh, case) -> bytes:
+    """``mesh`` as ASCII STL with its keywords spelled in ``case``; the
+    numbers are exact, since every coordinate is a float32."""
+    def xyz(p):
+        return " ".join(repr(float(c)) for c in p)
+
+    facets = "".join(
+        f"facet normal {xyz(n)}\nouter loop\n"
+        + "".join(f"vertex {xyz(v)}\n" for v in tri)
+        + "endloop\nendfacet\n"
+        for n, tri in zip(mesh.normals, mesh.vertices)
+    )
+    text = f"solid canal\n{facets}endsolid canal\n"
+    return "\n".join(" ".join(case(w) for w in line.split(" ")) for line in text.split("\n")).encode()
+
+
+@pytest.mark.parametrize("case", [str.upper, lambda w: w[:-2] + w[-2:].upper()],
+                         ids=["capitals", "mixed"])
+def test_shape_reads_ascii_stl_in_any_letter_case(tmp_path, fast_cfg, corpus, shape_out, case):
+    subjects = {}
+    for sid in ("twin_a", "twin_b"):
+        mesh = parse_stl((corpus / f"{sid}.stl").read_bytes())
+        (tmp_path / f"{sid}.stl").write_bytes(ascii_stl(mesh, case))
+        subjects[sid] = f"{sid}.stl"
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": subjects}))
+    out = tmp_path / "o"
+    assert main(["shape", "--config", str(fast_cfg), "--out", str(out),
+                 "--manifest", str(manifest)]) == 0
+    for sid in subjects:
+        assert (out / f"ec_{sid}.csv").read_bytes() == (shape_out / f"ec_{sid}.csv").read_bytes()
 
 
 def test_shape_holds_one_mesh_at_a_time(tmp_path, fast_cfg, corpus, monkeypatch):

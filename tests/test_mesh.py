@@ -102,6 +102,34 @@ def test_binary_header_starting_with_solid_is_still_binary():
     np.testing.assert_array_equal(parsed.vertices, mesh.vertices)
 
 
+@pytest.mark.parametrize("header", [b"SOLID binary header", b"Solid"])
+def test_binary_header_starting_with_solid_in_any_case_is_still_binary(header):
+    mesh = random_mesh(40, seed=2)
+    data = header.ljust(80, b"\0") + write_binary_stl(mesh)[80:]
+    parsed = parse_stl(data)
+    assert parsed.source_format == "binary_stl"
+    np.testing.assert_array_equal(parsed.vertices, mesh.vertices)
+
+
+@pytest.mark.parametrize("case", [bytes.upper, lambda w: w[:-2] + w[-2:].upper()],
+                         ids=["capitals", "mixed"])
+def test_ascii_detection_ignores_letter_case(case):
+    for base in (ASCII_TETRA, ascii_text(random_mesh(30, seed=6))):
+        want = parse_stl(base)
+        got = parse_stl(spelled(base, b"\n", case))
+        assert got.source_format == "ascii_stl"
+        np.testing.assert_array_equal(got.vertices, want.vertices)
+        np.testing.assert_array_equal(got.normals, want.normals)
+
+
+@pytest.mark.parametrize("start", [65529, 65532, 65535, 65536])
+def test_a_structure_word_across_a_lower_case_block_boundary_is_found(start):
+    # the word's only occurrence starts at byte ``start``, next to a 64 KiB boundary
+    data = b"solid " + b"n" * (start - 7) + b" EndSolid"
+    with pytest.raises(StlParseError, match="ASCII STL contains no facets"):
+        parse_stl(data)
+
+
 def test_writer_rejects_solid_header():
     with pytest.raises(ValueError):
         write_binary_stl(random_mesh(1), header=b"solid oops")
