@@ -33,9 +33,7 @@ from earcanal.shape import (
     shape_similarity_matrix,
 )
 from earcanal.acoustics import (
-    AcousticFeature,
     ExcitationSignal,
-    ImpulseResponse,
     acoustic_similarity,
     acoustic_similarity_matrix,
     applied_band,
@@ -71,12 +69,10 @@ from earcanal.config import PipelineConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticFeature",
     "CanalGenerator",
     "Ellipse",
     "EllipseFitError",
     "ExcitationSignal",
-    "ImpulseResponse",
     "MatrixStatistics",
     "PipelineConfig",
     "PlantGenerator",

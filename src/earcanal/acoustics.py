@@ -15,9 +15,12 @@ differences between takes), the band of interest is isolated with a
 Butterworth bandpass, and the result is truncated to a common length and
 scaled to unit power.  Features are compared with cosine similarity.
 
-Stage order for :class:`ImpulseResponse` values is raw, trimmed,
-min_phase, bandpassed, normalized; each operation only accepts input
-from an earlier stage, so a pipeline cannot run backwards by accident.
+Every stage takes a 1D float64 array and returns one, and
+:func:`response_feature` is the one place that fixes their order: trim,
+minimum phase, bandpass, unit power.  The sample rate is a parameter of
+the two functions that need it, the bandpass and the chain.  Samples are
+checked for finiteness once, at the end: any NaN or inf makes the power
+that :func:`normalize_power` divides by non-finite, and it raises.
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ import numpy as np
 
 from earcanal.analysis import SimilarityMatrix, mirror_upper
 from earcanal.config import DEFAULTS, readonly_view
-
-STAGES = ("raw", "trimmed", "min_phase", "bandpassed", "normalized")
-_STAGE_ORDER = {s: i for i, s in enumerate(STAGES)}
 
 MIN_PHASE_FLOOR = 1e-10
 
@@ -59,7 +59,6 @@ class ExcitationSignal:
 
     samples: np.ndarray
     order: int
-    sample_rate: int = DEFAULTS.sample_rate
 
     def __post_init__(self) -> None:
         s = readonly_view(self.samples)
@@ -117,58 +116,7 @@ class ExcitationSignal:
         return cols, rows
 
 
-@dataclass(frozen=True)
-class ImpulseResponse:
-    """Real impulse response at a known processing stage."""
-
-    samples: np.ndarray
-    sample_rate: int = DEFAULTS.sample_rate
-    stage: str = "raw"
-
-    def __post_init__(self) -> None:
-        s = readonly_view(self.samples)
-        if s.ndim != 1 or s.shape[0] < 1:
-            raise ValueError("impulse response must be a nonempty 1D sequence")
-        if not np.isfinite(s).all():
-            raise ValueError("impulse response contains non-finite samples")
-        if self.stage not in _STAGE_ORDER:
-            raise ValueError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-
-@dataclass(frozen=True)
-class AcousticFeature:
-    """Unit-power response feature ready for similarity comparison."""
-
-    samples: np.ndarray
-    sample_rate: int = DEFAULTS.sample_rate
-
-    def __post_init__(self) -> None:
-        s = readonly_view(self.samples)
-        if s.ndim != 1 or s.shape[0] < 1:
-            raise ValueError("feature must be a nonempty 1D sequence")
-        power = float(np.sum(s * s))
-        if abs(power - 1.0) > 1e-9:
-            raise ValueError(f"feature power must be 1, got {power!r}")
-        object.__setattr__(self, "samples", s)
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-
-def _require_stage_before(ir: ImpulseResponse, new_stage: str) -> None:
-    if _STAGE_ORDER[ir.stage] >= _STAGE_ORDER[new_stage]:
-        raise ValueError(
-            f"cannot move a {ir.stage!r} response to earlier-or-same stage {new_stage!r}"
-        )
-
-
-def generate_mls(order: int, sample_rate: int = DEFAULTS.sample_rate) -> ExcitationSignal:
+def generate_mls(order: int) -> ExcitationSignal:
     """Maximum length sequence from a linear-feedback shift register.
 
     ``order`` is the register length m; the sequence has period 2**m - 1.
@@ -196,7 +144,7 @@ def generate_mls(order: int, sample_rate: int = DEFAULTS.sample_rate) -> Excitat
         for t in taps:
             block ^= s[start + d * t : start + d * t + count]
         n += count
-    return ExcitationSignal(s * 2.0 - 1.0, order, sample_rate)
+    return ExcitationSignal(s * 2.0 - 1.0, order)
 
 
 def simulate_measurement(
@@ -221,7 +169,7 @@ def simulate_measurement(
     noiseless recording once (``noise_rms=0``) and add each take's noise
     to it, with the same result as one full call per take.
     """
-    h = plant.samples if isinstance(plant, ImpulseResponse) else np.asarray(plant, dtype=np.float64)
+    h = np.asarray(plant, dtype=np.float64)
     length = excitation.length
     if h.ndim != 1 or h.shape[0] < 1:
         raise ValueError("plant must be a nonempty 1D impulse response")
@@ -263,7 +211,7 @@ def recover_impulse_response(
     recorded: np.ndarray,
     excitation: ExcitationSignal,
     repeats: int = DEFAULTS.repeats,
-) -> ImpulseResponse:
+) -> np.ndarray:
     """Recover the plant impulse response from a repeated-MLS recording.
 
     The first period is discarded as warm-up; the remaining ``repeats``
@@ -304,35 +252,34 @@ def recover_impulse_response(
         np.subtract(a[0::2], a[1::2], out=b[half:])
         a, b = b, a
     corr = a[rows] * (-1.0 / (length + 1))
-    h = corr + corr.sum()
-    return ImpulseResponse(h, excitation.sample_rate, "raw")
+    return corr + corr.sum()
 
 
 def trim_pre_rise(
-    ir: ImpulseResponse, threshold_fraction: float = DEFAULTS.trim_threshold
-) -> ImpulseResponse:
+    ir: np.ndarray, threshold_fraction: float = DEFAULTS.trim_threshold
+) -> np.ndarray:
     """Drop everything before the response rises above a peak fraction.
 
     The cut lands at the first sample whose magnitude reaches
     ``threshold_fraction`` of the peak magnitude, so takes with different
-    acoustic/latency delays align to a common start.
+    acoustic/latency delays align to a common start.  Returns the view
+    ``ir[start:]``.
     """
-    _require_stage_before(ir, "trimmed")
     if not (0.0 < threshold_fraction < 1.0):
         raise ValueError(f"threshold_fraction must be in (0, 1), got {threshold_fraction}")
-    mags = np.abs(ir.samples)
+    mags = np.abs(ir)
     peak = mags.max()
     if peak == 0.0:
         raise ValueError("cannot trim an all-zero response")
     start = int(np.argmax(mags >= threshold_fraction * peak))
-    return ImpulseResponse(ir.samples[start:], ir.sample_rate, "trimmed")
+    return ir[start:]
 
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseResponse:
+def minimum_phase(ir: np.ndarray, n_fft: int | None = None) -> np.ndarray:
     """Minimum-phase sequence with the same magnitude spectrum.
 
     The log magnitude and the phase of a minimum-phase system form a
@@ -355,13 +302,12 @@ def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseRespo
     take 0 of each subject, and within 4.7e-4 of an 8x n_fft, four
     times the transform, over all 40 takes.
     """
-    _require_stage_before(ir, "min_phase")
     n = len(ir)
     if n_fft is None:
         n_fft = max(4096, _next_pow2(2 * n))
     elif n_fft < n:
         raise ValueError(f"n_fft {n_fft} is shorter than the response ({n} samples)")
-    spec = np.fft.rfft(ir.samples, n_fft)
+    spec = np.fft.rfft(ir, n_fft)
     mag = np.abs(spec)
     peak = mag.max()
     if peak == 0.0:
@@ -382,7 +328,7 @@ def minimum_phase(ir: ImpulseResponse, n_fft: int | None = None) -> ImpulseRespo
     spec = np.fft.rfft(cep)
     del cep
     np.exp(spec, out=spec)
-    return ImpulseResponse(np.fft.irfft(spec, n_fft), ir.sample_rate, "min_phase")
+    return np.fft.irfft(spec, n_fft)
 
 
 def applied_band(sample_rate: int, low_hz: float, high_hz: float) -> tuple:
@@ -405,11 +351,12 @@ def applied_band(sample_rate: int, low_hz: float, high_hz: float) -> tuple:
 
 
 def butterworth_bandpass(
-    ir: ImpulseResponse,
+    ir: np.ndarray,
     low_hz: float = DEFAULTS.band_low_hz,
     high_hz: float = DEFAULTS.band_high_hz,
     filter_order: int = DEFAULTS.filter_order,
-) -> ImpulseResponse:
+    sample_rate: int = DEFAULTS.sample_rate,
+) -> np.ndarray:
     """Forward-only digital Butterworth bandpass.
 
     ``filter_order`` is the total bandpass order (poles), so it must be
@@ -418,17 +365,15 @@ def butterworth_bandpass(
     as a direct convolution, in time quadratic in the input length, so
     :func:`response_feature` passes it only the samples the feature keeps.
     """
-    _require_stage_before(ir, "bandpassed")
     if filter_order < 2 or filter_order % 2 != 0:
         raise ValueError(f"filter_order must be a positive even integer, got {filter_order}")
-    low, high, _clamped = applied_band(ir.sample_rate, low_hz, high_hz)
+    low, high, _clamped = applied_band(sample_rate, low_hz, high_hz)
     # The first len(x) output samples are x convolved with the filter's
     # first len(x) impulse-response samples.  Each output sample is then
     # one dot product over the inputs up to it, so filtering a prefix
     # gives exactly the samples filtering the whole gives there.
-    x = ir.samples
-    h = _bandpass_impulse_response(ir.sample_rate, low, high, filter_order, x.shape[0])
-    return ImpulseResponse(np.convolve(x, h)[: x.shape[0]], ir.sample_rate, "bandpassed")
+    h = _bandpass_impulse_response(sample_rate, low, high, filter_order, ir.shape[0])
+    return np.convolve(ir, h)[: ir.shape[0]]
 
 
 def _butter_bandpass(sample_rate: int, low: float, high: float, filter_order: int):
@@ -488,24 +433,30 @@ def _bandpass_impulse_response(
     return readonly_view(h)
 
 
-def normalize_power(ir: ImpulseResponse) -> AcousticFeature:
-    """Scale so the total signal power sums to exactly 1."""
-    _require_stage_before(ir, "normalized")
-    power = float(np.sum(ir.samples * ir.samples))
+def normalize_power(x: np.ndarray) -> np.ndarray:
+    """Scale so the total signal power sums to exactly 1.
+
+    Raises ValueError on a power that is zero or not finite; a NaN or inf
+    sample anywhere makes the sum of squares non-finite.
+    """
+    power = float(np.sum(x * x))
     if power == 0.0:
         raise ValueError("cannot normalize a zero-energy response")
-    return AcousticFeature(ir.samples / np.sqrt(power), ir.sample_rate)
+    if not np.isfinite(power):
+        raise ValueError(f"cannot normalize a response of non-finite power {power}")
+    return x / np.sqrt(power)
 
 
 def response_feature(
-    ir: ImpulseResponse,
+    ir: np.ndarray,
     trim_threshold: float = DEFAULTS.trim_threshold,
     low_hz: float = DEFAULTS.band_low_hz,
     high_hz: float = DEFAULTS.band_high_hz,
     filter_order: int = DEFAULTS.filter_order,
     feature_length: int = DEFAULTS.feature_length,
     n_fft: int | None = None,
-) -> AcousticFeature:
+    sample_rate: int = DEFAULTS.sample_rate,
+) -> np.ndarray:
     """Full feature chain: trim, minimum phase, bandpass, fixed length,
     unit power.
 
@@ -521,16 +472,10 @@ def response_feature(
     out = minimum_phase(out, n_fft)
     # the bandpass is causal, so filtering only the kept prefix gives
     # the same samples as filtering everything and truncating afterwards
-    out = ImpulseResponse(out.samples[:feature_length], out.sample_rate, out.stage)
-    out = butterworth_bandpass(out, low_hz, high_hz, filter_order)
-    x = out.samples
+    x = butterworth_bandpass(out[:feature_length], low_hz, high_hz, filter_order, sample_rate)
     if x.shape[0] < feature_length:
         x = np.concatenate([x, np.zeros(feature_length - x.shape[0])])
-    return normalize_power(ImpulseResponse(x, out.sample_rate, "bandpassed"))
-
-
-def _feature_samples(f) -> np.ndarray:
-    return np.asarray(getattr(f, "samples", f), dtype=np.float64)
+    return normalize_power(x)
 
 
 def _similarity_blocks(feats: np.ndarray, takes: np.ndarray, mode: str) -> tuple:
@@ -573,7 +518,7 @@ def _similarity_blocks(feats: np.ndarray, takes: np.ndarray, mode: str) -> tuple
 def acoustic_similarity(f_a, f_b, mode: str = DEFAULTS.similarity_mode) -> float:
     """Similarity between two features, truncated to the shorter: the
     matrix computation of :func:`_similarity_blocks` on one take each."""
-    a, b = _feature_samples(f_a), _feature_samples(f_b)
+    a, b = np.asarray(f_a, dtype=np.float64), np.asarray(f_b, dtype=np.float64)
     n = min(a.shape[0], b.shape[0])
     means, _ = _similarity_blocks(np.stack([a[:n], b[:n]]), np.ones(2, np.int64), mode)
     return float(means[0, 1])
@@ -585,7 +530,7 @@ def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
     the cross-subject take pairs and their population std."""
     by_subject: dict = {}
     for sid, _take, feat in features:
-        by_subject.setdefault(sid, []).append(_feature_samples(feat))
+        by_subject.setdefault(sid, []).append(np.asarray(feat, dtype=np.float64))
     ids = list(by_subject)
     if len(ids) < 2:
         raise ValueError("need at least 2 subjects for a similarity matrix")

@@ -110,7 +110,7 @@ class SimilarityMatrix:
             spread = shown & ~np.isnan(self.stds)
             cells = np.where(spread, cells + "±" + _fmt_cells(self.stds), cells)
         lines = [f"# {c}" for c in comments]
-        lines.append("subject," + ",".join(self.ids))
+        lines.append(",".join(("subject", *self.ids)))
         lines += [sid + "," + ",".join(row) for sid, row in zip(self.ids, cells.tolist())]
         return "\n".join(lines) + "\n"
 

@@ -33,8 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from earcanal.acoustics import (
-    STAGES,
-    ImpulseResponse,
     acoustic_similarity_matrix,
     add_noise,
     generate_mls,
@@ -242,7 +240,7 @@ def cmd_shape(args) -> int:
     return 0
 
 
-def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
+def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
     """A subject's plant: literal ``{"taps": [...]}`` or a ``plant/1``
     generator.  Its length is checked against one excitation period
     before anything of that length is made."""
@@ -261,10 +259,14 @@ def _plant(sid, plant_spec, cfg: PipelineConfig) -> ImpulseResponse:
             if set(plant_spec) != {"taps"}:
                 raise ValueError(f"unknown plant fields: {sorted(set(plant_spec) - {'taps'})}")
             # a bool is never a number here, though Python counts it an int
-            if not isinstance(taps, list) or not all(type(v) in (int, float) for v in taps):
-                raise ValueError("taps must be a list of numbers")
+            numbers = isinstance(taps, list) and all(type(v) in (int, float) for v in taps)
+            if not numbers or not taps:
+                raise ValueError("taps must be a nonempty list of numbers")
             check_length(len(taps))
-            return ImpulseResponse(taps, cfg.sample_rate, "raw")
+            h = np.array(taps, dtype=np.float64)
+            if not np.isfinite(h).all():
+                raise ValueError("taps must be finite")
+            return h
         if isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
             gen = PlantGenerator.from_dict(plant_spec)
             check_length(gen.tap_count)
@@ -291,6 +293,7 @@ def _take_feature(recording, take: int, cfg: PipelineConfig, excitation):
         high_hz=cfg.band_high_hz,
         filter_order=cfg.filter_order,
         feature_length=cfg.feature_length,
+        sample_rate=cfg.sample_rate,
     )
 
 
@@ -305,7 +308,7 @@ def cmd_acoustic(args) -> int:
     manifest_path = Path(args.manifest)
     subjects = _manifest_subjects(manifest_path)
     out = Path(args.out)
-    excitation = generate_mls(cfg.mls_order, cfg.sample_rate)
+    excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
     for sidx, (sid, entry) in enumerate(subjects.items()):
@@ -349,14 +352,14 @@ def cmd_acoustic(args) -> int:
     outputs = {}
     for sid, take, feat in all_feats:
         stem = f"feature_{sid}_{take:02d}"
-        outputs[out / f"{stem}.f32"] = feat.samples.astype("<f4").tobytes()
+        outputs[out / f"{stem}.f32"] = feat.astype("<f4").tobytes()
         sidecar = {
             "schema": "acoustic_feature/1",
             "subject_id": sid,
             "take_index": take,
-            "sample_rate": feat.sample_rate,
+            "sample_rate": cfg.sample_rate,
             "length": len(feat),
-            "stages": list(STAGES),
+            "stages": ["raw", "trimmed", "min_phase", "bandpassed", "normalized"],
             "parameters": {
                 "mls_order": cfg.mls_order,
                 "repeats": cfg.repeats,

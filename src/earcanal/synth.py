@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from earcanal.acoustics import ImpulseResponse
 from earcanal.config import DEFAULTS, Record
 from earcanal.mesh import TriangleMesh
 
@@ -197,13 +196,13 @@ def generate_canal_mesh(gen: CanalGenerator) -> TriangleMesh:
     return TriangleMesh(tris, normals / norms, "binary_stl")
 
 
-def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate) -> ImpulseResponse:
+def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate) -> np.ndarray:
     """Impulse response of the resonator bank, truncated at tap_count.
 
-    Every resonance must sit below Nyquist, and the response must have
-    decayed below 1e-6 of its peak by the end of the window; a slow
-    resonance with too few taps is an error rather than a silent
-    truncation artifact.
+    Every resonance must sit below Nyquist, every tap must be finite (huge
+    gains overflow), and the response must have decayed below 1e-6 of its
+    peak by the end of the window; a slow resonance with too few taps is
+    an error rather than a silent truncation artifact.
     """
     nyq = sample_rate / 2.0
     for f in gen.resonance_frequencies:
@@ -216,10 +215,14 @@ def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate)
     phases = np.random.default_rng(gen.seed).uniform(
         0.0, 2.0 * np.pi, len(gen.resonance_frequencies)
     )
-    for f, q, g, ph in zip(gen.resonance_frequencies, gen.q_factors, gen.gains, phases):
-        radius = np.exp(-np.pi * f / (q * sample_rate))
-        w = 2.0 * np.pi * f / sample_rate
-        h = h + g * radius**n * np.sin(w * n + ph)
+    # an overflowing sum is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, q, g, ph in zip(gen.resonance_frequencies, gen.q_factors, gen.gains, phases):
+            radius = np.exp(-np.pi * f / (q * sample_rate))
+            w = 2.0 * np.pi * f / sample_rate
+            h = h + g * radius**n * np.sin(w * n + ph)
+    if not np.isfinite(h).all():
+        raise ValueError("plant generator produced non-finite taps; lower the gains")
     peak = np.abs(h).max()
     if peak == 0.0:
         raise ValueError("plant generator produced a zero response")
@@ -229,7 +232,7 @@ def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate)
             f"response has not decayed below {_DECAY_FLOOR:g} of peak within "
             f"{gen.tap_count} taps; increase tap_count or lower the Q factors"
         )
-    return ImpulseResponse(h, sample_rate, "raw")
+    return h
 
 
 def _latent_mixes(u: np.ndarray):

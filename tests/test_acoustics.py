@@ -5,9 +5,7 @@ import pytest
 
 from earcanal.acoustics import (
     MIN_PHASE_FLOOR,
-    AcousticFeature,
     ExcitationSignal,
-    ImpulseResponse,
     acoustic_similarity,
     acoustic_similarity_matrix,
     add_noise,
@@ -26,8 +24,8 @@ from earcanal.config import DEFAULTS
 from earcanal.synth import generate_plant, make_subject_family
 
 
-def ir(samples, stage="raw", fs=44100):
-    return ImpulseResponse(np.asarray(samples, dtype=np.float64), fs, stage)
+def ir(samples):
+    return np.asarray(samples, dtype=np.float64)
 
 
 def signal_from_roots(radii_angles, gain=1.0):
@@ -140,9 +138,8 @@ def test_recovery_is_exact_without_noise():
     h = rng.normal(size=100)
     rec = simulate_measurement(mls, ir(h), repeats=3)
     out = recover_impulse_response(rec, mls, repeats=3)
-    assert out.stage == "raw"
-    np.testing.assert_allclose(out.samples[:100], h, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(out.samples[100:], np.zeros(mls.length - 100),
+    np.testing.assert_allclose(out[:100], h, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(out[100:], np.zeros(mls.length - 100),
                                rtol=0, atol=1e-10)
 
 
@@ -152,7 +149,7 @@ def test_recovery_restores_the_dc_component():
     mls = generate_mls(7)
     h = np.full(20, 0.5)
     rec = simulate_measurement(mls, ir(h), repeats=2)
-    out = recover_impulse_response(rec, mls, repeats=2).samples
+    out = recover_impulse_response(rec, mls, repeats=2)
     np.testing.assert_allclose(out[:20], h, rtol=0, atol=1e-11)
 
 
@@ -168,7 +165,7 @@ def test_recovery_matches_direct_correlation():
         for k in range(L)
     ]) / (L + 1)
     expected = corr + corr.sum()
-    got = recover_impulse_response(rec, mls, repeats=2).samples
+    got = recover_impulse_response(rec, mls, repeats=2)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(got[:5], h, rtol=0, atol=1e-12)
 
@@ -210,7 +207,7 @@ def test_recovery_of_any_m_sequence_is_the_direct_correlation(order):
         L = mls.length
         rec = rng.normal(size=3 * L)
         want = direct_correlation((rec[L:2 * L] + rec[2 * L:]) / 2.0, mls.samples)
-        got = recover_impulse_response(rec, mls, repeats=2).samples
+        got = recover_impulse_response(rec, mls, repeats=2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -239,7 +236,7 @@ def test_averaging_suppresses_noise():
     for repeats in (1, 9):
         rec = simulate_measurement(mls, ir(h), repeats=repeats,
                                    noise_rms=0.1, rng=7)
-        got = recover_impulse_response(rec, mls, repeats=repeats).samples
+        got = recover_impulse_response(rec, mls, repeats=repeats)
         res[repeats] = np.sqrt(np.mean((got[3:] - 0.0) ** 2))
     # nine averages cut the noise floor ~3x; allow wide slack
     assert res[9] < 0.6 * res[1]
@@ -247,15 +244,14 @@ def test_averaging_suppresses_noise():
 
 def test_trim_cuts_at_the_rise():
     out = trim_pre_rise(ir([0.001, -0.02, 0.5, 1.0, 0.2]))
-    assert out.stage == "trimmed"
-    np.testing.assert_array_equal(out.samples, [0.5, 1.0, 0.2])
+    np.testing.assert_array_equal(out, [0.5, 1.0, 0.2])
 
 
 def test_trim_threshold_is_a_peak_fraction():
     out = trim_pre_rise(ir([0.3, 2.0, 1.0]), threshold_fraction=0.2)
-    np.testing.assert_array_equal(out.samples, [2.0, 1.0])  # 0.3 < 0.2*2.0
+    np.testing.assert_array_equal(out, [2.0, 1.0])  # 0.3 < 0.2*2.0
     out = trim_pre_rise(ir([0.5, 2.0, 1.0]), threshold_fraction=0.2)
-    np.testing.assert_array_equal(out.samples, [0.5, 2.0, 1.0])
+    np.testing.assert_array_equal(out, [0.5, 2.0, 1.0])
 
 
 def test_trim_validation():
@@ -265,29 +261,27 @@ def test_trim_validation():
         trim_pre_rise(ir([1.0]), threshold_fraction=0.0)
     with pytest.raises(ValueError):
         trim_pre_rise(ir([1.0]), threshold_fraction=1.0)
-    with pytest.raises(ValueError):
-        trim_pre_rise(trim_pre_rise(ir([1.0, 0.5])))  # already trimmed
 
 
 def test_minimum_phase_flips_a_two_tap_maximum_phase_pair():
-    out = minimum_phase(ir([1.0, 2.0], stage="trimmed"))
-    np.testing.assert_allclose(out.samples[:2], [2.0, 1.0], rtol=0, atol=1e-9)
-    np.testing.assert_allclose(out.samples[2:], np.zeros(len(out) - 2),
+    out = minimum_phase(ir([1.0, 2.0]))
+    np.testing.assert_allclose(out[:2], [2.0, 1.0], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(out[2:], np.zeros(len(out) - 2),
                                rtol=0, atol=1e-9)
 
 
 def test_minimum_phase_keeps_a_minimum_phase_pair():
-    out = minimum_phase(ir([2.0, 1.0], stage="trimmed"))
-    np.testing.assert_allclose(out.samples[:2], [2.0, 1.0], rtol=0, atol=1e-9)
+    out = minimum_phase(ir([2.0, 1.0]))
+    np.testing.assert_allclose(out[:2], [2.0, 1.0], rtol=0, atol=1e-9)
 
 
 def test_minimum_phase_preserves_magnitude_spectrum():
     sig = signal_from_roots([(0.7, 0.9), (0.4, 2.1), (1.6, 0.5)], gain=0.8)
-    src = ir(sig, stage="trimmed")
+    src = ir(sig)
     out = minimum_phase(src, n_fft=4096)
     assert len(out) == 4096
-    got = np.abs(np.fft.rfft(out.samples))
-    want = np.abs(np.fft.rfft(src.samples, 4096))
+    got = np.abs(np.fft.rfft(out))
+    want = np.abs(np.fft.rfft(src, 4096))
     np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
@@ -298,7 +292,7 @@ def test_minimum_phase_front_loads_energy():
                  for lim in rng.choice([(0.2, 0.85), (1.18, 5.0)], size=3)]
         sig = signal_from_roots(pairs)
         sig /= np.linalg.norm(sig)  # unit energy so the tolerance is absolute
-        out = minimum_phase(ir(sig, stage="trimmed"), n_fft=4096).samples
+        out = minimum_phase(ir(sig), n_fft=4096)
         padded = np.zeros(4096)
         padded[:len(sig)] = sig
         lead = np.cumsum(out * out) - np.cumsum(padded * padded)
@@ -306,11 +300,11 @@ def test_minimum_phase_front_loads_energy():
 
 
 def test_minimum_phase_default_fft_length():
-    out = minimum_phase(ir(np.ones(10), stage="trimmed"))
+    out = minimum_phase(ir(np.ones(10)))
     assert len(out) == 4096  # max(4096, 2**ceil(log2(20)))
-    out = minimum_phase(ir(signal_from_roots([(0.5, 1.0)] * 400), stage="trimmed"))
+    out = minimum_phase(ir(signal_from_roots([(0.5, 1.0)] * 400)))
     assert len(out) == 4096  # 2 * 801 rounds up to 2048, below the floor
-    out = minimum_phase(ir(0.99 ** np.arange(3000), stage="trimmed"))
+    out = minimum_phase(ir(0.99 ** np.arange(3000)))
     assert len(out) == 8192  # 2 * 3000 rounds up to 8192
 
 
@@ -324,8 +318,8 @@ def test_default_fft_length_stays_near_the_eightfold_transform():
                                          DEFAULTS.repeats, 0.5, [0, sidx, 0])
         raw = recover_impulse_response(recording, excitation, DEFAULTS.repeats)
         n = len(trim_pre_rise(raw))
-        got = response_feature(raw).samples
-        eightfold = response_feature(raw, n_fft=max(4096, 1 << (8 * n - 1).bit_length())).samples
+        got = response_feature(raw)
+        eightfold = response_feature(raw, n_fft=max(4096, 1 << (8 * n - 1).bit_length()))
         assert float(np.abs(got - eightfold).max()) <= 6e-4
         assert float(got @ eightfold) >= 0.99999  # both have unit power
 
@@ -338,7 +332,7 @@ def test_minimum_phase_matches_the_complex_fft_fold():
     cases.append((np.array([1.0, -1.0]), None))  # a true null at DC: the floor applies
     worst = 0.0
     for x, n_fft in cases:
-        out = minimum_phase(ir(x, stage="trimmed"), n_fft).samples
+        out = minimum_phase(ir(x), n_fft)
         ref = complex_fft_minimum_phase(x, len(out))
         assert len(out) == (n_fft or len(out))
         worst = max(worst, float(np.abs(out - ref).max()))
@@ -347,9 +341,7 @@ def test_minimum_phase_matches_the_complex_fft_fold():
 
 def test_minimum_phase_validation():
     with pytest.raises(ValueError):
-        minimum_phase(ir(np.ones(16), stage="trimmed"), n_fft=8)
-    with pytest.raises(ValueError):
-        minimum_phase(minimum_phase(ir([1.0, 0.5], stage="trimmed")))
+        minimum_phase(ir(np.ones(16)), n_fft=8)
 
 
 def test_band_clamp_near_nyquist():
@@ -374,10 +366,9 @@ def test_bandpass_frequency_response():
     # drive with a unit impulse and read the filter's own response
     pulse = np.zeros(16384)
     pulse[0] = 1.0
-    out = butterworth_bandpass(ir(pulse, stage="min_phase"),
+    out = butterworth_bandpass(ir(pulse),
                                low_hz=400.0, high_hz=4000.0, filter_order=4)
-    assert out.stage == "bandpassed"
-    spec = np.abs(np.fft.rfft(out.samples))
+    spec = np.abs(np.fft.rfft(out))
     freqs = np.fft.rfftfreq(16384, d=1 / 44100)
 
     def mag_at(f):
@@ -402,10 +393,10 @@ def test_unstable_bandpass_design_is_rejected():
     # rounding in the expanded denominator puts a pole of this design at
     # modulus 1.00009, so its recursion would grow without bound
     with pytest.raises(ValueError, match=r"order-8 bandpass over \(20, 1000\) Hz"):
-        butterworth_bandpass(ir(np.ones(64), stage="min_phase"), 20.0, 1000.0, 8)
+        butterworth_bandpass(ir(np.ones(64)), 20.0, 1000.0, 8)
     # the same order on the default band keeps every pole inside
-    out = butterworth_bandpass(ir(np.ones(64), stage="min_phase"), filter_order=8)
-    assert np.isfinite(out.samples).all()
+    out = butterworth_bandpass(ir(np.ones(64)), filter_order=8)
+    assert np.isfinite(out).all()
 
 
 def test_bandpass_validation():
@@ -413,22 +404,17 @@ def test_bandpass_validation():
         butterworth_bandpass(ir([1.0]), filter_order=3)
     with pytest.raises(ValueError):
         butterworth_bandpass(ir([1.0]), filter_order=0)
-    with pytest.raises(ValueError):
-        butterworth_bandpass(
-            butterworth_bandpass(ir([1.0]), high_hz=20000.0), high_hz=20000.0)
 
 
 def test_normalize_power_unit_sum_of_squares():
-    feat = normalize_power(ir([3.0, 4.0], stage="bandpassed"))
-    np.testing.assert_array_equal(feat.samples, [0.6, 0.8])
-    assert float(np.sum(feat.samples**2)) == 1.0
+    feat = normalize_power(ir([3.0, 4.0]))
+    np.testing.assert_array_equal(feat, [0.6, 0.8])
+    assert float(np.sum(feat**2)) == 1.0
 
 
 def test_normalize_validation():
     with pytest.raises(ValueError):
-        normalize_power(ir(np.zeros(4), stage="bandpassed"))
-    with pytest.raises(ValueError):
-        AcousticFeature(np.array([1.0, 1.0]))  # power 2, not 1
+        normalize_power(ir(np.zeros(4)))
 
 
 def test_response_feature_length_and_power():
@@ -437,13 +423,13 @@ def test_response_feature_length_and_power():
         [(0.6, 0.8), (0.8, 2.0)]), 0.001 * rng.normal(size=200)]))
     feat = response_feature(raw, feature_length=512)
     assert len(feat) == 512
-    assert abs(float(np.sum(feat.samples**2)) - 1.0) < 1e-12
+    assert abs(float(np.sum(feat**2)) - 1.0) < 1e-12
 
 
 def test_response_feature_pads_when_requested_longer():
     feat = response_feature(ir([1.0, 0.4, 0.2]), feature_length=5000)
     assert len(feat) == 5000
-    np.testing.assert_array_equal(feat.samples[4096:], np.zeros(904))
+    np.testing.assert_array_equal(feat[4096:], np.zeros(904))
 
 
 def test_response_feature_bandpasses_only_the_kept_prefix():
@@ -453,15 +439,18 @@ def test_response_feature_bandpasses_only_the_kept_prefix():
         got = response_feature(raw, feature_length=feature_length)
         # reference: bandpass the whole minimum-phase output, then truncate
         full = butterworth_bandpass(minimum_phase(trim_pre_rise(raw)))
-        x = full.samples[:feature_length]
+        x = full[:feature_length]
         x = np.concatenate([x, np.zeros(feature_length - len(x))])
-        want = normalize_power(ir(x, stage="bandpassed"))
-        np.testing.assert_array_equal(got.samples, want.samples)
+        want = normalize_power(ir(x))
+        np.testing.assert_array_equal(got, want)
 
 
 def test_response_feature_validation():
     with pytest.raises(ValueError):
         response_feature(ir([1.0, 0.5]), feature_length=0)
+    # a non-finite sample makes the power non-finite, which normalize_power rejects
+    with pytest.raises(ValueError, match="non-finite power"):
+        response_feature(ir([1.0, np.nan, 0.5]))
 
 
 def test_similarity_identities():

@@ -70,6 +70,15 @@ def test_matrix_csv_round_trip():
     np.testing.assert_array_equal(again.values, m.values)  # repr is exact
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_small_matrix_csv_round_trip(m):
+    # no subjects writes a bare "subject" header, not "subject,"
+    matrix = tri_matrix([0.5], ids=("a", "b")[:m])
+    again = SimilarityMatrix.from_csv(matrix.to_csv())
+    assert again.ids == matrix.ids
+    np.testing.assert_array_equal(again.values, matrix.values)
+
+
 def test_matrix_csv_round_trip_with_stds():
     stds = np.full((3, 3), np.nan)
     stds[np.triu_indices(3, 1)] = [0.01, 0.02, 0.03]

@@ -20,7 +20,6 @@ from scipy.io import wavfile
 import earcanal
 from earcanal import cli
 from earcanal.acoustics import (
-    ImpulseResponse,
     acoustic_similarity_matrix,
     generate_mls,
     recover_impulse_response,
@@ -264,9 +263,8 @@ def test_correlate_needs_three_subjects(tmp_path, capsys, ids):
 
 
 def test_wav_takes_route(tmp_path, fast_cfg):
-    taps = 0.9 ** np.arange(256)
-    plant = ImpulseResponse(taps, 44100, "raw")
-    excitation = generate_mls(12, 44100)
+    plant = 0.9 ** np.arange(256)
+    excitation = generate_mls(12)
     wavs = []
     for take in range(2):
         rec = simulate_measurement(excitation, plant, repeats=2)
@@ -288,7 +286,7 @@ def test_wav_takes_route(tmp_path, fast_cfg):
 def serial_features(cfg, recordings):
     """Reference for ``acoustic``: each take's feature computed one after
     another, from ``recordings`` = [(subject, [recording, ...]), ...]."""
-    excitation = generate_mls(cfg["mls_order"], 44100)
+    excitation = generate_mls(cfg["mls_order"])
     feats = []
     for sid, takes in recordings:
         for take, rec in enumerate(takes):
@@ -300,7 +298,7 @@ def serial_features(cfg, recordings):
 def assert_acoustic_output(out, feats):
     for sid, take, feat in feats:
         stored = (out / f"feature_{sid}_{take:02d}.f32").read_bytes()
-        assert stored == feat.samples.astype("<f4").tobytes(), (sid, take)
+        assert stored == feat.astype("<f4").tobytes(), (sid, take)
         assert (out / f"feature_{sid}_{take:02d}.json").is_file()
     expected = acoustic_similarity_matrix(feats).to_csv()
     assert (out / "acoustic_similarity.csv").read_text() == expected
@@ -332,7 +330,7 @@ def test_threaded_plant_takes_match_serial_reference(tmp_path, corpus, workers):
                  "--manifest", str(manifest)])
     assert code == 0
     # every take simulated in full with its own seeded noise
-    excitation = generate_mls(cfg["mls_order"], 44100)
+    excitation = generate_mls(cfg["mls_order"])
     recordings = []
     for sidx, (sid, entry) in enumerate(json.loads(manifest.read_text())["subjects"].items()):
         spec = json.loads((corpus / entry["plant"]).read_text())
@@ -346,10 +344,10 @@ def test_threaded_plant_takes_match_serial_reference(tmp_path, corpus, workers):
 
 
 def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
-    excitation = generate_mls(FAST["mls_order"], 44100)
+    excitation = generate_mls(FAST["mls_order"])
     subjects, recordings = {}, []
     for k, sid in enumerate(("wav_a", "wav_b", "wav_c")):
-        plant = ImpulseResponse((0.8 + 0.05 * k) ** np.arange(200), 44100, "raw")
+        plant = (0.8 + 0.05 * k) ** np.arange(200)
         names, takes = [], []
         for take in range(3):
             rec = simulate_measurement(excitation, plant, FAST["repeats"], 0.01, [k, take])
@@ -368,7 +366,7 @@ def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
 
 
 def test_failing_take_exits_one_and_writes_nothing(tmp_path, fast_cfg, workers, capsys):
-    excitation = generate_mls(FAST["mls_order"], 44100)
+    excitation = generate_mls(FAST["mls_order"])
     good = simulate_measurement(excitation, 0.5 ** np.arange(8), FAST["repeats"])
     write_wav(tmp_path / "good.wav", good)
     # a silent take recovers an all-zero response; a short one cannot be recovered
@@ -434,7 +432,7 @@ def test_truncated_wav_exits_two(tmp_path, fast_cfg, capsys, cut):
 
 def small_wav_bytes():
     """A valid 16-bit mono WAV of two order-5 MLS periods through a plant."""
-    rec = simulate_measurement(generate_mls(5, 44100), 0.6 ** np.arange(6), repeats=1)
+    rec = simulate_measurement(generate_mls(5), 0.6 ** np.arange(6), repeats=1)
     buf = io.BytesIO()
     wavfile.write(buf, 44100, np.round(rec / np.abs(rec).max() * 0.9 * 32767.0).astype(np.int16))
     return buf.getvalue()
@@ -665,10 +663,19 @@ PLANT_OK = {**PLANT_1, "resonance_frequencies": [1000.0]}
     ("acoustic", {"p.json": {"taps": [[1.0], 0.5]}}, {"plant": "p.json"}),
     ("acoustic", {"p.json": {"taps": "12"}}, {"plant": "p.json"}),
     ("acoustic", {"p.json": {"taps": [10**400]}}, {"plant": "p.json"}),
+    # json.dumps writes NaN and Infinity, and json.loads reads them back
+    ("acoustic", {"p.json": {"taps": [float("nan"), 1.0]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": [float("inf")]}}, {"plant": "p.json"}),
+    ("acoustic", {"p.json": {"taps": []}}, {"plant": "p.json"}),
     ("acoustic", {"p.json": {"taps": [1.0, 0.5], "gain": 2.0}}, {"plant": "p.json"}),
     # a plant longer than one excitation period (65535 at the default order 16)
     ("acoustic", {"p.json": {"taps": [0.5] * 65536}}, {"plant": "p.json"}),
     ("acoustic", {"p.json": {**PLANT_OK, "tap_count": 65536}}, {"plant": "p.json"}),
+    # gains this large overflow the resonator sum, which must raise no numpy warning
+    pytest.param("acoustic", {"p.json": {
+        "schema": "plant/1", "resonance_frequencies": [1000.0], "q_factors": [2.0],
+        "gains": [1.5e308], "tap_count": 200, "direct_gain": 1.5e308, "seed": 2}},
+        {"plant": "p.json"}, marks=pytest.mark.filterwarnings("error")),
     # a shape manifest entry that is not a path
     ("shape", {}, 5),
     # a takes entry that is one path instead of a list
@@ -676,8 +683,8 @@ PLANT_OK = {**PLANT_1, "resonance_frequencies": [1000.0]}
 ], ids=["plant_missing_field", "plant_tap_count_fraction", "plant_tap_count_string",
         "plant_seed_bool", "plant_frequencies_string", "plant_gains_bool", "plant_unknown_key",
         "plant_is_list", "taps_string_and_bool", "taps_bool", "taps_nested", "taps_string",
-        "taps_int_too_large", "taps_unknown_key", "taps_longer_than_period",
-        "tap_count_longer_than_period", "shape_entry_number", "takes_is_string"])
+        "taps_int_too_large", "taps_nan", "taps_infinity", "taps_empty", "taps_unknown_key",
+        "taps_longer_than_period", "tap_count_longer_than_period", "plant_gains_overflow", "shape_entry_number", "takes_is_string"])
 def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, entry):
     for name, content in files.items():
         (tmp_path / name).write_text(json.dumps(content))

@@ -21,7 +21,6 @@ from scipy.io import wavfile
 from earcanal import acoustics, cli
 from earcanal.acoustics import (
     ExcitationSignal,
-    ImpulseResponse,
     add_noise,
     applied_band,
     butterworth_bandpass,
@@ -81,8 +80,8 @@ def test_bandpass_matches_scipy_lfilter(total, band, tolerance):
     b, a = signal.butter(total // 2, [low, high], btype="bandpass", fs=44100)
     # a decaying response like the feature chain's, and plain noise
     for x in (rng.normal(size=2048) * 0.998 ** np.arange(2048), rng.normal(size=700)):
-        got = butterworth_bandpass(ImpulseResponse(x, 44100, "min_phase"), *band, total)
-        assert relative_to_peak(got.samples, signal.lfilter(b, a, x)) <= tolerance
+        got = butterworth_bandpass(x, *band, total)
+        assert relative_to_peak(got, signal.lfilter(b, a, x)) <= tolerance
 
 
 @pytest.mark.parametrize("order, taps, repeats", [(8, 1, 1), (12, 2048, 2), (16, 2048, 5)])
@@ -101,12 +100,12 @@ def scipy_feature(recording, excitation):
     the package, then scipy's ``butter`` and ``lfilter`` on the kept prefix."""
     raw = recover_impulse_response(recording, excitation, DEFAULTS.repeats)
     mp = minimum_phase(trim_pre_rise(raw, DEFAULTS.trim_threshold))
-    x = mp.samples[: DEFAULTS.feature_length]
+    x = mp[: DEFAULTS.feature_length]
     low, high, _clamped = applied_band(44100, DEFAULTS.band_low_hz, DEFAULTS.band_high_hz)
     b, a = signal.butter(DEFAULTS.filter_order // 2, [low, high], btype="bandpass", fs=44100)
     y = signal.lfilter(b, a, x)
     y = np.concatenate([y, np.zeros(DEFAULTS.feature_length - y.shape[0])])
-    return normalize_power(ImpulseResponse(y, 44100, "bandpassed")).samples
+    return normalize_power(y)
 
 
 def test_criterion_7_features_match_the_scipy_chain():
@@ -117,7 +116,7 @@ def test_criterion_7_features_match_the_scipy_chain():
     scipy_excitation = ExcitationSignal(bits * 2.0 - 1.0, order)
     excitation = generate_mls(order)
     for sidx, spec in enumerate(make_subject_family(0)):
-        plant = generate_plant(spec.plant).samples
+        plant = generate_plant(spec.plant)
         take = 9 * (sidx % 2)
         rng = [0, sidx, take]
         got = response_feature(recover_impulse_response(
@@ -125,7 +124,7 @@ def test_criterion_7_features_match_the_scipy_chain():
         x = np.tile(scipy_excitation.samples, DEFAULTS.repeats + 1)
         recording = add_noise(signal.fftconvolve(x, plant)[: x.shape[0]], noise, rng)
         want = scipy_feature(recording, scipy_excitation)
-        assert float(np.max(np.abs(got.samples - want))) <= 1e-12
+        assert float(np.max(np.abs(got - want))) <= 1e-12
 
 
 # The measurement chain as it ran before the period was used: every
@@ -169,12 +168,12 @@ def test_one_period_chain_matches_the_tiled_fft_chain(order):
         want = tiled_simulation(excitation, plant, repeats)
         assert got.shape == want.shape
         assert relative_to_peak(got, want) <= 1e-12, taps
-        ir = recover_impulse_response(want, excitation, repeats).samples
+        ir = recover_impulse_response(want, excitation, repeats)
         assert relative_to_peak(ir, fft_recovery(want, excitation, repeats)) <= 1e-12, taps
     # a recording that is not periodic, as a WAV take is, with a tail
     # past the periods the recovery reads
     recorded = rng.normal(size=(repeats + 1) * L + 5)
-    ir = recover_impulse_response(recorded, excitation, repeats).samples
+    ir = recover_impulse_response(recorded, excitation, repeats)
     assert relative_to_peak(ir, fft_recovery(recorded, excitation, repeats)) <= 1e-12
 
 
@@ -182,7 +181,7 @@ def test_criterion_7_features_match_the_tiled_fft_chain():
     # every take of the criterion-7 cohort (family seed 0, default config)
     excitation = generate_mls(DEFAULTS.mls_order)
     for sidx, spec in enumerate(make_subject_family(0)):
-        plant = generate_plant(spec.plant).samples
+        plant = generate_plant(spec.plant)
         clean = simulate_measurement(excitation, plant, DEFAULTS.repeats)
         old_clean = tiled_simulation(excitation, plant, DEFAULTS.repeats)
         for take in range(DEFAULTS.takes):
@@ -190,9 +189,8 @@ def test_criterion_7_features_match_the_tiled_fft_chain():
             got = response_feature(recover_impulse_response(
                 add_noise(clean, DEFAULTS.noise_rms, rng), excitation))
             old = add_noise(old_clean, DEFAULTS.noise_rms, rng)
-            want = response_feature(ImpulseResponse(
-                fft_recovery(old, excitation, DEFAULTS.repeats), 44100, "raw"))
-            assert float(np.max(np.abs(got.samples - want.samples))) <= 1e-12, (sidx, take)
+            want = response_feature(fft_recovery(old, excitation, DEFAULTS.repeats))
+            assert float(np.max(np.abs(got - want))) <= 1e-12, (sidx, take)
 
 
 GUID_PCM = struct.pack("<H", 1) + b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
