@@ -151,8 +151,6 @@ def simulate_measurement(
     excitation: ExcitationSignal,
     plant,
     repeats: int = DEFAULTS.repeats,
-    noise_rms: float = 0.0,
-    rng=None,
 ) -> np.ndarray:
     """Play ``repeats + 1`` excitation periods through a linear plant.
 
@@ -163,11 +161,10 @@ def simulate_measurement(
     one period is convolved linearly: its first period of output is the
     transient one, and that plus the tail spilling past it is the steady
     period, tiled ``repeats`` times.
-    The noiseless recording is the convolution alone; :func:`add_noise`
-    then models the microphone chain.  Takes of one plant differ only in
-    their noise, so a caller simulating many takes can compute the
-    noiseless recording once (``noise_rms=0``) and add each take's noise
-    to it, with the same result as one full call per take.
+    The recording is noiseless; :func:`add_noise` then models the
+    microphone chain.  Takes of one plant differ only in their noise, so
+    a caller simulating many takes computes the recording once and adds
+    each take's noise to it.
     """
     h = np.asarray(plant, dtype=np.float64)
     length = excitation.length
@@ -186,10 +183,10 @@ def simulate_measurement(
     clean[:length] = y[:length]
     y[:tail] += y[length : length + tail]
     clean[length:].reshape(repeats, length)[:] = y[:length]
-    return add_noise(clean, noise_rms, rng)
+    return clean
 
 
-def add_noise(recording: np.ndarray, noise_rms: float, rng=None) -> np.ndarray:
+def add_noise(recording: np.ndarray, noise_rms: float, rng) -> np.ndarray:
     """Additive white Gaussian noise of the given RMS, drawn from ``rng``
     (a seed or Generator); a new array unless ``noise_rms`` is 0, in
     which case the recording itself is returned."""
@@ -197,8 +194,6 @@ def add_noise(recording: np.ndarray, noise_rms: float, rng=None) -> np.ndarray:
         raise ValueError("noise_rms must be nonnegative")
     if noise_rms == 0:
         return recording
-    if rng is None:
-        raise ValueError("noise_rms > 0 requires an rng seed or Generator")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     # added into the noise buffer; addition commutes, so this is
     # recording + noise bit for bit without a second full-size array
@@ -454,7 +449,6 @@ def response_feature(
     high_hz: float = DEFAULTS.band_high_hz,
     filter_order: int = DEFAULTS.filter_order,
     feature_length: int = DEFAULTS.feature_length,
-    n_fft: int | None = None,
     sample_rate: int = DEFAULTS.sample_rate,
 ) -> np.ndarray:
     """Full feature chain: trim, minimum phase, bandpass, fixed length,
@@ -469,7 +463,7 @@ def response_feature(
     if feature_length < 1:
         raise ValueError(f"feature_length must be positive, got {feature_length}")
     out = trim_pre_rise(ir, trim_threshold)
-    out = minimum_phase(out, n_fft)
+    out = minimum_phase(out)
     # the bandpass is causal, so filtering only the kept prefix gives
     # the same samples as filtering everything and truncating afterwards
     x = butterworth_bandpass(out[:feature_length], low_hz, high_hz, filter_order, sample_rate)
@@ -538,5 +532,4 @@ def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
     # np.stack raises ValueError on features of unequal length
     feats = np.stack([f for sid in ids for f in by_subject[sid]])
     means, stds = _similarity_blocks(feats, takes, mode)
-    return SimilarityMatrix(tuple(ids), mirror_upper(means), kind="acoustic",
-                            stds=mirror_upper(stds))
+    return SimilarityMatrix(tuple(ids), mirror_upper(means), stds=mirror_upper(stds))

@@ -12,7 +12,7 @@ pair, stands out from the cohort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +43,13 @@ class SimilarityMatrix:
     """Symmetric inter-subject similarity with an undefined diagonal.
 
     ``values[i, j]`` is the similarity between ``ids[i]`` and ``ids[j]``;
-    the diagonal holds NaN.  ``kind`` is "shape" or "acoustic"; acoustic
-    matrices may carry a per-cell standard deviation over take pairs.
+    the diagonal holds NaN.  An acoustic matrix may carry a per-cell
+    standard deviation over take pairs.
     """
 
     ids: tuple
     values: np.ndarray
-    kind: str = "shape"
     stds: np.ndarray | None = None
-    _rows: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = tuple(str(s) for s in self.ids)
@@ -67,10 +65,7 @@ class SimilarityMatrix:
             raise ValueError("similarity values must lie in [-1, 1]")
         if not np.array_equal(v, v.T, equal_nan=True):
             raise ValueError("similarity matrix must be symmetric")
-        if self.kind not in ("shape", "acoustic"):
-            raise ValueError(f"kind must be 'shape' or 'acoustic', got {self.kind!r}")
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "_rows", {sid: i for i, sid in enumerate(ids)})
         object.__setattr__(self, "values", v)
         s = self.stds
         if s is not None:
@@ -85,37 +80,28 @@ class SimilarityMatrix:
     def n_subjects(self) -> int:
         return len(self.ids)
 
-    def index(self, subject_id: str) -> int:
-        try:
-            return self._rows[subject_id]
-        except KeyError:
-            raise KeyError(f"unknown subject id {subject_id!r}") from None
-
     def cell(self, a: str, b: str) -> float:
-        i, j = self.index(a), self.index(b)
+        try:
+            i, j = self.ids.index(a), self.ids.index(b)
+        except ValueError:
+            unknown = a if a not in self.ids else b
+            raise KeyError(f"unknown subject id {unknown!r}") from None
         if i == j:
             raise ValueError("diagonal cells are undefined")
         return float(self.values[i, j])
 
-    def off_diagonal_pairs(self):
-        """Unordered pairs as ``(id_a, id_b, value)`` in row-major order."""
-        i, j = np.triu_indices(self.n_subjects, 1)
-        ids = np.array(self.ids, dtype=object)
-        return list(zip(ids[i].tolist(), ids[j].tolist(), self.values[i, j].tolist()))
-
-    def to_csv(self, comments: tuple = ()) -> str:
+    def to_csv(self) -> str:
         shown = ~np.eye(self.n_subjects, dtype=bool) & ~np.isnan(self.values)
         cells = np.where(shown, _fmt_cells(self.values), "")
         if self.stds is not None:
             spread = shown & ~np.isnan(self.stds)
             cells = np.where(spread, cells + "±" + _fmt_cells(self.stds), cells)
-        lines = [f"# {c}" for c in comments]
-        lines.append(",".join(("subject", *self.ids)))
+        lines = [",".join(("subject", *self.ids))]
         lines += [sid + "," + ",".join(row) for sid, row in zip(self.ids, cells.tolist())]
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, kind: str | None = None) -> "SimilarityMatrix":
+    def from_csv(cls, text: str) -> "SimilarityMatrix":
         rows = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
         if not rows:
             raise ValueError("empty similarity CSV")
@@ -150,9 +136,7 @@ class SimilarityMatrix:
         if len(undefined):
             i, j = undefined[0]
             raise ValueError(f"cell ({ids[i]}, {ids[j]}) is empty or NaN")
-        if kind is None:
-            kind = "acoustic" if has_std else "shape"
-        return cls(tuple(ids), values, kind=kind, stds=stds if has_std else None)
+        return cls(tuple(ids), values, stds=stds if has_std else None)
 
 
 @dataclass(frozen=True)
@@ -177,8 +161,8 @@ class RegressionResult:
     intercept: float
     r: float
     r_squared: float
-    subject_id: str | None = None
-    degenerate: bool = field(default=False)
+    subject_id: str
+    degenerate: bool
 
     def to_dict(self) -> dict:
         return {
@@ -238,14 +222,6 @@ def _regressions(x: np.ndarray, y: np.ndarray, ids) -> list:
                r.tolist(), r_squared.tolist(), degenerate.tolist())
     return [RegressionResult(tuple(zip(xs, ys)), b, c, rr, r2, sid, deg)
             for sid, xs, ys, b, c, rr, r2, deg in fits]
-
-
-def linear_regression(pairs, subject_id: str | None = None) -> RegressionResult:
-    """Least-squares line, Pearson r, and R^2 for (x, y) pairs: the batch
-    of one of :func:`regress_all_subjects`."""
-    pts = np.array([(float(x), float(y)) for x, y in pairs]).reshape(-1, 2)
-    x, y = np.ascontiguousarray(pts.T)
-    return _regressions(x[None], y[None], (subject_id,))[0]
 
 
 def regress_all_subjects(shape_m: SimilarityMatrix, acoustic_m: SimilarityMatrix) -> list:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import logging
@@ -41,7 +42,7 @@ from earcanal.acoustics import (
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
-from earcanal.config import PipelineConfig, json_text
+from earcanal.config import MAX_LEVEL, PipelineConfig, json_text
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
@@ -98,25 +99,31 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
+def _check_subject_id(sid: str, source: Path) -> None:
+    """Raise InputError, naming ``source``, for an id that cannot name
+    output files or head a similarity CSV row."""
+    # an id names output files, so it must stay one file name in --out
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise InputError(
+            f"{source}: subject id {sid!r} is not a plain file name "
+            "(empty, '.', '..', or holding '/', '\\' or NUL)"
+        )
+    # and it heads a row of the similarity CSVs, which are split at
+    # ',' and line breaks and skip lines that start with '#'
+    if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
+        raise InputError(
+            f"{source}: subject id {sid!r} cannot be a similarity CSV cell "
+            "(holding ',' or a line break, or starting with '#')"
+        )
+
+
 def _manifest_subjects(manifest_path: Path) -> dict:
     data = _load_json(manifest_path)
     subjects = data.get("subjects") if isinstance(data, dict) else None
     if not isinstance(subjects, dict) or not subjects:
         raise InputError(f"{manifest_path}: manifest must map 'subjects' to a nonempty object")
     for sid in subjects:
-        # an id names output files, so it must stay one file name in --out
-        if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-            raise InputError(
-                f"{manifest_path}: subject id {sid!r} is not a plain file name "
-                "(empty, '.', '..', or holding '/', '\\' or NUL)"
-            )
-        # and it heads a row of the similarity CSVs, which are split at
-        # ',' and line breaks and skip lines that start with '#'
-        if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
-            raise InputError(
-                f"{manifest_path}: subject id {sid!r} cannot be a similarity CSV cell "
-                "(holding ',' or a line break, or starting with '#')"
-            )
+        _check_subject_id(sid, manifest_path)
     return subjects
 
 
@@ -243,7 +250,8 @@ def cmd_shape(args) -> int:
 def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
     """A subject's plant: literal ``{"taps": [...]}`` or a ``plant/1``
     generator.  Its length is checked against one excitation period
-    before anything of that length is made."""
+    before anything of that length is made, and its taps' absolute sum
+    against ``MAX_LEVEL``, which keeps the acoustic chain finite."""
     period = 2**cfg.mls_order - 1
 
     def check_length(n_taps: int) -> None:
@@ -264,21 +272,24 @@ def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
                 raise ValueError("taps must be a nonempty list of numbers")
             check_length(len(taps))
             h = np.array(taps, dtype=np.float64)
-            if not np.isfinite(h).all():
-                raise ValueError("taps must be finite")
-            return h
-        if isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
+        elif isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
             gen = PlantGenerator.from_dict(plant_spec)
             check_length(gen.tap_count)
-            return generate_plant(gen, cfg.sample_rate)
+            h = generate_plant(gen, cfg.sample_rate)
+        else:
+            raise InputError(
+                f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
+            )
+        # each tap is bounded first, so the sum of up to 2**24 cannot overflow
+        mags = np.abs(h)
+        if not ((mags <= MAX_LEVEL).all() and mags.sum() <= MAX_LEVEL):
+            raise ValueError(f"taps must be finite, with an absolute sum of at most {MAX_LEVEL:g}")
+        return h
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"subject {sid!r}: invalid plant JSON: {exc}") from None
-    raise InputError(
-        f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
-    )
 
 
-def _take_feature(recording, take: int, cfg: PipelineConfig, excitation):
+def _take_feature(cfg: PipelineConfig, excitation, recording, take: int):
     """One take: recording -> impulse response -> feature.
 
     ``recording`` maps the take index to its samples, so a simulated
@@ -297,10 +308,41 @@ def _take_feature(recording, take: int, cfg: PipelineConfig, excitation):
     )
 
 
-def _workers(takes: int) -> int:
-    """One thread per take, at most one per core this process may use."""
+def _workers() -> int:
+    """One thread per core this process may use."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(takes, cores or 1))
+    return max(1, cores or 1)
+
+
+def _subject_recordings(manifest_path: Path, sidx: int, sid, entry, cfg: PipelineConfig,
+                        excitation) -> tuple:
+    """``(n_takes, recording)`` of one subject, ``recording`` mapping a
+    take index to its samples.  Its input files are read and checked
+    here, before any take runs.  A plant's noiseless recording is
+    simulated once; each take adds its own seeded noise to it on its
+    worker thread."""
+    if isinstance(entry, dict) and "plant" in entry:
+        spec = _load_json(_entry_path(manifest_path, sid, entry["plant"]))
+        clean = simulate_measurement(excitation, _plant(sid, spec, cfg), cfg.repeats)
+
+        def recording(take):
+            rng = np.random.default_rng([cfg.seed, sidx, take])
+            return add_noise(clean, cfg.noise_rms, rng)
+        return cfg.takes, recording
+    if isinstance(entry, dict) and "takes" in entry:
+        if not isinstance(entry["takes"], list) or not entry["takes"]:
+            raise InputError(
+                f"subject {sid!r}: 'takes' must be a nonempty list of WAV paths, "
+                f"got {entry['takes']!r}"
+            )
+        wavs = [
+            _read_wav(_entry_path(manifest_path, sid, rel), cfg.sample_rate)
+            for rel in entry["takes"]
+        ]
+        return len(wavs), wavs.__getitem__
+    raise InputError(
+        f"subject {sid!r}: manifest entry needs a 'plant' path or a 'takes' list"
+    )
 
 
 def cmd_acoustic(args) -> int:
@@ -311,42 +353,16 @@ def cmd_acoustic(args) -> int:
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
-    for sidx, (sid, entry) in enumerate(subjects.items()):
-        # Inputs are read and checked here, before any take runs.  A
-        # plant's noiseless recording is simulated once; each take adds
-        # its own seeded noise to it on its worker thread.
-        if isinstance(entry, dict) and "plant" in entry:
-            spec = _load_json(_entry_path(manifest_path, sid, entry["plant"]))
-            clean = simulate_measurement(excitation, _plant(sid, spec, cfg), cfg.repeats)
-            n_takes = cfg.takes
-
-            def recording(take):
-                rng = np.random.default_rng([cfg.seed, sidx, take])
-                return add_noise(clean, cfg.noise_rms, rng)
-        elif isinstance(entry, dict) and "takes" in entry:
-            if not isinstance(entry["takes"], list) or not entry["takes"]:
-                raise InputError(
-                    f"subject {sid!r}: 'takes' must be a nonempty list of WAV paths, "
-                    f"got {entry['takes']!r}"
-                )
-            wavs = [
-                _read_wav(_entry_path(manifest_path, sid, rel), cfg.sample_rate)
-                for rel in entry["takes"]
-            ]
-            n_takes = len(wavs)
-            recording = wavs.__getitem__
-        else:
-            raise InputError(
-                f"subject {sid!r}: manifest entry needs a 'plant' path or a 'takes' list"
-            )
-        # numpy's FFTs and ufuncs release the GIL, so one subject's takes
-        # run in parallel; map yields them in take order and re-raises
-        # the first failing take's error.
-        with ThreadPoolExecutor(_workers(n_takes)) as pool:
-            feats = pool.map(
-                lambda take: _take_feature(recording, take, cfg, excitation),
-                range(n_takes),
-            )
+    # numpy's FFTs and ufuncs release the GIL, so takes run in parallel,
+    # on one pool for the whole run.  Subjects go one after another: map
+    # yields a subject's takes in order and re-raises the first failing
+    # take's error, and every take ends before the next subject is read.
+    with ThreadPoolExecutor(_workers()) as pool:
+        for sidx, (sid, entry) in enumerate(subjects.items()):
+            n_takes, recording = _subject_recordings(manifest_path, sidx, sid, entry, cfg,
+                                                     excitation)
+            feats = pool.map(functools.partial(_take_feature, cfg, excitation, recording),
+                             range(n_takes))
             all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))
 
     outputs = {}
@@ -390,10 +406,14 @@ def cmd_correlate(args) -> int:
         if not p.is_file():
             raise InputError(f"no such file: {p}")
     try:
-        shape_m = SimilarityMatrix.from_csv(shape_path.read_text(), kind="shape")
-        acoustic_m = SimilarityMatrix.from_csv(acoustic_path.read_text(), kind="acoustic")
+        shape_m = SimilarityMatrix.from_csv(shape_path.read_text())
+        acoustic_m = SimilarityMatrix.from_csv(acoustic_path.read_text())
     except ValueError as exc:
         raise InputError(f"cannot parse similarity CSV: {exc}") from None
+    # the report names a file after every id, so the manifests' rule holds here too
+    for path, matrix in ((shape_path, shape_m), (acoustic_path, acoustic_m)):
+        for sid in matrix.ids:
+            _check_subject_id(sid, path)
     if set(shape_m.ids) != set(acoustic_m.ids):
         raise InputError(
             f"matrices cover different subjects: {sorted(shape_m.ids)} vs {sorted(acoustic_m.ids)}"
@@ -417,24 +437,30 @@ def cmd_correlate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
-    levels = [args.perturbation]
-    sweep = False
-    if args.sweep is not None:
-        try:
-            levels = [float(p) for p in args.sweep.split(",")]
-        except ValueError:
-            raise InputError(f"--sweep expects comma-separated numbers, got {args.sweep!r}") from None
-        if not levels:
-            raise InputError("--sweep needs at least one perturbation level")
-        sweep = True
     out = Path(args.out)
-
-    for level in levels:
-        corpus = out / f"perturbation_{level:g}" if sweep else out
+    levels = {out: args.perturbation}  # corpus directory -> perturbation
+    if args.sweep is not None:
+        levels = {}
+        for part in args.sweep.split(","):
+            try:
+                level = float(part)
+            except ValueError:
+                raise InputError(
+                    f"--sweep expects comma-separated numbers, got {args.sweep!r}") from None
+            corpus = out / f"perturbation_{level:g}"
+            if corpus in levels:
+                raise InputError(
+                    f"--sweep levels {levels[corpus]!r} and {level!r} both write {corpus}")
+            levels[corpus] = level
+    # every level is checked before the first corpus is written
+    families = {}
+    for corpus, level in levels.items():
         try:
-            family = make_subject_family(cfg.seed, level)
+            families[corpus] = make_subject_family(cfg.seed, level)
         except ValueError as exc:
             raise InputError(str(exc)) from None
+
+    for corpus, family in families.items():
         outputs = {}
         shape_subjects = {}
         acoustic_subjects = {}

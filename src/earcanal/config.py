@@ -24,6 +24,18 @@ from typing import ClassVar, get_type_hints
 import numpy as np
 
 
+# The largest absolute tap sum of a plant and the largest noise_rms.  At
+# mls_order 24 (periods under 2**24 samples) every intermediate of the
+# acoustic chain then stays finite: a recorded sample is under 2e101 (the
+# taps' sum plus a noise tail under 10 * noise_rms); the Hadamard sums and
+# the recovered response stay under 2**24 * 2e101 < 1e109; the
+# minimum-phase spectrum under 2**24 * 1e109 < 1e117, and so its output;
+# the bandpass multiplies by its own tap sum (2.8 for the default
+# design); and the unit-power sum of squares of up to 1e70 such samples
+# stays below 1e306.
+MAX_LEVEL = 1e100
+
+
 def readonly_view(a) -> np.ndarray:
     """A read-only float64 view of ``a``.  It copies only what is not
     already contiguous float64, and it never freezes the caller's array."""
@@ -124,8 +136,8 @@ class PipelineConfig(Record):
             raise ValueError("repeats must be at least 1")
         if self.takes < 1:
             raise ValueError("takes must be at least 1")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be nonnegative")
+        if not (0 <= self.noise_rms <= MAX_LEVEL):
+            raise ValueError(f"noise_rms must be in [0, {MAX_LEVEL:g}]")
         if not (0.0 < self.trim_threshold < 1.0):
             raise ValueError("trim_threshold must be in (0, 1)")
         if self.feature_length < 1:
@@ -137,11 +149,8 @@ class PipelineConfig(Record):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def dump(self, path, command: str | None = None) -> None:
-        d = self.to_dict()
-        if command is not None:
-            d["command"] = command
-        Path(path).write_text(json_text(d))
+    def dump(self, path, command: str) -> None:
+        Path(path).write_text(json_text({**self.to_dict(), "command": command}))
 
 
 DEFAULTS = PipelineConfig()

@@ -17,6 +17,7 @@ import numpy as np
 from earcanal.config import readonly_view
 
 _BINARY_HEADER_LEN = 80
+_HEADER = b"earcanal binary STL".ljust(_BINARY_HEADER_LEN, b"\0")
 _MAX_SLICES = 2**20  # most slices of one cloud: 105 m of canal at delta_z 0.1
 _FACET_DTYPE = np.dtype([
     ("normal", "<f4", (3,)),
@@ -38,7 +39,6 @@ class TriangleMesh:
 
     vertices: np.ndarray
     normals: np.ndarray
-    source_format: str
 
     def __post_init__(self) -> None:
         v = readonly_view(self.vertices)
@@ -64,14 +64,14 @@ class SliceSet:
     """Contiguous z-slices of a centroid cloud.
 
     ``bins[n]`` is a read-only (k, 2) array of the xy coordinates of
-    exactly the points with ``n*delta_z < z - z_origin <= (n+1)*delta_z``;
-    bin 0 additionally includes points exactly at the origin (closed
-    below), so the ear-entrance boundary point is never dropped.  Empty
-    interior bins are retained so the index n maps linearly to depth.
+    exactly the points with ``n*delta_z < z - z_origin <= (n+1)*delta_z``,
+    ``z_origin`` being where :func:`slice_centroids` started; bin 0
+    additionally includes points exactly at the origin (closed below), so
+    the ear-entrance boundary point is never dropped.  Empty interior bins
+    are retained so the index n maps linearly to depth.
     """
 
     delta_z: float
-    z_origin: float
     bins: tuple
 
 
@@ -159,7 +159,7 @@ def _parse_ascii_stl(data: bytes) -> TriangleMesh:
         raise StlParseError(errors[min(errors)])
     if n == 0:
         raise StlParseError("ASCII STL contains no facets")
-    return TriangleMesh(values[3:].T.reshape(n, 3, 3), values[:3].T, "ascii_stl")
+    return TriangleMesh(values[3:].T.reshape(n, 3, 3), values[:3].T)
 
 
 def _parse_binary_stl(data: bytes) -> TriangleMesh:
@@ -177,7 +177,7 @@ def _parse_binary_stl(data: bytes) -> TriangleMesh:
     if count == 0:
         raise StlParseError("binary STL contains no facets")
     rec = np.frombuffer(data, dtype=_FACET_DTYPE, count=count, offset=_BINARY_HEADER_LEN + 4)
-    return TriangleMesh(rec["vertices"], rec["normal"], "binary_stl")
+    return TriangleMesh(rec["vertices"], rec["normal"])
 
 
 def parse_stl(data: bytes) -> TriangleMesh:
@@ -201,19 +201,18 @@ def parse_stl(data: bytes) -> TriangleMesh:
     return _parse_binary_stl(data)
 
 
-def write_binary_stl(mesh: TriangleMesh, header: bytes = b"earcanal binary STL") -> bytes:
+def write_binary_stl(mesh: TriangleMesh) -> bytes:
     """Serialize a mesh as binary STL (little-endian, 50-byte facets).
 
     Parsing the output yields a triangle multiset identical to ``mesh``
     up to float32 storage precision (exact round trip for meshes that
-    were themselves parsed from binary STL).
+    were themselves parsed from binary STL).  The header is fixed and
+    does not start with ``solid``.
     """
-    if header[:5].lower() == b"solid":
-        raise ValueError("binary STL header must not start with 'solid'")
     rec = np.zeros(mesh.n_triangles, dtype=_FACET_DTYPE)
     rec["normal"] = mesh.normals.astype("<f4")
     rec["vertices"] = mesh.vertices.astype("<f4")
-    return header.ljust(_BINARY_HEADER_LEN, b"\0") + struct.pack("<I", mesh.n_triangles) + rec.tobytes()
+    return _HEADER + struct.pack("<I", mesh.n_triangles) + rec.tobytes()
 
 
 def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
@@ -269,4 +268,4 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
     xy.flags.writeable = False
     ends = np.cumsum(np.bincount(idx)).tolist()
     bins = tuple(xy[a:b] for a, b in zip([0] + ends[:-1], ends))
-    return SliceSet(float(delta_z), float(z_origin), bins)
+    return SliceSet(float(delta_z), bins)

@@ -41,19 +41,17 @@ class ShapeCenterFn:
 
     delta_z: float
     centers: np.ndarray
-    raw_centers: np.ndarray | None = None
+    raw_centers: np.ndarray
     interpolated: tuple = field(default=())
 
     def __post_init__(self) -> None:
         c = readonly_view(self.centers).reshape(-1, 2)
         if c.shape[0] < 2:
             raise ValueError("shape center function needs at least 2 slices")
+        raw = readonly_view(self.raw_centers).reshape(-1, 2)
+        if raw.shape != c.shape:
+            raise ValueError("raw_centers must match centers in shape")
         object.__setattr__(self, "centers", c)
-        raw = self.raw_centers
-        if raw is not None:
-            raw = readonly_view(raw).reshape(-1, 2)
-            if raw.shape != c.shape:
-                raise ValueError("raw_centers must match centers in shape")
         object.__setattr__(self, "raw_centers", raw)
         object.__setattr__(self, "interpolated", tuple(int(n) for n in self.interpolated))
 
@@ -61,23 +59,14 @@ class ShapeCenterFn:
     def n_slices(self) -> int:
         return self.centers.shape[0]
 
-    def rotated(self, theta: float) -> "ShapeCenterFn":
-        """Rigid rotation of the track about the canal axis."""
-        ca, sa = np.cos(theta), np.sin(theta)
-        rot = np.array([[ca, -sa], [sa, ca]])
-        return ShapeCenterFn(self.delta_z, self.centers @ rot.T,
-                             interpolated=self.interpolated)
-
     def to_dict(self) -> dict:
-        d = {
+        return {
             "schema": "shape_center_fn/1",
             "delta_z": self.delta_z,
             "centers": self.centers.tolist(),
+            "raw_centers": self.raw_centers.tolist(),
             "interpolated": list(self.interpolated),
         }
-        if self.raw_centers is not None:
-            d["raw_centers"] = self.raw_centers.tolist()
-        return d
 
     def to_csv(self) -> str:
         """CSV rendering with columns n, x_n, y_n."""
@@ -128,8 +117,7 @@ def shape_center_fn(
             f = (k - prev) / (n - prev)
             track[k] = (1.0 - f) * track[prev] + f * track[n]
             gaps.append(k)
-    return ShapeCenterFn(slices.delta_z, track - track[0],
-                         raw_centers=track, interpolated=tuple(gaps))
+    return ShapeCenterFn(slices.delta_z, track - track[0], track, tuple(gaps))
 
 
 def _similarities(tracks, grid_size: int) -> tuple:
@@ -196,4 +184,4 @@ def shape_similarity_matrix(subjects, grid_size: int = DEFAULTS.theta_samples):
     if len(ids) < 2:
         raise ValueError("need at least 2 subjects for a similarity matrix")
     phi = _similarities([t for _, t in subjects], grid_size)[0]
-    return SimilarityMatrix(tuple(ids), mirror_upper(phi), kind="shape")
+    return SimilarityMatrix(tuple(ids), mirror_upper(phi))

@@ -193,7 +193,7 @@ def generate_canal_mesh(gen: CanalGenerator) -> TriangleMesh:
     normals = np.cross(e1, e2)
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    return TriangleMesh(tris, normals / norms, "binary_stl")
+    return TriangleMesh(tris, normals / norms)
 
 
 def generate_plant(gen: PlantGenerator, sample_rate: int = DEFAULTS.sample_rate) -> np.ndarray:

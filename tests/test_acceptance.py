@@ -14,6 +14,7 @@ import pytest
 
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
+    add_noise,
     generate_mls,
     minimum_phase,
     recover_impulse_response,
@@ -24,7 +25,12 @@ from earcanal.analysis import SimilarityMatrix, matrix_statistics, regress_all_s
 from earcanal.cli import main
 from earcanal.ellipse import fit_ellipse
 from earcanal.mesh import slice_centroids, triangle_centroids
-from earcanal.shape import shape_center_fn, shape_similarity, shape_similarity_matrix
+from earcanal.shape import (
+    ShapeCenterFn,
+    shape_center_fn,
+    shape_similarity,
+    shape_similarity_matrix,
+)
 from earcanal.synth import generate_canal_mesh, generate_plant, make_subject_family
 
 TWINS = ("twins_a", "twins_b")
@@ -44,6 +50,20 @@ def family_tracks_and_plants(seed=0, perturbation=0.02):
         tracks.append((sub.subject_id, shape_center_fn(slice_centroids(cloud, 0.1))))
         plants.append((sub.subject_id, generate_plant(sub.plant)))
     return tracks, plants
+
+
+def rotated(track, theta):
+    """``track`` rigidly rotated by ``theta`` about the canal axis."""
+    ca, sa = np.cos(theta), np.sin(theta)
+    rot = np.array([[ca, -sa], [sa, ca]])
+    return ShapeCenterFn(track.delta_z, track.centers @ rot.T, track.raw_centers @ rot.T,
+                         track.interpolated)
+
+
+def upper_pairs(matrix):
+    """``(id_a, id_b, value)`` of every cell above the diagonal, row by row."""
+    return [(a, b, matrix.cell(a, b))
+            for k, a in enumerate(matrix.ids) for b in matrix.ids[k + 1:]]
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +147,8 @@ def test_criterion_4_mls_chain_round_trip():
         truth = np.zeros(excitation.length)
         truth[:n_taps] = taps
         for repeats, store in ((5, res_avg), (1, res_one)):
-            rec = simulate_measurement(excitation, plant, repeats=repeats,
-                                       noise_rms=0.1,
-                                       rng=np.random.default_rng([s, repeats]))
+            rec = add_noise(simulate_measurement(excitation, plant, repeats=repeats), 0.1,
+                            np.random.default_rng([s, repeats]))
             h = recover_impulse_response(rec, excitation, repeats=repeats)
             store.append(np.sqrt(np.mean((h - truth) ** 2)))
     ratio = np.mean(res_avg) / np.mean(res_one)
@@ -178,13 +197,13 @@ def test_criterion_6_shape_similarity_identities(default_family):
     step = 2.0 * np.pi / 3600
     for k in (1, 300, 1799, 3599):
         theta0 = k * step
-        sim = shape_similarity(track, track.rotated(theta0))
+        sim = shape_similarity(track, rotated(track, theta0))
         assert abs(sim.phi - 1.0) <= 1e-12, f"theta0 = {k}*step: phi {sim.phi}"
         assert sim.best_theta == theta0
 
     coarse = shape_similarity_matrix(tracks, 3600)
     fine = shape_similarity_matrix(tracks, 7200)
-    for id_a, id_b, v in coarse.off_diagonal_pairs():
+    for id_a, id_b, v in upper_pairs(coarse):
         assert abs(v - fine.cell(id_a, id_b)) < 1e-4
     print("criterion 6: shape similarity identities hold: pass")
 
@@ -199,16 +218,15 @@ def test_criterion_7_end_to_end_cohort_ordering():
     for sidx, (sid, plant) in enumerate(plants):
         for take in range(10):
             rng = np.random.default_rng([0, sidx, take])
-            rec = simulate_measurement(excitation, plant, repeats=5,
-                                       noise_rms=0.5, rng=rng)
+            rec = add_noise(simulate_measurement(excitation, plant, repeats=5), 0.5, rng)
             raw = recover_impulse_response(rec, excitation, repeats=5)
             features.append((sid, take, response_feature(raw)))
     acoustic_m = acoustic_similarity_matrix(features)
 
-    for matrix in (shape_m, acoustic_m):
-        top = max(matrix.off_diagonal_pairs(), key=lambda p: p[2])
+    for kind, matrix in (("shape", shape_m), ("acoustic", acoustic_m)):
+        top = max(upper_pairs(matrix), key=lambda p: p[2])
         assert {top[0], top[1]} == {"twin_a", "twin_b"}, \
-            f"{matrix.kind}: top pair {top}"
+            f"{kind}: top pair {top}"
     slopes = {r.subject_id: r.slope for r in regress_all_subjects(shape_m, acoustic_m)}
     for sid, slope in slopes.items():
         assert slope > 0, f"{sid}: slope {slope}"

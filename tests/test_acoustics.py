@@ -100,17 +100,12 @@ def test_simulate_rejects_bad_inputs():
         simulate_measurement(mls, ir(np.ones(16)))  # longer than one period
     with pytest.raises(ValueError):
         simulate_measurement(mls, ir([1.0]), repeats=0)
-    with pytest.raises(ValueError):
-        simulate_measurement(mls, ir([1.0]), noise_rms=0.1)  # rng required
-    with pytest.raises(ValueError):
-        simulate_measurement(mls, ir([1.0]), noise_rms=-0.1, rng=1)
 
 
 def test_simulate_noise_is_seed_deterministic():
-    mls = generate_mls(5)
-    a = simulate_measurement(mls, ir([1.0, 0.3]), noise_rms=0.1, rng=42)
-    b = simulate_measurement(mls, ir([1.0, 0.3]),
-                             noise_rms=0.1, rng=np.random.default_rng(42))
+    rec = simulate_measurement(generate_mls(5), ir([1.0, 0.3]))
+    a = add_noise(rec, 0.1, 42)
+    b = add_noise(rec, 0.1, np.random.default_rng(42))
     np.testing.assert_array_equal(a, b)
 
 
@@ -119,17 +114,15 @@ def test_simulate_is_the_noiseless_recording_plus_noise():
     plant = ir(0.7 ** np.arange(40))
     clean = simulate_measurement(mls, plant, repeats=3)
     for seed in range(3):
-        full = simulate_measurement(mls, plant, repeats=3, noise_rms=0.2, rng=seed)
-        np.testing.assert_array_equal(full, add_noise(clean, 0.2, np.random.default_rng(seed)))
+        noise = np.random.default_rng(seed).normal(0.0, 0.2, size=clean.shape)
+        np.testing.assert_array_equal(add_noise(clean, 0.2, seed), clean + noise)
 
 
 def test_add_noise_validation():
     rec = np.ones(8)
-    assert add_noise(rec, 0.0) is rec
+    assert add_noise(rec, 0.0, 1) is rec
     with pytest.raises(ValueError):
-        add_noise(rec, 0.1)  # rng required
-    with pytest.raises(ValueError):
-        add_noise(rec, -0.1, rng=1)
+        add_noise(rec, -0.1, 1)
 
 
 def test_recovery_is_exact_without_noise():
@@ -234,8 +227,7 @@ def test_averaging_suppresses_noise():
     h = np.array([1.0, 0.5, 0.25])
     res = {}
     for repeats in (1, 9):
-        rec = simulate_measurement(mls, ir(h), repeats=repeats,
-                                   noise_rms=0.1, rng=7)
+        rec = add_noise(simulate_measurement(mls, ir(h), repeats=repeats), 0.1, 7)
         got = recover_impulse_response(rec, mls, repeats=repeats)
         res[repeats] = np.sqrt(np.mean((got[3:] - 0.0) ** 2))
     # nine averages cut the noise floor ~3x; allow wide slack
@@ -314,12 +306,15 @@ def test_default_fft_length_stays_near_the_eightfold_transform():
     # criterion-7 subject the features stay within the stated tolerance.
     excitation = generate_mls(DEFAULTS.mls_order)
     for sidx, spec in enumerate(make_subject_family(0)):
-        recording = simulate_measurement(excitation, generate_plant(spec.plant),
-                                         DEFAULTS.repeats, 0.5, [0, sidx, 0])
+        clean = simulate_measurement(excitation, generate_plant(spec.plant), DEFAULTS.repeats)
+        recording = add_noise(clean, 0.5, [0, sidx, 0])
         raw = recover_impulse_response(recording, excitation, DEFAULTS.repeats)
-        n = len(trim_pre_rise(raw))
+        trimmed = trim_pre_rise(raw)
         got = response_feature(raw)
-        eightfold = response_feature(raw, n_fft=max(4096, 1 << (8 * n - 1).bit_length()))
+        n_fft = max(4096, 1 << (8 * len(trimmed) - 1).bit_length())
+        # the chain of response_feature, with the FFT size set
+        eightfold = normalize_power(butterworth_bandpass(
+            minimum_phase(trimmed, n_fft)[: DEFAULTS.feature_length]))
         assert float(np.abs(got - eightfold).max()) <= 6e-4
         assert float(got @ eightfold) >= 0.99999  # both have unit power
 
@@ -495,14 +490,13 @@ def matrix_fixture():
 
 def test_similarity_matrix_means_and_stds():
     m = acoustic_similarity_matrix(matrix_fixture())
-    assert m.kind == "acoustic"
     assert m.ids == ("a", "b", "c")
     r = np.sqrt(0.5)
     # four take pairs per cell: a x b = {r, 1, r, 1}, a x c = {0, 0, 0, 0}
     assert m.cell("a", "b") == pytest.approx((r + 1) / 2)
     assert m.cell("a", "c") == pytest.approx(0.0, abs=1e-15)
     assert m.cell("b", "c") == pytest.approx((r - r + 0 + 0) / 4)
-    np.testing.assert_allclose(m.stds[m.index("a"), m.index("b")],
+    np.testing.assert_allclose(m.stds[0, 1],
                                np.std([r, 1.0, r, 1.0]), rtol=1e-12)
     np.testing.assert_array_equal(m.values, m.values.T)
 
@@ -517,8 +511,7 @@ def test_full_chain_same_plant_is_self_similar():
     plant = signal_from_roots([(0.8, 0.3), (0.6, 1.4)], gain=0.9)
     feats = []
     for take in range(2):
-        rec = simulate_measurement(mls, ir(plant), repeats=3,
-                                   noise_rms=0.001, rng=take)
+        rec = add_noise(simulate_measurement(mls, ir(plant), repeats=3), 0.001, take)
         rec_ir = recover_impulse_response(rec, mls, repeats=3)
         feats.append(response_feature(rec_ir, feature_length=256))
     assert acoustic_similarity(feats[0], feats[1]) > 0.999

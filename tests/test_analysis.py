@@ -10,15 +10,15 @@ from earcanal.analysis import (
     RegressionResult,
     SimilarityMatrix,
     _fmt,
+    _regressions,
     emit_report,
-    linear_regression,
     matrix_statistics,
     regress_all_subjects,
 )
 from earcanal.config import json_text
 
 
-def tri_matrix(vals, ids=("a", "b", "c"), kind="shape", stds=None):
+def tri_matrix(vals, ids=("a", "b", "c"), stds=None):
     m = len(ids)
     v = np.full((m, m), np.nan)
     k = 0
@@ -26,7 +26,15 @@ def tri_matrix(vals, ids=("a", "b", "c"), kind="shape", stds=None):
         for j in range(i + 1, m):
             v[i, j] = v[j, i] = vals[k]
             k += 1
-    return SimilarityMatrix(tuple(ids), v, kind=kind, stds=stds)
+    return SimilarityMatrix(tuple(ids), v, stds=stds)
+
+
+def linear_regression(pairs, subject_id=None):
+    """The regression of one subject's (x, y) pairs, as the batch of one
+    row that :func:`regress_all_subjects` runs."""
+    pts = np.array([(float(x), float(y)) for x, y in pairs]).reshape(-1, 2)
+    x, y = np.ascontiguousarray(pts.T)
+    return _regressions(x[None], y[None], (subject_id,))[0]
 
 
 def load_fixture(name):
@@ -44,8 +52,6 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         tri_matrix([1.5, 0.0, 0.0])
     with pytest.raises(ValueError):
-        tri_matrix([0.5, 0.4, 0.3], kind="sonic")
-    with pytest.raises(ValueError):
         tri_matrix([0.5, 0.4, 0.3], stds=-np.ones((3, 3)))
 
 
@@ -53,19 +59,19 @@ def test_matrix_lookup():
     m = tri_matrix([0.2, 0.4, 0.6])
     assert m.cell("a", "b") == 0.2
     assert m.cell("c", "a") == 0.4
-    assert m.off_diagonal_pairs() == [("a", "b", 0.2), ("a", "c", 0.4), ("b", "c", 0.6)]
+    assert m.cell("c", "b") == 0.6
     with pytest.raises(ValueError):
         m.cell("a", "a")
-    with pytest.raises(KeyError):
-        m.index("z")
+    with pytest.raises(KeyError, match="'z'"):
+        m.cell("z", "a")
+    with pytest.raises(KeyError, match="'z'"):
+        m.cell("a", "z")
 
 
 def test_matrix_csv_round_trip():
     m = tri_matrix([0.2, 1 / 3, 0.6])
-    text = m.to_csv(comments=("generated for a round-trip check",))
-    assert text.startswith("# generated")
-    again = SimilarityMatrix.from_csv(text)
-    assert again.kind == "shape"
+    text = "# generated for a round-trip check\n" + m.to_csv()
+    again = SimilarityMatrix.from_csv(text)  # comment lines are skipped
     assert again.ids == m.ids
     np.testing.assert_array_equal(again.values, m.values)  # repr is exact
 
@@ -83,11 +89,10 @@ def test_matrix_csv_round_trip_with_stds():
     stds = np.full((3, 3), np.nan)
     stds[np.triu_indices(3, 1)] = [0.01, 0.02, 0.03]
     stds[np.tril_indices(3, -1)] = stds.T[np.tril_indices(3, -1)]
-    m = tri_matrix([0.2, 0.4, 0.6], kind="acoustic", stds=stds)
+    m = tri_matrix([0.2, 0.4, 0.6], stds=stds)
     text = m.to_csv()
     assert "0.2±0.01" in text
     again = SimilarityMatrix.from_csv(text)
-    assert again.kind == "acoustic"  # inferred from the ± cells
     np.testing.assert_array_equal(again.values, m.values)
     np.testing.assert_array_equal(again.stds, m.stds)
 
@@ -197,7 +202,7 @@ def test_regression_dict_form():
 
 def test_pairing_excludes_self_and_orders_by_ids():
     shape = tri_matrix([0.9, 0.8, 0.7])
-    acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
+    acoustic = tri_matrix([0.5, 0.4, 0.3])
     pairs = {res.subject_id: res.pairs for res in regress_all_subjects(shape, acoustic)}
     assert pairs == {
         "a": ((0.9, 0.5), (0.8, 0.4)),
@@ -208,19 +213,17 @@ def test_pairing_excludes_self_and_orders_by_ids():
 
 def test_pairing_validation():
     shape = tri_matrix([0.9, 0.8, 0.7])
-    other = tri_matrix([0.5, 0.4, 0.3], ids=("a", "b", "z"), kind="acoustic")
+    other = tri_matrix([0.5, 0.4, 0.3], ids=("a", "b", "z"))
     with pytest.raises(ValueError, match="different subjects"):
         regress_all_subjects(shape, other)
     two = SimilarityMatrix(("a", "b"), np.array([[np.nan, 0.5], [0.5, np.nan]]))
-    two_a = SimilarityMatrix(("a", "b"), np.array([[np.nan, 0.5], [0.5, np.nan]]),
-                             kind="acoustic")
     with pytest.raises(ValueError, match="need at least 3 subjects"):
-        regress_all_subjects(two, two_a)
+        regress_all_subjects(two, two)
 
 
 def test_regress_all_subjects_order():
     shape = tri_matrix([0.9, 0.8, 0.7])
-    acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
+    acoustic = tri_matrix([0.5, 0.4, 0.3])
     results = regress_all_subjects(shape, acoustic)
     assert [r.subject_id for r in results] == ["a", "b", "c"]
 
@@ -235,7 +238,6 @@ def test_reference_shape_matrix_statistics():
 
 def test_reference_acoustic_matrix_statistics():
     m = load_fixture("reference_acoustic_similarity.csv")
-    assert m.kind == "acoustic"
     assert m.stds is not None
     st = matrix_statistics(m, ("twins_a", "twins_b"))
     assert st.overall_mean == pytest.approx(0.3993333333333333, abs=1e-12)
@@ -255,7 +257,7 @@ def test_reference_regressions():
 
 def test_emit_report_writes_the_bundle(tmp_path):
     shape = tri_matrix([0.9, 0.8, 0.7])
-    acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
+    acoustic = tri_matrix([0.5, 0.4, 0.3])
     summary = emit_report(shape, acoustic, tmp_path / "out",
                           designated_pair=("a", "b"), config={"seed": 1})
     out = tmp_path / "out"
@@ -276,7 +278,7 @@ def test_emit_report_writes_the_bundle(tmp_path):
 def test_svg_titles_are_escaped(tmp_path):
     ids = ("x<&y", "a>b", "plain")
     shape = tri_matrix([0.9, 0.8, 0.7], ids=ids)
-    acoustic = tri_matrix([0.5, 0.4, 0.3], ids=ids, kind="acoustic")
+    acoustic = tri_matrix([0.5, 0.4, 0.3], ids=ids)
     emit_report(shape, acoustic, tmp_path)
     svgs = sorted(tmp_path.glob("*.svg"))
     assert [p.name for p in svgs] == ["scatter_a>b.svg", "scatter_plain.svg", "scatter_x<&y.svg"]
@@ -288,7 +290,7 @@ def test_svg_titles_are_escaped(tmp_path):
 
 def test_failing_report_writes_nothing(tmp_path):
     shape = tri_matrix([0.9, 0.8, 0.7])
-    acoustic = tri_matrix([0.5, 0.4, 0.3], kind="acoustic")
+    acoustic = tri_matrix([0.5, 0.4, 0.3])
     with pytest.raises(ValueError, match="diagonal"):
         emit_report(shape, acoustic, tmp_path / "out", designated_pair=("a", "a"))
     assert not (tmp_path / "out").exists()
@@ -296,7 +298,7 @@ def test_failing_report_writes_nothing(tmp_path):
 
 def test_emit_report_is_deterministic(tmp_path):
     shape = tri_matrix([0.913, 0.87, 0.7003])
-    acoustic = tri_matrix([0.51, 0.42, 0.39], kind="acoustic")
+    acoustic = tri_matrix([0.51, 0.42, 0.39])
     emit_report(shape, acoustic, tmp_path / "one", designated_pair=("a", "b"))
     emit_report(shape, acoustic, tmp_path / "two", designated_pair=("a", "b"))
     for f in sorted((tmp_path / "one").iterdir()):
@@ -327,7 +329,8 @@ def loop_linear_regression(pairs, subject_id=None):
     r = sxy / np.sqrt(sxx * syy)
     ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
     r_squared = 1.0 - ss_res / syy
-    return RegressionResult(tuple(pts), slope, intercept, float(r), float(r_squared), subject_id)
+    return RegressionResult(tuple(pts), slope, intercept, float(r), float(r_squared), subject_id,
+                            False)
 
 
 def loop_shape_acoustic_pairs(shape_m, acoustic_m, subject_id):
@@ -350,9 +353,8 @@ def loop_regress_all_subjects(shape_m, acoustic_m):
     ]
 
 
-def loop_to_csv(matrix, comments=()):
-    lines = [f"# {c}" for c in comments]
-    lines.append("subject," + ",".join(matrix.ids))
+def loop_to_csv(matrix):
+    lines = ["subject," + ",".join(matrix.ids)]
     for i, sid in enumerate(matrix.ids):
         cells = []
         for j in range(matrix.n_subjects):
@@ -366,12 +368,12 @@ def loop_to_csv(matrix, comments=()):
     return "\n".join(lines) + "\n"
 
 
-def random_matrix(m, rng, kind="shape", ids=None):
+def random_matrix(m, rng, ids=None):
     v = rng.uniform(-1, 1, size=(m, m))
     v = np.triu(v, 1) + np.triu(v, 1).T
     np.fill_diagonal(v, np.nan)
     ids = ids or tuple(f"s{k:03d}" for k in range(m))
-    return SimilarityMatrix(ids, v, kind=kind)
+    return SimilarityMatrix(ids, v)
 
 
 def assert_same_regressions(got, want):
@@ -384,7 +386,7 @@ def assert_same_regressions(got, want):
 def test_batch_regressions_are_bitwise_the_loop(m):
     rng = np.random.default_rng(m)
     shape = random_matrix(m, rng)
-    acoustic = random_matrix(m, rng, kind="acoustic")
+    acoustic = random_matrix(m, rng)
     assert_same_regressions(regress_all_subjects(shape, acoustic),
                             loop_regress_all_subjects(shape, acoustic))
 
@@ -393,10 +395,10 @@ def test_batch_regressions_are_bitwise_the_loop(m):
 def test_batch_regressions_align_permuted_ids(m):
     rng = np.random.default_rng(100 + m)
     shape = random_matrix(m, rng)
-    acoustic = random_matrix(m, rng, kind="acoustic")
+    acoustic = random_matrix(m, rng)
     order = rng.permutation(m)
     permuted = SimilarityMatrix(tuple(acoustic.ids[k] for k in order),
-                                acoustic.values[np.ix_(order, order)], kind="acoustic")
+                                acoustic.values[np.ix_(order, order)])
     got = regress_all_subjects(shape, permuted)
     assert_same_regressions(got, loop_regress_all_subjects(shape, permuted))
     assert_same_regressions(got, regress_all_subjects(shape, acoustic))
@@ -408,7 +410,7 @@ def test_batch_regression_of_a_constant_subject_is_degenerate():
     v = random_matrix(6, rng).values.copy()
     v[2, :] = v[:, 2] = 0.375
     v[2, 2] = np.nan
-    acoustic = SimilarityMatrix(shape.ids, v, kind="acoustic")
+    acoustic = SimilarityMatrix(shape.ids, v)
     got = regress_all_subjects(shape, acoustic)
     assert [r.degenerate for r in got] == [False, False, True, False, False, False]
     assert got[2].r == got[2].r_squared == 0.0
@@ -432,9 +434,9 @@ def test_linear_regression_is_bitwise_the_loop():
 def test_to_csv_is_bytewise_the_loop(m):
     rng = np.random.default_rng(m)
     matrix = random_matrix(m, rng)
-    assert matrix.to_csv(("a comment",)) == loop_to_csv(matrix, ("a comment",))
+    assert matrix.to_csv() == loop_to_csv(matrix)
     stds = np.abs(random_matrix(m, rng).values)
-    acoustic = SimilarityMatrix(matrix.ids, matrix.values, kind="acoustic", stds=stds)
+    acoustic = SimilarityMatrix(matrix.ids, matrix.values, stds=stds)
     assert acoustic.to_csv() == loop_to_csv(acoustic)
 
 
@@ -446,7 +448,7 @@ def test_to_csv_of_odd_cells_is_bytewise_the_loop():
     stds[upper] = [1e300, np.nan, 0.0, -0.0, 5e-324, np.nan]
     stds.T[upper] = stds[upper]
     for matrix in (SimilarityMatrix(("a", "b", "c", "d"), values),
-                   SimilarityMatrix(("a", "b", "c", "d"), values, "acoustic", stds)):
+                   SimilarityMatrix(("a", "b", "c", "d"), values, stds)):
         assert matrix.to_csv() == loop_to_csv(matrix)
     text = matrix.to_csv()
     # a NaN mean hides its std; a NaN std leaves the mean alone
@@ -459,7 +461,7 @@ def test_off_diagonal_pairs_and_statistics_read_the_upper_triangle(m):
     matrix = random_matrix(m, np.random.default_rng(m))
     want = [(a, b, matrix.cell(a, b))
             for k, a in enumerate(matrix.ids) for b in matrix.ids[k + 1:]]
-    assert matrix.off_diagonal_pairs() == want
+    assert [v for _, _, v in want] == matrix.values[np.triu_indices(m, 1)].tolist()
     if m >= 2:
         st = matrix_statistics(matrix, matrix.ids[:2])
         assert st.overall_mean == float(np.array([v for _, _, v in want]).mean())

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import earcanal
 from earcanal import cli
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
+    add_noise,
     generate_mls,
     recover_impulse_response,
     response_feature,
@@ -28,6 +30,7 @@ from earcanal.acoustics import (
 )
 from earcanal.analysis import SimilarityMatrix
 from earcanal.cli import main
+from earcanal.config import MAX_LEVEL
 from earcanal.mesh import TriangleMesh, parse_stl, write_binary_stl
 from earcanal.synth import PlantGenerator, generate_plant
 
@@ -121,6 +124,23 @@ def test_sweep_rejects_garbage(tmp_path, fast_cfg, capsys):
     assert "--sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["0.1,0.1000001", "0.2,0.05,0.2", "0.1,1e-1"])
+def test_sweep_levels_that_share_a_directory_exit_two(tmp_path, fast_cfg, capsys, sweep):
+    code = main(["synth", "--config", str(fast_cfg), "--out", str(tmp_path / "x"),
+                 "--sweep", sweep])
+    assert code == 2
+    assert "both write" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sweep_with_a_bad_level_writes_nothing(tmp_path, fast_cfg, capsys):
+    code = main(["synth", "--config", str(fast_cfg), "--out", str(tmp_path / "x"),
+                 "--sweep", "0.05,-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def shape_out(tmp_path_factory, fast_cfg, corpus):
     out = tmp_path_factory.mktemp("shape")
@@ -146,9 +166,9 @@ def test_shape_emits_tracks_and_matrix(shape_out):
         assert len(track["centers"]) > 70
     matrix = SimilarityMatrix.from_csv((shape_out / "shape_similarity.csv").read_text())
     assert set(matrix.ids) == {"twin_a", "twin_b", "subject_c", "subject_d"}
-    pairs = matrix.off_diagonal_pairs()
+    pairs = matrix.values[np.triu_indices(4, 1)]
     assert len(pairs) == 6
-    assert all(-1.0 <= v <= 1.0 for _, _, v in pairs)
+    assert all(-1.0 <= v <= 1.0 for v in pairs)
 
 
 def test_acoustic_emits_features_and_matrix(acoustic_out):
@@ -218,6 +238,24 @@ def test_correlate_rejects_an_undefined_cell(tmp_path, shape_out, acoustic_out, 
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("sid", ["a/b", "/abs", "..", ".", "", "a\\b", "a\0b"],
+                         ids=["subdir", "absolute", "dotdot", "dot", "empty", "backslash", "nul"])
+def test_correlate_rejects_a_csv_subject_id_that_is_not_a_file_name(
+        tmp_path, shape_out, acoustic_out, capsys, sid):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    for name, source in (("shape.csv", shape_out), ("acoustic.csv", acoustic_out)):
+        text = (source / f"{name[:-4]}_similarity.csv").read_text()
+        (inputs / name).write_text(text.replace("twin_a", sid))
+    code = main(["correlate", "--out", str(tmp_path / "r"), "--shape", str(inputs / "shape.csv"),
+                 "--acoustic", str(inputs / "acoustic.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"subject id {sid!r} is not a plain file name" in err and err.count("\n") == 1
+    # nothing written, inside --out or above it
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["acoustic.csv", "in", "shape.csv"]
+
+
 def test_correlate_pair_validation(tmp_path, shape_out, acoustic_out, capsys):
     base = ["correlate", "--out", str(tmp_path / "r"),
             "--shape", str(shape_out / "shape_similarity.csv"),
@@ -239,7 +277,6 @@ def test_correlate_rejects_mismatched_subjects(tmp_path, shape_out, acoustic_out
         ids=tuple(keep),
         values=np.array([[np.nan if a == b else matrix.cell(a, b) for b in keep]
                          for a in keep]),
-        kind=matrix.kind,
     )
     clipped.write_text(sub.to_csv())
     code = main(["correlate", "--out", str(tmp_path / "r"),
@@ -306,12 +343,12 @@ def assert_acoustic_output(out, feats):
 
 @pytest.fixture(params=["machine", "thread_per_take"])
 def workers(request, monkeypatch):
-    """The worker count the machine gives, and one thread per take with
-    frequent thread switches."""
+    """The worker count the machine gives, and a thread for every take of
+    a subject with frequent thread switches."""
     if request.param == "machine":
         yield
         return
-    monkeypatch.setattr(cli, "_workers", lambda takes: takes)
+    monkeypatch.setattr(cli, "_workers", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -336,8 +373,8 @@ def test_threaded_plant_takes_match_serial_reference(tmp_path, corpus, workers):
         spec = json.loads((corpus / entry["plant"]).read_text())
         plant = generate_plant(PlantGenerator.from_dict(spec))
         recordings.append((sid, [
-            simulate_measurement(excitation, plant, cfg["repeats"], cfg["noise_rms"],
-                                 np.random.default_rng([cfg["seed"], sidx, take]))
+            add_noise(simulate_measurement(excitation, plant, cfg["repeats"]), cfg["noise_rms"],
+                      np.random.default_rng([cfg["seed"], sidx, take]))
             for take in range(cfg["takes"])
         ]))
     assert_acoustic_output(out, serial_features(cfg, recordings))
@@ -350,7 +387,8 @@ def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
         plant = (0.8 + 0.05 * k) ** np.arange(200)
         names, takes = [], []
         for take in range(3):
-            rec = simulate_measurement(excitation, plant, FAST["repeats"], 0.01, [k, take])
+            rec = add_noise(simulate_measurement(excitation, plant, FAST["repeats"]), 0.01,
+                            [k, take])
             names.append(f"{sid}_{take}.wav")
             write_wav(tmp_path / names[-1], rec)
             takes.append(wavfile.read(tmp_path / names[-1])[1].astype(np.float64) / 32768.0)
@@ -384,6 +422,23 @@ def test_failing_take_exits_one_and_writes_nothing(tmp_path, fast_cfg, workers, 
     # the first failing take in take order is the one reported
     assert err == "error: cannot trim an all-zero response\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_one_pool_serves_every_subject_of_a_run(tmp_path, fast_cfg, corpus, monkeypatch):
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            pools.append(max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(cli, "_workers", lambda: 3)
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(corpus / "acoustic_manifest.json")])
+    assert code == 0
+    assert len(list((tmp_path / "o").glob("*.f32"))) == 4 * FAST["takes"]
+    assert pools == [3]
 
 
 def test_wav_with_wrong_rate_is_rejected(tmp_path, fast_cfg, capsys):
@@ -545,7 +600,7 @@ def test_outlier_vertex_exits_one_without_a_traceback(tmp_path, corpus):
     vertices = mesh.vertices.copy()
     vertices[7, 1, 2] = 1e12  # one vertex a thousand km down the canal
     (tmp_path / "outlier.stl").write_bytes(
-        write_binary_stl(TriangleMesh(vertices, mesh.normals, mesh.source_format)))
+        write_binary_stl(TriangleMesh(vertices, mesh.normals)))
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"subjects": {
         "intact": str(corpus / "twin_b.stl"), "outlier": "outlier.stl"}}))
@@ -695,6 +750,56 @@ def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, ent
     err = capsys.readouterr().err
     assert err.startswith("error: subject 'odd_one'") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+LOUD_PLANT_1 = {"schema": "plant/1", "resonance_frequencies": [5000.0], "q_factors": [2.0],
+                "tap_count": 250}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("plant, noise_rms, needle", [
+    ({"taps": [1e308, 1e308]}, 0.5, "subject 'loud'"),
+    ({"taps": [1e200, -1e200]}, 0.5, "subject 'loud'"),
+    ({"taps": [6e99, -4.1e99]}, 0.5, "subject 'loud'"),  # each tap under the bound, the sum over
+    ({**LOUD_PLANT_1, "gains": [1e300]}, 0.5, "subject 'loud'"),
+    ({"taps": [1.0, 0.5]}, 1e200, "noise_rms"),
+    ({"taps": [1.0, 0.5]}, float("inf"), "noise_rms"),
+    ({"taps": [1.0, 0.5]}, float("nan"), "noise_rms"),
+], ids=["taps_1e308", "taps_1e200", "taps_sum", "plant_gains_1e300", "noise_1e200",
+        "noise_infinity", "noise_nan"])
+def test_finite_but_huge_inputs_exit_two(tmp_path, capsys, plant, noise_rms, needle):
+    (tmp_path / "p.json").write_text(json.dumps(plant))
+    (tmp_path / "ok.json").write_text(json.dumps({"taps": [1.0, -0.5]}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"ok": {"plant": "ok.json"},
+                                                 "loud": {"plant": "p.json"}}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "mls_order": 8, "noise_rms": noise_rms}))
+    code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("plant, noise_rms", [
+    ({"taps": [6e99, -3.99e99]}, 0.5),
+    ({**LOUD_PLANT_1, "gains": [1e98]}, 9.99e99),
+], ids=["taps", "plant_and_noise"])
+def test_inputs_just_under_the_level_bound_run(tmp_path, plant, noise_rms):
+    assert max(sum(abs(v) for v in plant.get("taps", [])), noise_rms) < MAX_LEVEL
+    (tmp_path / "p.json").write_text(json.dumps(plant))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"loud": {"plant": "p.json"}}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "mls_order": 8, "noise_rms": noise_rms}))
+    code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 0
+    feat = np.frombuffer((tmp_path / "o" / "feature_loud_00.f32").read_bytes(), "<f4")
+    assert np.isfinite(feat).all()
 
 
 def test_huge_tap_count_is_rejected_before_the_plant_is_made(tmp_path, fast_cfg, capsys,

@@ -74,8 +74,8 @@ def test_record_json_round_trip(record, schema):
 
 @pytest.mark.parametrize("make, arrays", [
     (lambda s: acoustics.ExcitationSignal(s, 2), [np.ones(3)]),
-    (lambda v, n: mesh.TriangleMesh(v, n, "binary_stl"), [np.zeros((1, 3, 3)), np.zeros((1, 3))]),
-    (lambda v, s: analysis.SimilarityMatrix(("a", "b"), v, "acoustic", s),
+    (lambda v, n: mesh.TriangleMesh(v, n), [np.zeros((1, 3, 3)), np.zeros((1, 3))]),
+    (lambda v, s: analysis.SimilarityMatrix(("a", "b"), v, s),
      [np.array([[np.nan, 0.5], [0.5, np.nan]]), np.zeros((2, 2))]),
     (lambda c, r: shape.ShapeCenterFn(0.1, c, r), [np.zeros((2, 2)), np.zeros((2, 2))]),
 ], ids=["excitation", "mesh", "matrix", "center_fn"])

@@ -119,8 +119,8 @@ def test_criterion_7_features_match_the_scipy_chain():
         plant = generate_plant(spec.plant)
         take = 9 * (sidx % 2)
         rng = [0, sidx, take]
-        got = response_feature(recover_impulse_response(
-            simulate_measurement(excitation, plant, DEFAULTS.repeats, noise, rng), excitation))
+        clean = simulate_measurement(excitation, plant, DEFAULTS.repeats)
+        got = response_feature(recover_impulse_response(add_noise(clean, noise, rng), excitation))
         x = np.tile(scipy_excitation.samples, DEFAULTS.repeats + 1)
         recording = add_noise(signal.fftconvolve(x, plant)[: x.shape[0]], noise, rng)
         want = scipy_feature(recording, scipy_excitation)
