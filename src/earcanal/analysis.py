@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from earcanal.config import json_text, readonly_view
+from earcanal.config import check_file_name, json_text, readonly_view
 
 
 def _fmt(x: float) -> str:
@@ -326,8 +326,11 @@ def emit_report(
     embedding the resolved configuration.  Returns the summary dict.
     Outputs are pure functions of the inputs: identical inputs give
     byte-identical files.  Every file is built before the first is
-    written, so a failure writes nothing.
+    written, so a failure writes nothing; a subject id that is not a
+    plain file name (:func:`check_file_name`) raises ValueError first.
     """
+    for sid in (*shape_m.ids, *acoustic_m.ids):
+        check_file_name(sid)
     results = regress_all_subjects(shape_m, acoustic_m)
     files = {
         "shape_similarity.csv": shape_m.to_csv(),

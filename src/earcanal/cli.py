@@ -42,7 +42,7 @@ from earcanal.acoustics import (
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
-from earcanal.config import MAX_LEVEL, PipelineConfig, json_text
+from earcanal.config import MAX_LEVEL, PipelineConfig, check_file_name, json_text
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
@@ -102,13 +102,11 @@ def _load_config(args) -> PipelineConfig:
 def _check_subject_id(sid: str, source: Path) -> None:
     """Raise InputError, naming ``source``, for an id that cannot name
     output files or head a similarity CSV row."""
-    # an id names output files, so it must stay one file name in --out
-    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
-        raise InputError(
-            f"{source}: subject id {sid!r} is not a plain file name "
-            "(empty, '.', '..', or holding '/', '\\' or NUL)"
-        )
-    # and it heads a row of the similarity CSVs, which are split at
+    try:
+        check_file_name(sid)
+    except ValueError as exc:
+        raise InputError(f"{source}: {exc}") from None
+    # an id also heads a row of the similarity CSVs, which are split at
     # ',' and line breaks and skip lines that start with '#'
     if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
         raise InputError(

@@ -9,7 +9,8 @@ functions.
 The module also holds the rules the value types and writers share.
 :class:`Record` is the JSON rule of the types read from JSON: the config
 here, and the canal and plant generators of ``earcanal.synth``.
-:func:`json_text` is the text of every JSON file written.
+:func:`json_text` is the text of every JSON file written, and
+:func:`check_file_name` the rule for a subject id that names files.
 :func:`readonly_view` is how a type that holds an array stores it.
 """
 
@@ -42,6 +43,16 @@ def readonly_view(a) -> np.ndarray:
     v = np.ascontiguousarray(a, dtype=np.float64).view()
     v.flags.writeable = False
     return v
+
+
+def check_file_name(sid: str) -> None:
+    """Raise ValueError unless the subject id ``sid`` is one plain file
+    name, as it names output files inside one directory."""
+    if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise ValueError(
+            f"subject id {sid!r} is not a plain file name "
+            "(empty, '.', '..', or holding '/', '\\' or NUL)"
+        )
 
 
 def json_text(obj) -> str:

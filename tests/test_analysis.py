@@ -296,6 +296,18 @@ def test_failing_report_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", ["a/b", "..", ".", "", "a\\b", "a\0b"])
+def test_report_with_an_id_that_is_no_file_name_writes_nothing(tmp_path, bad):
+    # the bad id comes last, after ids whose files would be written first
+    ids = ("a", "b", bad)
+    shape = tri_matrix([0.9, 0.8, 0.7], ids=ids)
+    acoustic = tri_matrix([0.5, 0.4, 0.3], ids=ids)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="is not a plain file name"):
+        emit_report(shape, acoustic, out, designated_pair=("a", "b"))
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_emit_report_is_deterministic(tmp_path):
     shape = tri_matrix([0.913, 0.87, 0.7003])
     acoustic = tri_matrix([0.51, 0.42, 0.39])

@@ -1,12 +1,14 @@
 """STL parsing, centroid extraction, and z-slice binning."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earcanal import mesh as mesh_module
 from earcanal.mesh import (
     StlParseError,
     TriangleMesh,
@@ -344,6 +346,48 @@ def test_bytes_tokens_match_the_str_tokens(data):
     assert_same_outcome(outcome(_parse_ascii_stl, data), outcome(str_column_parse_ascii, data))
 
 
+def parse_in_blocks(data: bytes, facets: int, byte_range: int):
+    """The outcome of the ASCII parser reading ``facets`` facets and
+    ``byte_range`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "_ASCII_BLOCK", facets)
+        mp.setattr(mesh_module, "_LOWER_BLOCK", byte_range)
+        return outcome(_parse_ascii_stl, data)
+
+
+# a one-byte range is shorter than any token but one-letter ones, so
+# nearly every range ends at the separator after a single token
+BLOCKINGS = [(1, 1), (2, 1), (3, 1), (1, 1 << 16), (2, 7), (3, 40)]
+
+
+@pytest.mark.parametrize("facets, byte_range", BLOCKINGS)
+@settings(max_examples=100, deadline=None)
+@given(data=mutated_stl())
+def test_blocks_match_the_token_reader(facets, byte_range, data):
+    assert_same_outcome(parse_in_blocks(data, facets, byte_range),
+                        outcome(reference_parse_ascii, data))
+
+
+def test_block_edges_change_nothing():
+    # a name over many ranges, separators 0x1c-0x1f, endsolid right at a
+    # block edge (4 facets in blocks of 1, 2 and 4), junk after endsolid
+    base = ascii_text(random_mesh(12, seed=8))
+    named = base.replace(b"solid scan", b"solid " + b" ".join([b"long", b"name"] * 30))
+    for data in (ASCII_TETRA, ASCII_TETRA + b"solid junk facet zero", named,
+                 spelled(named, b"\x1c\n\x1f", bytes.upper), b"solid x endsolid x"):
+        want = outcome(reference_parse_ascii, data)
+        for facets in (1, 2, 3, 4, 12, 13):
+            for byte_range in (1, 2, 5, 64):
+                assert_same_outcome(parse_in_blocks(data, facets, byte_range), want)
+
+
+@pytest.mark.parametrize("facets", [1, 2, 3])
+def test_truncation_at_every_byte_in_blocks(facets):
+    for cut in range(len(ASCII_TETRA)):
+        data = ASCII_TETRA[:cut]
+        assert_same_outcome(parse_in_blocks(data, facets, 3), outcome(reference_parse_ascii, data))
+
+
 def spelled(data: bytes, sep: bytes, case) -> bytes:
     """``data`` with its tokens joined by ``sep`` and its keywords in the
     letter case ``case`` gives them, the solid name left as it is."""
@@ -440,6 +484,67 @@ def test_centroids_are_bitwise_the_vertex_mean(seed):
     verts[:50] = rng.integers(-3, 4, size=(50, 3, 3)) * 0.1
     mesh = TriangleMesh(verts, np.zeros((n, 3)))
     np.testing.assert_array_equal(bits(triangle_centroids(mesh)), bits(verts.mean(axis=1)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_centroids_are_bitwise_the_float64_mean(seed):
+    rng = np.random.default_rng(seed)
+    n = 4000
+    big = np.finfo(np.float32).max
+    tiny = np.finfo(np.float32).smallest_subnormal
+    verts = (rng.normal(size=(n, 3, 3)) * 10.0 ** rng.integers(-45, 38, size=(n, 3, 3)))
+    verts = verts.astype(np.float32)
+    verts[rng.random((n, 3, 3)) < 0.05] = -0.0
+    verts[:10] = -0.0  # all-negative-zero triangles
+    verts[10:20] = rng.choice([big, -big], size=(10, 3, 3))  # float32 sums overflow here
+    verts[20:30] = tiny * rng.integers(-40, 40, size=(10, 3, 3))  # float32 subnormals
+    verts[30:40] = rng.integers(-3, 4, size=(10, 3, 3)) * np.float32(0.1)
+    mesh = TriangleMesh(verts, np.zeros((n, 3), dtype=np.float32))
+    assert mesh.vertices.dtype == np.float32
+    cloud = triangle_centroids(mesh)
+    assert cloud.dtype == np.float64 and np.isfinite(cloud).all()
+    np.testing.assert_array_equal(bits(cloud), bits(verts.astype(np.float64).mean(axis=1)))
+
+
+def test_binary_mesh_is_float32_views_of_the_file():
+    data = write_binary_stl(random_mesh(30, seed=3))
+    mesh = parse_stl(data)
+    for a in (mesh.vertices, mesh.normals):
+        assert a.dtype == np.float32 and not a.flags.writeable and not a.flags.owndata
+    assert mesh.vertices.base is not None
+    ascii_mesh = parse_stl(ASCII_TETRA)
+    assert ascii_mesh.vertices.dtype == ascii_mesh.normals.dtype == np.float64
+
+
+def test_binary_parse_and_centroids_hold_no_float64_mesh(tmp_path):
+    n = 50_000
+    path = tmp_path / "scan.stl"
+    path.write_bytes(write_binary_stl(random_mesh(n, seed=1)))
+    tracemalloc.start()
+    try:
+        cloud = triangle_centroids(parse_stl(path.read_bytes()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes and the centroids: a float64 copy of the
+    # vertices alone would add 72 bytes a facet
+    assert peak < 1.1 * (path.stat().st_size + cloud.nbytes)
+
+
+def test_ascii_parse_memory_grows_only_by_its_output():
+    peaks, sizes = [], []
+    for n in (4096, 4 * 4096):
+        data = b"\n" + ascii_text(random_mesh(n, seed=2))  # a blank line first, as is common
+        tracemalloc.start()
+        try:
+            mesh = parse_stl(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(mesh.vertices.nbytes + mesh.normals.nbytes)
+        del mesh
+    # every token of the file at once would add about 1 KB a facet
+    assert peaks[1] - peaks[0] < 1.1 * (sizes[1] - sizes[0])
 
 
 def cloud_at_z(zs):
@@ -548,6 +653,17 @@ def test_bins_are_bitwise_the_split_bins(seed):
         for got, ref in zip(s.bins, want):
             assert got.shape == ref.shape and not got.flags.writeable
             np.testing.assert_array_equal(bits(got), bits(ref))
+
+
+def test_any_memory_layout_slices_alike():
+    rng = np.random.default_rng(4)
+    points = np.column_stack([rng.normal(size=(500, 2)), rng.uniform(0, 5, 500)])
+    want = slice_centroids(points, 0.25).bins
+    for layout in (np.asfortranarray(points), np.repeat(points, 2, axis=0)[::2]):
+        got = slice_centroids(layout, 0.25).bins
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(bits(g), bits(w))
 
 
 @pytest.mark.parametrize("zs", [[0.0, 1.0, 1e300], [0.0, 1e17]], ids=["overflow", "huge"])
