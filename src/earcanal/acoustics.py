@@ -284,7 +284,8 @@ def minimum_phase(ir: np.ndarray, n_fft: int | None = None) -> np.ndarray:
     Signal Processing*, ch. 13).  Every signal in the construction is
     real, so it runs on half spectra (``rfft``/``irfft``), in place.
     Magnitude bins below ``MIN_PHASE_FLOOR`` of the peak are clamped
-    before the log, the standard safeguard against true spectral nulls.
+    before the log, the standard safeguard against true spectral nulls;
+    a peak so small that the floor underflows to 0 raises ValueError.
 
     ``n_fft`` controls cepstral aliasing and defaults to twice the input
     length rounded up to a power of two, at least 4096; the output keeps
@@ -305,8 +306,12 @@ def minimum_phase(ir: np.ndarray, n_fft: int | None = None) -> np.ndarray:
     spec = np.fft.rfft(ir, n_fft)
     mag = np.abs(spec)
     peak = mag.max()
-    if peak == 0.0:
-        raise ValueError("cannot take the minimum phase of a zero-energy response")
+    # a floor of 0 would leave the log of a null at -inf
+    if MIN_PHASE_FLOOR * peak <= 0.0:
+        raise ValueError(
+            f"cannot take the minimum phase of a response whose peak spectral "
+            f"magnitude {peak:g} is too small: {MIN_PHASE_FLOOR:g} of it underflows to 0"
+        )
     # Callers run this on several takes at once, so each buffer is freed
     # as soon as the next exists.  The log magnitude goes into the
     # spectrum's real part, which spares irfft a real-to-complex copy.
@@ -472,32 +477,19 @@ def response_feature(
     return normalize_power(x)
 
 
-def _similarity_blocks(feats: np.ndarray, takes: np.ndarray, mode: str) -> tuple:
+def _similarity_blocks(feats: np.ndarray, takes: np.ndarray) -> tuple:
     """(m, m) mean and population std of the similarity over each
     subject pair's take pairs; ``feats`` holds subject s's ``takes[s]``
-    takes in consecutive rows.  Every take pair is a cell of one Gram
-    product, and every subject pair a block of it.
-
-    ``vector`` mode is the time-aligned cosine of two takes;
-    ``per_sample`` mode, kept for sensitivity experiments, averages the
-    sign agreement of the samples, skipping indices where either is 0.
+    takes in consecutive rows.  The similarity of two takes is their
+    time-aligned cosine; every take pair is a cell of one Gram product,
+    and every subject pair a block of it.
     """
     if feats.shape[1] < 1:
         raise ValueError("features must be nonempty")
-    if mode == "vector":
-        norms = np.linalg.norm(feats, axis=1)
-        if (norms == 0.0).any():
-            raise ValueError("vector-mode similarity is undefined for a zero-norm operand")
-        sims = feats @ feats.T / np.outer(norms, norms)
-    elif mode == "per_sample":
-        signs = np.sign(feats)
-        count = np.abs(signs) @ np.abs(signs).T
-        owner = np.repeat(np.arange(len(takes)), takes)
-        if (count[owner[:, None] != owner] == 0).any():
-            raise ValueError("per-sample similarity is undefined when every index has a zero")
-        sims = signs @ signs.T / np.maximum(count, 1.0)
-    else:
-        raise ValueError(f"unknown similarity mode {mode!r}")
+    norms = np.linalg.norm(feats, axis=1)
+    if (norms == 0.0).any():
+        raise ValueError("cosine similarity is undefined for a zero-norm operand")
+    sims = feats @ feats.T / np.outer(norms, norms)
     starts = np.cumsum(takes) - takes
     pairs = np.outer(takes, takes)
 
@@ -509,19 +501,19 @@ def _similarity_blocks(feats: np.ndarray, takes: np.ndarray, mode: str) -> tuple
     return means, np.sqrt(block_sums(dev * dev) / pairs)
 
 
-def acoustic_similarity(f_a, f_b, mode: str = DEFAULTS.similarity_mode) -> float:
-    """Similarity between two features, truncated to the shorter: the
+def acoustic_similarity(f_a, f_b) -> float:
+    """Cosine similarity of two features, truncated to the shorter: the
     matrix computation of :func:`_similarity_blocks` on one take each."""
     a, b = np.asarray(f_a, dtype=np.float64), np.asarray(f_b, dtype=np.float64)
     n = min(a.shape[0], b.shape[0])
-    means, _ = _similarity_blocks(np.stack([a[:n], b[:n]]), np.ones(2, np.int64), mode)
+    means, _ = _similarity_blocks(np.stack([a[:n], b[:n]]), np.ones(2, np.int64))
     return float(means[0, 1])
 
 
-def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
+def acoustic_similarity_matrix(features):
     """Inter-subject similarity from ``(subject_id, take_index, feature)``
-    triples, all features of one length: each cell holds the mean over
-    the cross-subject take pairs and their population std."""
+    triples, all features of one length: each cell holds the mean cosine
+    over the cross-subject take pairs and its population std."""
     by_subject: dict = {}
     for sid, _take, feat in features:
         by_subject.setdefault(sid, []).append(np.asarray(feat, dtype=np.float64))
@@ -531,5 +523,5 @@ def acoustic_similarity_matrix(features, mode: str = DEFAULTS.similarity_mode):
     takes = np.array([len(by_subject[sid]) for sid in ids])
     # np.stack raises ValueError on features of unequal length
     feats = np.stack([f for sid in ids for f in by_subject[sid]])
-    means, stds = _similarity_blocks(feats, takes, mode)
+    means, stds = _similarity_blocks(feats, takes)
     return SimilarityMatrix(tuple(ids), mirror_upper(means), stds=mirror_upper(stds))

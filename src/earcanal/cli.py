@@ -388,7 +388,7 @@ def cmd_acoustic(args) -> int:
         outputs[out / f"{stem}.json"] = json_text(sidecar)
 
     if len({sid for sid, _, _ in all_feats}) >= 2:
-        matrix = acoustic_similarity_matrix(all_feats, cfg.similarity_mode)
+        matrix = acoustic_similarity_matrix(all_feats)
         outputs[out / "acoustic_similarity.csv"] = matrix.to_csv()
     else:
         log.warning("only one subject; similarity matrix skipped")

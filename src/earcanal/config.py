@@ -74,13 +74,15 @@ class Record:
     """Base of a frozen dataclass that round-trips through JSON.
 
     ``to_dict`` tags the fields with the class's ``schema``;
-    ``from_dict`` rejects unknown keys and reads JSON lists as tuples.
+    ``from_dict`` skips the ``tags`` a written record carries beside its
+    fields, rejects any other unknown key and reads JSON lists as tuples.
     Each field is checked against its annotation on construction: a
     float field also takes an int (JSON has one number type), a bool is
     never a number, and a tuple field must hold numbers.
     """
 
     schema: ClassVar[str]
+    tags: ClassVar[frozenset] = frozenset({"schema"})
 
     def __post_init__(self) -> None:
         hints = _field_types(type(self))
@@ -103,7 +105,7 @@ class Record:
         if not isinstance(d, dict):
             raise TypeError(f"a {noun} must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in fields(cls)}
-        extra = set(d) - known - {"schema"}
+        extra = set(d) - known - cls.tags
         if extra:
             raise ValueError(f"unknown {noun} fields: {sorted(extra)}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v
@@ -113,6 +115,8 @@ class Record:
 @dataclass(frozen=True)
 class PipelineConfig(Record):
     schema = "pipeline_config/1"
+    # dump names the command that wrote the file
+    tags = frozenset({"schema", "command"})
 
     # shape chain
     delta_z: float = 0.1
@@ -129,7 +133,6 @@ class PipelineConfig(Record):
     band_high_hz: float = 22000.0
     filter_order: int = 4
     feature_length: int = 2048
-    similarity_mode: str = "vector"
     # shared
     seed: int = 0
 
@@ -153,8 +156,6 @@ class PipelineConfig(Record):
             raise ValueError("trim_threshold must be in (0, 1)")
         if self.feature_length < 1:
             raise ValueError("feature_length must be positive")
-        if self.similarity_mode not in ("vector", "per_sample"):
-            raise ValueError("similarity_mode must be 'vector' or 'per_sample'")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.seed < 0:

@@ -29,19 +29,13 @@ _DECAY_FLOOR = 1e-6
 class CanalGenerator(Record):
     """Parametric tube: a centerline curve swept with a radius profile.
 
-    ``centerline`` is one of
-
-    * ``{"kind": "poly", "x_coeffs": [...], "y_coeffs": [...]}`` with
-      coefficients in ascending powers of depth z;
-    * ``{"kind": "helix", "radius": mm, "pitch": mm, "phase": rad}``,
-      offset so the centerline passes through (0, 0) at z = 0;
-    * ``{"kind": "spiral", "drift_per_mm": mm/mm, "rate": rad/mm,
-      "curl": rad/mm^2, "phase": rad}``, the curve
-      ``drift_per_mm * z * exp(i*(phase + rate*z + curl*z^2))``: its
-      direction relative to the entrance rotates linearly plus
-      quadratically with depth, which makes the direction profile, the
-      quantity shape similarity compares, an explicit two-parameter
-      family.
+    ``centerline`` is the spiral ``{"kind": "spiral", "drift_per_mm":
+    mm/mm, "rate": rad/mm, "curl": rad/mm^2, "phase": rad}``, the curve
+    ``drift_per_mm * z * exp(i*(phase + rate*z + curl*z^2))``: its
+    direction relative to the entrance rotates linearly plus
+    quadratically with depth, which makes the direction profile, the
+    quantity shape similarity compares, an explicit two-parameter
+    family.  A ``drift_per_mm`` of 0 is a straight tube.
 
     ``radius_coeffs`` is the tube radius polynomial in z, which must stay
     positive over [0, length].  ``rings`` counts quad bands along the
@@ -62,8 +56,8 @@ class CanalGenerator(Record):
     def __post_init__(self) -> None:
         super().__post_init__()
         kind = self.centerline.get("kind")
-        if kind not in ("poly", "helix", "spiral"):
-            raise ValueError(f"centerline kind must be 'poly', 'helix' or 'spiral', got {kind!r}")
+        if kind != "spiral":
+            raise ValueError(f"centerline kind must be 'spiral', got {kind!r}")
         if self.length <= 0:
             raise ValueError("length must be positive")
         if self.facets_per_ring < 3:
@@ -75,14 +69,6 @@ class CanalGenerator(Record):
         """Centerline (x, y) at depth(s) z."""
         z = np.asarray(z, dtype=np.float64)
         c = self.centerline
-        if c["kind"] == "poly":
-            x = np.polynomial.polynomial.polyval(z, np.asarray(c["x_coeffs"], dtype=np.float64))
-            y = np.polynomial.polynomial.polyval(z, np.asarray(c["y_coeffs"], dtype=np.float64))
-            return x, y
-        if c["kind"] == "helix":
-            r, pitch, phase = float(c["radius"]), float(c["pitch"]), float(c["phase"])
-            t = 2.0 * np.pi * z / pitch + phase
-            return r * (np.cos(t) - np.cos(phase)), r * (np.sin(t) - np.sin(phase))
         drift = float(c["drift_per_mm"])
         ang = float(c["phase"]) + float(c["rate"]) * z + float(c["curl"]) * z * z
         return drift * z * np.cos(ang), drift * z * np.sin(ang)

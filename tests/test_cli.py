@@ -193,6 +193,17 @@ def test_acoustic_rerun_is_byte_identical(tmp_path, fast_cfg, corpus, acoustic_o
     assert read_tree(again) == read_tree(acoustic_out)
 
 
+@pytest.mark.parametrize("command", ["shape", "acoustic"])
+def test_written_config_reruns_byte_identical(tmp_path, corpus, shape_out, acoustic_out,
+                                              command):
+    first = {"shape": shape_out, "acoustic": acoustic_out}[command]
+    again = tmp_path / "again"
+    code = main([command, "--config", str(first / "config.json"), "--out", str(again),
+                 "--manifest", str(corpus / f"{command}_manifest.json")])
+    assert code == 0
+    assert read_tree(again) == read_tree(first)
+
+
 def test_correlate_emits_report(tmp_path, fast_cfg, shape_out, acoustic_out):
     out = tmp_path / "report"
     code = main(["correlate", "--config", str(fast_cfg), "--out", str(out),
@@ -681,6 +692,17 @@ def test_bad_config_exits_two(tmp_path, corpus, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["vector", "per_sample"])
+def test_removed_similarity_mode_field_exits_two(tmp_path, corpus, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "similarity_mode": value}))
+    code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(corpus / "acoustic_manifest.json")])
+    assert code == 2
+    assert "unknown config fields: ['similarity_mode']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_manifest_shape_exits_two(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"subjects": {}}))
@@ -800,6 +822,24 @@ def test_inputs_just_under_the_level_bound_run(tmp_path, plant, noise_rms):
     assert code == 0
     feat = np.frombuffer((tmp_path / "o" / "feature_loud_00.f32").read_bytes(), "<f4")
     assert np.isfinite(feat).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_subnormal_plant_exits_one_without_a_warning(tmp_path, capsys):
+    # the clamp floor of the minimum phase underflows to 0 on this response
+    (tmp_path / "a.json").write_text(json.dumps({"taps": [5e-324]}))
+    (tmp_path / "b.json").write_text(json.dumps({"taps": [1.0, 0.5]}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"a": {"plant": "a.json"},
+                                                 "b": {"plant": "b.json"}}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mls_order": 4, "takes": 1, "noise_rms": 0}))
+    code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot take the minimum phase") and "too small" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_huge_tap_count_is_rejected_before_the_plant_is_made(tmp_path, fast_cfg, capsys,
@@ -941,7 +981,6 @@ CONFIGS = spoiled(st.fixed_dictionaries(
         "trim_threshold": st.floats(0.01, 0.99), "band_low_hz": st.floats(1, 5000),
         "band_high_hz": st.floats(100, 25_000), "filter_order": st.sampled_from([2, 4, 8]),
         "feature_length": st.integers(1, 64), "seed": st.integers(0, 3),
-        "similarity_mode": st.sampled_from(["vector", "per_sample"]),
     },
 ))
 PLANTS = st.one_of(

@@ -21,7 +21,6 @@ MIRRORS = {
     "high_hz": "band_high_hz",
     "filter_order": "filter_order",
     "feature_length": "feature_length",
-    "mode": "similarity_mode",
     "grid_size": "theta_samples",
     "min_points": "min_slice_points",
 }
@@ -43,23 +42,21 @@ def test_stage_defaults_mirror_the_config():
     # the walk reaches every stage that has such a default
     assert mirrored == {
         "simulate_measurement", "recover_impulse_response", "trim_pre_rise",
-        "butterworth_bandpass", "response_feature", "acoustic_similarity",
-        "acoustic_similarity_matrix", "shape_center_fn", "shape_similarity",
-        "shape_similarity_matrix", "generate_plant",
+        "butterworth_bandpass", "response_feature", "shape_center_fn",
+        "shape_similarity", "shape_similarity_matrix", "generate_plant",
     }
 
 
 def test_field_types_are_checked():
     assert PipelineConfig(delta_z=1, noise_rms=0).delta_z == 1  # JSON ints are numbers
     for field, value in (("takes", True), ("noise_rms", False), ("delta_z", "0.1"),
-                         ("theta_samples", 3600.0), ("similarity_mode", 1)):
+                         ("theta_samples", 3600.0)):
         with pytest.raises(TypeError, match=field):
             PipelineConfig(**{field: value})
 
 
 @pytest.mark.parametrize("record, schema", [
-    (PipelineConfig(delta_z=0.25, noise_rms=0, similarity_mode="per_sample", seed=3),
-     "pipeline_config/1"),
+    (PipelineConfig(delta_z=0.25, noise_rms=0, seed=3), "pipeline_config/1"),
     (PlantGenerator((900.0, 1800.0), (5.0, 6.0), (1.0, 0.8),
                     tap_count=1024, seed=4, direct_gain=0.1), "plant/1"),
     (CanalGenerator(centerline={"kind": "spiral", "drift_per_mm": 0.3, "rate": 0.2,

@@ -23,7 +23,12 @@ from earcanal.synth import (
     make_subject_family,
 )
 
-STRAIGHT = {"kind": "poly", "x_coeffs": [0.0], "y_coeffs": [0.0]}
+STRAIGHT = {"kind": "spiral", "drift_per_mm": 0.0, "rate": 0.0, "curl": 0.0, "phase": 0.0}
+
+
+def line(drift, phase=0.0):
+    """The straight centerline drift * z * (cos(phase), sin(phase))."""
+    return {**STRAIGHT, "drift_per_mm": drift, "phase": phase}
 
 
 def tube(centerline=STRAIGHT, radius=(3.0,), length=8.0, **kw):
@@ -83,23 +88,12 @@ def test_every_slice_is_well_populated():
 
 
 def test_linear_drift_tracks_the_centerline():
-    gen = tube(centerline={"kind": "poly", "x_coeffs": [0.0, 0.2],
-                           "y_coeffs": [0.0, -0.1]})
+    # the line x = 0.2 z, y = -0.1 z
+    gen = tube(centerline=line(np.hypot(0.2, -0.1), np.arctan2(-0.1, 0.2)))
     fn = track_of(gen, z_origin=0.0)
     n = np.arange(fn.n_slices)
     np.testing.assert_allclose(fn.centers[:, 0], 0.2 * 0.1 * n, rtol=0, atol=1e-6)
     np.testing.assert_allclose(fn.centers[:, 1], -0.1 * 0.1 * n, rtol=0, atol=1e-6)
-
-
-def test_helix_track_matches_centerline_projection():
-    gen = tube(centerline={"kind": "helix", "radius": 2.0, "pitch": 30.0,
-                           "phase": 0.3})
-    fn = track_of(gen, z_origin=0.0)
-    mid = np.array([bin_mid_z(gen, n) for n in range(fn.n_slices)])
-    cx, cy = gen.centerline_xy(mid)
-    cx0, cy0 = gen.centerline_xy(bin_mid_z(gen, 0))
-    expected = np.column_stack([cx - cx0, cy - cy0])
-    np.testing.assert_allclose(fn.centers, expected, rtol=0, atol=0.01)
 
 
 def test_spiral_track_matches_centerline_projection():
@@ -122,8 +116,7 @@ def test_spiral_track_matches_centerline_projection():
 
 def test_mesh_seed_changes_bytes_not_geometry():
     a = tube(seed=1)
-    b = tube(centerline={"kind": "poly", "x_coeffs": [0.0, 0.1],
-                         "y_coeffs": [0.0]}, seed=1)
+    b = tube(centerline=line(0.1), seed=1)
     b2 = CanalGenerator(centerline=b.centerline, radius_coeffs=b.radius_coeffs,
                         length=b.length, seed=99)
     assert write_binary_stl(generate_canal_mesh(b)) != write_binary_stl(
@@ -137,6 +130,8 @@ def test_mesh_seed_changes_bytes_not_geometry():
 def test_canal_generator_validation():
     with pytest.raises(ValueError):
         tube(centerline={"kind": "zigzag"})
+    with pytest.raises(ValueError, match="'spiral'"):
+        tube(centerline={"kind": "poly", "x_coeffs": [0.0], "y_coeffs": [0.0]})
     with pytest.raises(ValueError):
         tube(length=0.0)
     with pytest.raises(ValueError):
