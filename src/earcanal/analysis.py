@@ -13,7 +13,6 @@ pair, stands out from the cohort.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -315,19 +314,17 @@ def _svg_scatter(result: RegressionResult) -> str:
 def emit_report(
     shape_m: SimilarityMatrix,
     acoustic_m: SimilarityMatrix,
-    out_dir,
     designated_pair: tuple | None = None,
     config: dict | None = None,
 ) -> dict:
-    """Write the full correlation report bundle into ``out_dir``.
+    """The full correlation report bundle, as ``{file name: text}``.
 
-    Emits both matrices as CSV, a per-subject regression CSV, one SVG
+    Both matrices as CSV, a per-subject regression CSV, one SVG
     scatter-and-fit plot per subject, and a machine-readable JSON summary
-    embedding the resolved configuration.  Returns the summary dict.
-    Outputs are pure functions of the inputs: identical inputs give
-    byte-identical files.  Every file is built before the first is
-    written, so a failure writes nothing; a subject id that is not a
-    plain file name (:func:`check_file_name`) raises ValueError first.
+    (``summary.json``) embedding the resolved configuration.  The files
+    are pure functions of the inputs: identical inputs give identical
+    text.  A subject id that is not a plain file name
+    (:func:`check_file_name`) raises ValueError.
     """
     for sid in (*shape_m.ids, *acoustic_m.ids):
         check_file_name(sid)
@@ -363,8 +360,4 @@ def emit_report(
                 "percent_excess": st.percent_excess,
             }
     files["summary.json"] = json_text(summary)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
-    return summary
+    return files

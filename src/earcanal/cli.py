@@ -12,9 +12,11 @@ Four subcommands cover the pipeline end to end:
                   (CSV, SVG plots, JSON summary).
 
 Every command takes ``--config`` (JSON), ``--out`` (directory), and
-``--seed``; each output directory receives the resolved config, and
-reruns with identical config and seed are byte-identical.  Exit codes:
-0 success, 1 computational failure, 2 input/config failure.
+``--seed``.  ``--out`` must be absent or an empty directory.  A command
+returns its files, the resolved config among them, and :func:`main`
+publishes them all or none.  Rerunning a command with identical config
+and seed into a fresh directory reproduces byte-identical outputs.
+Exit codes: 0 success, 1 computational failure, 2 input/config failure.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ import inspect
 import json
 import logging
 import os
+import shutil
 import struct
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -36,13 +40,14 @@ import numpy as np
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
     add_noise,
+    butterworth_bandpass,
     generate_mls,
     recover_impulse_response,
     response_feature,
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
-from earcanal.config import MAX_LEVEL, PipelineConfig, check_file_name, json_text
+from earcanal.config import MAX_INPUT_BYTES, MAX_LEVEL, PipelineConfig, check_file_name, json_text
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
@@ -72,14 +77,27 @@ log = logging.getLogger(__name__)
 log.addHandler(_StderrHandler())
 
 
-def _load_json(path: Path) -> dict:
+def _read_input(path: Path, sid=None) -> bytes:
+    """The bytes of an input file; one larger than ``MAX_INPUT_BYTES`` is
+    refused before it is read.  ``sid`` names the subject in the errors."""
+    whose = "" if sid is None else f" (subject {sid!r})"
     if not path.is_file():
-        raise InputError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}{whose}")
+    size = path.stat().st_size
+    if size > MAX_INPUT_BYTES:
+        raise InputError(f"{path}{whose}: {size} bytes exceed the input limit of "
+                         f"{MAX_INPUT_BYTES} bytes")
+    return path.read_bytes()
+
+
+def _load_json(path: Path) -> dict:
+    data = _read_input(path)
     try:
-        return json.loads(path.read_text())
+        # UTF-8 only: json.loads would also take bytes in UTF-16 or UTF-32
+        return json.loads(data.decode("utf-8"))
     # ValueError covers malformed JSON, bad UTF-8 and integers too long
     # to convert; RecursionError, nesting too deep for the parser
-    except (OSError, ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"cannot parse {path}: {exc}") from None
 
 
@@ -176,10 +194,9 @@ def _parse_wav(buf: bytes) -> tuple:
 
 
 def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
-    if not path.is_file():
-        raise InputError(f"no such file: {path}")
+    buf = _read_input(path)
     try:
-        tag, channels, rate, bits, align, data = _parse_wav(path.read_bytes())
+        tag, channels, rate, bits, align, data = _parse_wav(buf)
     except ValueError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from None
     if rate != expected_rate:
@@ -194,55 +211,65 @@ def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
     return np.frombuffer(data, "<i2", count=len(data) // 2).astype(np.float64) / 32768.0
 
 
-def _write_all(outputs: dict) -> None:
-    # all-or-nothing: nothing touches disk until every value is computed
-    for path, data in outputs.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
-            path.write_text(data)
+def _publish(out: Path, files: dict) -> None:
+    """Write ``files``, ``{path relative to out: str | bytes}``, into a
+    fresh directory beside ``out`` and rename that onto ``out``, absent
+    or an empty directory.  On failure nothing is left in or beside it."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    holder = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        # made by mkdir, so it gets the usual mode, not mkdtemp's 0o700
+        stage = holder / out.name
+        stage.mkdir()
+        for rel, data in files.items():
+            path = stage / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(data, bytes):
+                path.write_bytes(data)
+            else:
+                path.write_text(data)
+        os.rename(stage, out)
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
 
 
-def _center_track(stl_path: Path, cfg: PipelineConfig) -> ShapeCenterFn:
+def _center_track(stl_path: Path, sid, cfg: PipelineConfig) -> ShapeCenterFn:
     """One subject's center track; its mesh is freed before the next is read."""
-    slices = slice_centroids(triangle_centroids(parse_stl(stl_path.read_bytes())), cfg.delta_z)
+    # one expression, so the mesh and the file bytes it views are freed
+    # as soon as the centroids are made
+    slices = slice_centroids(triangle_centroids(parse_stl(_read_input(stl_path, sid))),
+                             cfg.delta_z)
     return shape_center_fn(slices, cfg.min_slice_points)
 
 
-def cmd_shape(args) -> int:
+def cmd_shape(args) -> dict:
     cfg = _load_config(args)
     manifest_path = Path(args.manifest)
     subjects = _manifest_subjects(manifest_path)
-    out = Path(args.out)
 
     tracks = []
     failures = []
     for sid, rel in subjects.items():
         stl_path = _entry_path(manifest_path, sid, rel)
-        if not stl_path.is_file():
-            raise InputError(f"no such file: {stl_path} (subject {sid!r})")
         try:
-            tracks.append((sid, _center_track(stl_path, cfg)))
+            tracks.append((sid, _center_track(stl_path, sid, cfg)))
         except ValueError as exc:
             failures.append(f"{sid}: {exc}")
     if failures:
-        for line in failures:
-            print(f"error: {line}", file=sys.stderr)
-        return 1
+        # main writes each line as an error line of its own
+        raise ValueError("\n".join(failures))
 
-    outputs = {}
+    files = {}
     for sid, track in tracks:
-        outputs[out / f"ec_{sid}.csv"] = track.to_csv()
-        outputs[out / f"ec_{sid}.json"] = json_text(track.to_dict())
+        files[f"ec_{sid}.csv"] = track.to_csv()
+        files[f"ec_{sid}.json"] = json_text(track.to_dict())
     if len(tracks) >= 2:
         matrix = shape_similarity_matrix(tracks, cfg.theta_samples)
-        outputs[out / "shape_similarity.csv"] = matrix.to_csv()
+        files["shape_similarity.csv"] = matrix.to_csv()
     else:
         log.warning("only one subject; similarity matrix skipped")
-    _write_all(outputs)
-    cfg.dump(out / "config.json", command="shape")
-    return 0
+    files["config.json"] = json_text({**cfg.to_dict(), "command": "shape"})
+    return files
 
 
 def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
@@ -343,11 +370,15 @@ def _subject_recordings(manifest_path: Path, sidx: int, sid, entry, cfg: Pipelin
     )
 
 
-def cmd_acoustic(args) -> int:
+def cmd_acoustic(args) -> dict:
     cfg = _load_config(args)
+    try:  # the band and filter order, checked by one design before any take runs
+        butterworth_bandpass(np.zeros(1), cfg.band_low_hz, cfg.band_high_hz, cfg.filter_order,
+                             cfg.sample_rate)
+    except ValueError as exc:
+        raise InputError(f"invalid config: {exc}") from None
     manifest_path = Path(args.manifest)
     subjects = _manifest_subjects(manifest_path)
-    out = Path(args.out)
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
@@ -363,10 +394,10 @@ def cmd_acoustic(args) -> int:
                              range(n_takes))
             all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))
 
-    outputs = {}
+    files = {}
     for sid, take, feat in all_feats:
         stem = f"feature_{sid}_{take:02d}"
-        outputs[out / f"{stem}.f32"] = feat.astype("<f4").tobytes()
+        files[f"{stem}.f32"] = feat.astype("<f4").tobytes()
         sidecar = {
             "schema": "acoustic_feature/1",
             "subject_id": sid,
@@ -385,27 +416,23 @@ def cmd_acoustic(args) -> int:
                 "feature_length": cfg.feature_length,
             },
         }
-        outputs[out / f"{stem}.json"] = json_text(sidecar)
+        files[f"{stem}.json"] = json_text(sidecar)
 
     if len({sid for sid, _, _ in all_feats}) >= 2:
         matrix = acoustic_similarity_matrix(all_feats)
-        outputs[out / "acoustic_similarity.csv"] = matrix.to_csv()
+        files["acoustic_similarity.csv"] = matrix.to_csv()
     else:
         log.warning("only one subject; similarity matrix skipped")
-    _write_all(outputs)
-    cfg.dump(out / "config.json", command="acoustic")
-    return 0
+    files["config.json"] = json_text({**cfg.to_dict(), "command": "acoustic"})
+    return files
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args) -> dict:
     cfg = _load_config(args)
     shape_path, acoustic_path = Path(args.shape), Path(args.acoustic)
-    for p in (shape_path, acoustic_path):
-        if not p.is_file():
-            raise InputError(f"no such file: {p}")
+    texts = [_read_input(p) for p in (shape_path, acoustic_path)]
     try:
-        shape_m = SimilarityMatrix.from_csv(shape_path.read_text())
-        acoustic_m = SimilarityMatrix.from_csv(acoustic_path.read_text())
+        shape_m, acoustic_m = (SimilarityMatrix.from_csv(t.decode("utf-8")) for t in texts)
     except ValueError as exc:
         raise InputError(f"cannot parse similarity CSV: {exc}") from None
     # the report names a file after every id, so the manifests' rule holds here too
@@ -427,16 +454,14 @@ def cmd_correlate(args) -> int:
         if parts[0] == parts[1]:
             raise InputError(f"--pair needs two different subjects, got {args.pair!r}")
         pair = (parts[0], parts[1])
-    out = Path(args.out)
-    emit_report(shape_m, acoustic_m, out, designated_pair=pair, config=cfg.to_dict())
-    cfg.dump(out / "config.json", command="correlate")
-    return 0
+    files = emit_report(shape_m, acoustic_m, designated_pair=pair, config=cfg.to_dict())
+    files["config.json"] = json_text({**cfg.to_dict(), "command": "correlate"})
+    return files
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     cfg = _load_config(args)
-    out = Path(args.out)
-    levels = {out: args.perturbation}  # corpus directory -> perturbation
+    levels = {"": args.perturbation}  # corpus directory under --out -> perturbation
     if args.sweep is not None:
         levels = {}
         for part in args.sweep.split(","):
@@ -445,37 +470,33 @@ def cmd_synth(args) -> int:
             except ValueError:
                 raise InputError(
                     f"--sweep expects comma-separated numbers, got {args.sweep!r}") from None
-            corpus = out / f"perturbation_{level:g}"
+            corpus = f"perturbation_{level:g}/"
             if corpus in levels:
-                raise InputError(
-                    f"--sweep levels {levels[corpus]!r} and {level!r} both write {corpus}")
+                raise InputError(f"--sweep levels {levels[corpus]!r} and {level!r} both write "
+                                 f"{Path(args.out) / corpus}")
             levels[corpus] = level
-    # every level is checked before the first corpus is written
-    families = {}
+
+    files = {}
     for corpus, level in levels.items():
         try:
-            families[corpus] = make_subject_family(cfg.seed, level)
+            family = make_subject_family(cfg.seed, level)
         except ValueError as exc:
             raise InputError(str(exc)) from None
-
-    for corpus, family in families.items():
-        outputs = {}
         shape_subjects = {}
         acoustic_subjects = {}
         for spec in family:
             mesh = generate_canal_mesh(spec.canal)
-            outputs[corpus / f"{spec.subject_id}.stl"] = write_binary_stl(mesh)
-            outputs[corpus / f"{spec.subject_id}_plant.json"] = json_text(spec.plant.to_dict())
+            files[f"{corpus}{spec.subject_id}.stl"] = write_binary_stl(mesh)
+            files[f"{corpus}{spec.subject_id}_plant.json"] = json_text(spec.plant.to_dict())
             shape_subjects[spec.subject_id] = f"{spec.subject_id}.stl"
             acoustic_subjects[spec.subject_id] = {"plant": f"{spec.subject_id}_plant.json"}
-        outputs[corpus / "shape_manifest.json"] = json_text(
+        files[f"{corpus}shape_manifest.json"] = json_text(
             {"schema": "shape_manifest/1", "subjects": shape_subjects})
-        outputs[corpus / "acoustic_manifest.json"] = json_text(
+        files[f"{corpus}acoustic_manifest.json"] = json_text(
             {"schema": "acoustic_manifest/1", "subjects": acoustic_subjects})
-        outputs[corpus / "family.json"] = json_text(family.to_dict())
-        _write_all(outputs)
-        cfg.dump(corpus / "config.json", command="synth")
-    return 0
+        files[f"{corpus}family.json"] = json_text(family.to_dict())
+        files[f"{corpus}config.json"] = json_text({**cfg.to_dict(), "command": "synth"})
+    return files
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,13 +546,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # resolved, so that `--out .` has a real parent to work beside
+        out = Path(args.out).resolve()
+        if out.exists() and not (out.is_dir() and not any(out.iterdir())):
+            raise InputError(f"--out {args.out} exists and is not an empty directory")
+        _publish(out, args.func(args))
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for line in str(exc).split("\n"):
+            print(f"error: {line}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

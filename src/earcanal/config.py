@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict, dataclass, fields
-from pathlib import Path
 from typing import ClassVar, get_type_hints
 
 import numpy as np
@@ -35,6 +34,11 @@ import numpy as np
 # design); and the unit-power sum of squares of up to 1e70 such samples
 # stays below 1e306.
 MAX_LEVEL = 1e100
+
+# The largest input file the CLI reads, in bytes, checked before the
+# file is read.  A million-facet ASCII STL written at 17 significant
+# digits is about 300 MB (the benchmark's 32k-facet one is 9.7 MB).
+MAX_INPUT_BYTES = 2**30
 
 
 def readonly_view(a) -> np.ndarray:
@@ -115,7 +119,7 @@ class Record:
 @dataclass(frozen=True)
 class PipelineConfig(Record):
     schema = "pipeline_config/1"
-    # dump names the command that wrote the file
+    # a written config.json names the command that wrote it
     tags = frozenset({"schema", "command"})
 
     # shape chain
@@ -160,9 +164,6 @@ class PipelineConfig(Record):
             raise ValueError("sample_rate must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-    def dump(self, path, command: str) -> None:
-        Path(path).write_text(json_text({**self.to_dict(), "command": command}))
 
 
 DEFAULTS = PipelineConfig()

@@ -912,12 +912,14 @@ def test_negative_seed_exits_two_and_names_the_field(tmp_path, capsys, route):
     assert not (tmp_path / "o").exists()
 
 
-# an integer beyond Python's 4,300-digit conversion limit, and nesting
-# deeper than the parser's recursion limit
-UNPARSEABLE = ['{"subjects": {"a": ' + "7" * 5000 + "}}", "[" * 100_000]
+# an integer beyond Python's 4,300-digit conversion limit, nesting
+# deeper than the parser's recursion limit, and UTF-16, which
+# json.loads would take as bytes
+UNPARSEABLE = ['{"subjects": {"a": ' + "7" * 5000 + "}}", "[" * 100_000,
+               json.dumps({"subjects": {"a": {"plant": "p.json"}}}).encode("utf-16")]
 
 
-@pytest.mark.parametrize("text", UNPARSEABLE, ids=["long_integer", "deep_nesting"])
+@pytest.mark.parametrize("text", UNPARSEABLE, ids=["long_integer", "deep_nesting", "utf_16"])
 @pytest.mark.parametrize("route", ["manifest", "plant"])
 def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsys, route, text):
     manifest = tmp_path / "m.json"
@@ -926,7 +928,7 @@ def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsy
     else:
         bad = tmp_path / "p.json"
         manifest.write_text(json.dumps({"subjects": {"a": {"plant": "p.json"}}}))
-    bad.write_text(text)
+    (bad.write_bytes if isinstance(text, bytes) else bad.write_text)(text)
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 2
@@ -934,14 +936,181 @@ def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsy
     assert not (tmp_path / "o").exists()
 
 
-def test_unstable_bandpass_exits_one(tmp_path, corpus, capsys):
+BAND_FAULTS = {
+    "odd_order": ({"filter_order": 3}, "filter_order must be a positive even integer, got 3"),
+    "high_edge_beyond_nyquist": ({"band_high_hz": 30000}, "is at or beyond Nyquist (22050.0 Hz)"),
+    "edges_out_of_order": ({"band_low_hz": 23000}, "band edges out of order"),
+    "order_40_unstable": ({"filter_order": 40}, "the order-40 bandpass over"),
+    "order_8_narrow_band_unstable": ({"filter_order": 8, "band_low_hz": 20.0,
+                                      "band_high_hz": 1000.0},
+                                     "the order-8 bandpass over (20, 1000) Hz at fs 44100 is "
+                                     "unstable"),
+}
+
+
+@pytest.mark.parametrize("fault", BAND_FAULTS.values(), ids=BAND_FAULTS.keys())
+def test_band_and_filter_faults_exit_two_before_any_take(tmp_path, corpus, capsys, monkeypatch,
+                                                         fault):
+    fields, needle = fault
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_measurement", lambda *a: simulated.append(a))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**FAST, "filter_order": 8, "band_low_hz": 20.0,
-                               "band_high_hz": 1000.0}))
+    cfg.write_text(json.dumps({**FAST, **fields}))
     code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(corpus / "acoustic_manifest.json")])
-    assert code == 1
-    assert "order-8 bandpass over (20, 1000) Hz" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and needle in err, err
+    assert simulated == []
+    assert not (tmp_path / "o").exists()
+
+
+def rerun_argv(command, corpus, fast_cfg, shape_out, acoustic_out, tmp_path):
+    """``(argv, out)`` of a run of ``command`` into the directory a
+    finished run of the same command wrote."""
+    cfg = ["--config", str(fast_cfg)]
+    if command == "synth":
+        return ["synth", *cfg, "--seed", "3"], corpus
+    if command == "shape":
+        # one subject into a four-subject run's directory: the stale-files case
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"subjects": {"twin_a": str(corpus / "twin_a.stl")}}))
+        return ["shape", *cfg, "--manifest", str(one)], shape_out
+    if command == "acoustic":
+        return ["acoustic", *cfg, "--manifest", str(corpus / "acoustic_manifest.json")], \
+            acoustic_out
+    argv = ["correlate", *cfg, "--shape", str(shape_out / "shape_similarity.csv"),
+            "--acoustic", str(acoustic_out / "acoustic_similarity.csv")]
+    assert main([*argv, "--out", str(tmp_path / "report")]) == 0
+    return [*argv, "--pair", "twin_a,twin_b"], tmp_path / "report"
+
+
+@pytest.mark.parametrize("command", ["synth", "shape", "acoustic", "correlate"])
+def test_rerun_into_a_written_out_exits_two_and_keeps_its_files(
+        tmp_path, fast_cfg, corpus, shape_out, acoustic_out, capsys, command):
+    argv, out = rerun_argv(command, corpus, fast_cfg, shape_out, acoustic_out, tmp_path)
+    before = read_tree(out)
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out} exists and is not an empty directory\n"
+    assert read_tree(out) == before
+
+
+def test_out_that_is_a_file_exits_two(tmp_path, fast_cfg, capsys):
+    out = tmp_path / "o"
+    out.write_text("kept")
+    assert main(["synth", "--config", str(fast_cfg), "--out", str(out)]) == 2
+    assert "is not an empty directory" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
+def test_out_that_is_an_empty_directory_receives_the_run(tmp_path, fast_cfg, corpus):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["synth", "--config", str(fast_cfg), "--out", str(out)]) == 0
+    assert read_tree(out) == read_tree(corpus)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o"]
+
+
+def test_out_dot_names_the_working_directory(tmp_path, fast_cfg, corpus, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["synth", "--config", str(fast_cfg), "--out", "."]) == 0
+    assert read_tree(work) == read_tree(corpus)
+
+
+def fail_third_write(monkeypatch):
+    """Make the third file write of the run raise OSError."""
+    writes = []
+
+    def patched(original):
+        def write(self, data, *args, **kwargs):
+            writes.append(self)
+            if len(writes) == 3:
+                raise OSError(28, "No space left on device", str(self))
+            return original(self, data, *args, **kwargs)
+        return write
+
+    monkeypatch.setattr(Path, "write_text", patched(Path.write_text))
+    monkeypatch.setattr(Path, "write_bytes", patched(Path.write_bytes))
+    return writes
+
+
+@pytest.mark.parametrize("command", ["shape", "synth_sweep"])
+def test_failed_write_leaves_no_out_and_no_staging_directory(tmp_path, fast_cfg, corpus, capsys,
+                                                            monkeypatch, command):
+    root = tmp_path / "runs"
+    root.mkdir()
+    if command == "shape":
+        argv = ["shape", "--config", str(fast_cfg),
+                "--manifest", str(corpus / "shape_manifest.json")]
+    else:
+        argv = ["synth", "--config", str(fast_cfg), "--sweep", "0.05,0.2"]
+    writes = fail_third_write(monkeypatch)
+    code = main([*argv, "--out", str(root / "o")])
+    assert code == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert len(writes) == 3
+    assert list(root.iterdir()) == []
+
+
+def test_failed_write_into_an_empty_out_leaves_it_empty(tmp_path, fast_cfg, monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    fail_third_write(monkeypatch)
+    assert main(["synth", "--config", str(fast_cfg), "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [out]
+    assert list(out.iterdir()) == []
+
+
+def test_published_directories_have_the_mode_of_a_plain_mkdir(tmp_path, fast_cfg):
+    old = os.umask(0o027)
+    try:
+        (tmp_path / "plain").mkdir()
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(fast_cfg), "--out", str(out),
+                     "--sweep", "0.05"]) == 0
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "plain").stat().st_mode
+    assert out.stat().st_mode == mode
+    assert (out / "perturbation_0.05").stat().st_mode == mode
+
+
+def test_input_limit_admits_a_million_facet_ascii_stl():
+    # the benchmark's 32k-facet ASCII STL is 9.7 MB: about 300 bytes a facet
+    assert cli.MAX_INPUT_BYTES >= 10**6 * 300
+
+
+@pytest.mark.parametrize("route", ["config", "manifest", "stl", "plant", "wav", "csv"])
+def test_input_past_the_size_limit_exits_two_before_it_is_read(tmp_path, shape_out, capsys,
+                                                               monkeypatch, route):
+    limit = 4096
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", limit)
+    big = tmp_path / "big"
+    with open(big, "wb") as f:
+        os.truncate(f.fileno(), limit + 1)  # sparse: no block is written
+    (tmp_path / "cfg.json").write_text(json.dumps(FAST))
+    cfg = big if route == "config" else tmp_path / "cfg.json"
+    entries = {"stl": str(big), "plant": {"plant": str(big)}, "wav": {"takes": [str(big)]}}
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"subjects": {"s": entries.get(route, {"plant": str(big)})}}))
+    manifest = big if route == "manifest" else tmp_path / "m.json"
+    if route == "csv":
+        argv = ["correlate", "--shape", str(shape_out / "shape_similarity.csv"),
+                "--acoustic", str(big)]
+    else:
+        argv = ["shape" if route == "stl" else "acoustic", "--manifest", str(manifest)]
+    read = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or read_bytes(self))
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    whose = " (subject 's')" if route == "stl" else ""
+    assert capsys.readouterr().err == (
+        f"error: {big}{whose}: {limit + 1} bytes exceed the input limit of {limit} bytes\n")
+    assert big not in read
     assert not (tmp_path / "o").exists()
 
 
