@@ -554,8 +554,8 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        for line in str(exc).split("\n"):
+    except (ValueError, MemoryError) as exc:
+        for line in (str(exc) or type(exc).__name__).split("\n"):
             print(f"error: {line}", file=sys.stderr)
         return 1
     return 0

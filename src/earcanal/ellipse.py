@@ -95,7 +95,7 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
         raise EllipseFitError(f"need at least 5 points to fit an ellipse, got {pts.shape[0]}")
     if not np.isfinite(pts).all():
         raise EllipseFitError("points contain non-finite coordinates")
-    conics, _ = fit_conics([pts])
+    conics, _ = fit_conics(pts, [len(pts)])
     if np.isnan(conics[0, 0]):
         raise EllipseFitError(
             "no ellipse fits these points (coincident, collinear or not elliptic)"
@@ -122,39 +122,41 @@ def _moment_sums(x, y, starts) -> dict:
     return m
 
 
-def fit_conics(bins) -> tuple:
-    """Fit one ellipse to each (k, 2) point array in ``bins``, as a batch.
+def fit_conics(xy, counts) -> tuple:
+    """Fit one ellipse to each slice of the (k, 2) points ``xy``, as a
+    batch: slice n is the run of ``counts[n]`` rows after slice n-1's.
 
-    Returns ``(conics, centers)``, of shapes (B, 6) and (B, 2): each
-    conic normalized as in :class:`Ellipse`, and the center of its real
-    elliptic locus.  A slice with no such ellipse, where
+    Returns ``(conics, centers)``, of shapes (B, 6) and (B, 2) for B
+    counts: each conic normalized as in :class:`Ellipse`, and the center
+    of its real elliptic locus.  A slice with no such ellipse, where
     :func:`fit_ellipse` raises, gets a NaN row in both.
 
     All slices share the arithmetic: per-slice sums come from one
-    ``np.add.reduceat`` per monomial over the concatenated points, and
-    the 3x3 systems and eigenproblems are solved as stacks.  Sums are
-    taken in another order than a per-slice matrix product, so a fit
-    moves by rounding only.
+    ``np.add.reduceat`` per monomial over ``xy``, and the 3x3 systems
+    and eigenproblems are solved as stacks.  Sums are taken in another
+    order than a per-slice matrix product, so a fit moves by rounding
+    only.  A slice's fit depends on its own points alone.
     """
-    conics = np.full((len(bins), 6), np.nan)
-    centers = np.full((len(bins), 2), np.nan)
-    counts = np.array([len(b) for b in bins], dtype=np.int64)
-    fit = np.flatnonzero(counts >= 5)
+    counts = np.asarray(counts, dtype=np.int64)
+    conics = np.full((len(counts), 6), np.nan)
+    centers = np.full((len(counts), 2), np.nan)
+    # reduceat gives an empty slice its start element, not 0: sum only the others
+    fit = np.flatnonzero(counts)
     if fit.size == 0:
         return conics, centers
+    starts = (np.cumsum(counts) - counts)[fit]
     counts = counts[fit]
-    pts = np.concatenate([np.asarray(bins[i], dtype=np.float64) for i in fit])
-    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    xy = np.asarray(xy, dtype=np.float64)
 
     n = counts.astype(np.float64)
-    mx = np.add.reduceat(pts[:, 0], starts) / n
-    my = np.add.reduceat(pts[:, 1], starts) / n
-    x = pts[:, 0] - np.repeat(mx, counts)
-    y = pts[:, 1] - np.repeat(my, counts)
-    del pts
+    mx = np.add.reduceat(xy[:, 0], starts) / n
+    my = np.add.reduceat(xy[:, 1], starts) / n
+    x = xy[:, 0] - np.repeat(mx, counts)
+    y = xy[:, 1] - np.repeat(my, counts)
+    del xy
     scale = np.sqrt(np.add.reduceat(x * x + y * y, starts) / n)
     # coincident points have no scale; a non-finite point, no finite one
-    ok = np.isfinite(scale) & (scale > 0)
+    ok = np.isfinite(scale) & (scale > 0) & (counts >= 5)
     s = np.where(ok, scale, 1.0)
     x /= np.repeat(s, counts)
     y /= np.repeat(s, counts)

@@ -77,18 +77,20 @@ class TriangleMesh:
 
 @dataclass(frozen=True)
 class SliceSet:
-    """Contiguous z-slices of a centroid cloud.
-
-    ``bins[n]`` is a read-only (k, 2) array of the xy coordinates of
-    exactly the points with ``n*delta_z < z - z_origin <= (n+1)*delta_z``,
-    ``z_origin`` being where :func:`slice_centroids` started; bin 0
-    additionally includes points exactly at the origin (closed below), so
-    the ear-entrance boundary point is never dropped.  Empty interior bins
-    are retained so the index n maps linearly to depth.
+    """Contiguous z-slices of a centroid cloud: ``xy``, the read-only
+    (n, 2) xy coordinates in slice order, and ``bins``, the read-only
+    int64 point count of each slice.  Slice n is the ``bins[n]`` rows of
+    ``xy`` after slice n-1's: exactly the points with ``n*delta_z < z -
+    z_origin <= (n+1)*delta_z``, ``z_origin`` being where
+    :func:`slice_centroids` started; slice 0 additionally includes points
+    exactly at the origin (closed below), so the ear-entrance boundary
+    point is never dropped.  Empty interior slices are retained, with
+    count 0, so the index n maps linearly to depth.
     """
 
     delta_z: float
-    bins: tuple
+    xy: np.ndarray
+    bins: np.ndarray
 
 
 # A facet is 21 tokens: "facet normal" and 3 numbers, "outer loop",
@@ -317,7 +319,7 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
     minimum z of the cloud, the ear-entrance end; an explicit value must
     not exceed that minimum, since slicing indexes depth from the entrance.
     More than ``_MAX_SLICES`` slices raise ValueError before any is made.
-    Every bin is a read-only view into one gathered array of the points.
+    The xy points are gathered once, in slice order, each slice in cloud order.
     """
     if delta_z <= 0:
         raise ValueError(f"delta_z must be positive, got {delta_z}")
@@ -349,7 +351,6 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
     # each xy pair gathered as one 16-byte complex item, a plain copy:
     # z is not gathered, and the pairs move at whole-row speed
     xy = points[:, :2].view(np.complex128)[order].view(np.float64)
-    xy.flags.writeable = False
-    ends = np.cumsum(np.bincount(idx)).tolist()
-    bins = tuple(xy[a:b] for a, b in zip([0] + ends[:-1], ends))
-    return SliceSet(float(delta_z), bins)
+    bins = np.bincount(idx)
+    xy.flags.writeable = bins.flags.writeable = False
+    return SliceSet(float(delta_z), xy, bins)

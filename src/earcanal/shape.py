@@ -53,7 +53,7 @@ class ShapeCenterFn:
             raise ValueError("raw_centers must match centers in shape")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "raw_centers", raw)
-        object.__setattr__(self, "interpolated", tuple(int(n) for n in self.interpolated))
+        object.__setattr__(self, "interpolated", tuple(np.asarray(self.interpolated, int).tolist()))
 
     @property
     def n_slices(self) -> int:
@@ -95,11 +95,14 @@ def shape_center_fn(
     configuration) are filled by linear interpolation between the nearest
     fitted neighbors and flagged in ``interpolated``, preserving the
     index-to-depth correspondence.  An unfittable tail is truncated since
-    it has no later neighbor to interpolate toward.
+    it has no later neighbor to interpolate toward.  The points of the
+    slices to fit are copied once, into one array fitted as one batch.
     """
-    fittable = [n for n, b in enumerate(slices.bins) if len(b) >= min_points]
+    fittable = slices.bins >= min_points
     track = np.full((len(slices.bins), 2), np.nan)
-    track[fittable] = fit_conics([slices.bins[n] for n in fittable])[1]
+    # one expression, so fit_conics frees the copy; np.compress beats a 2-D boolean index
+    track[fittable] = fit_conics(
+        np.compress(np.repeat(fittable, slices.bins), slices.xy, axis=0), slices.bins[fittable])[1]
     fitted = np.flatnonzero(~np.isnan(track[:, 0]))
     if fitted.size == 0 or fitted[0] != 0:
         raise EllipseFitError(
@@ -110,14 +113,13 @@ def shape_center_fn(
     if len(track) < 2:
         raise EllipseFitError("fewer than 2 fittable slices; no center track")
 
-    gaps = []
-    for prev, n in zip(fitted[:-1], fitted[1:]):
-        # linear fill across the unfittable run (prev, n)
-        for k in range(prev + 1, n):
-            f = (k - prev) / (n - prev)
-            track[k] = (1.0 - f) * track[prev] + f * track[n]
-            gaps.append(k)
-    return ShapeCenterFn(slices.delta_z, track - track[0], track, tuple(gaps))
+    # linear fill of each gap k from its fitted neighbors prev < k < n
+    gaps = np.flatnonzero(np.isnan(track[:, 0]))
+    after = np.searchsorted(fitted, gaps)
+    prev, n = fitted[after - 1], fitted[after]
+    f = ((gaps - prev) / (n - prev))[:, None]
+    track[gaps] = (1.0 - f) * track[prev] + f * track[n]
+    return ShapeCenterFn(slices.delta_z, track - track[0], track, gaps)
 
 
 def _similarities(tracks, grid_size: int) -> tuple:

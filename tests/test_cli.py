@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, reproducibility."""
 
+import contextlib
 import importlib
 import io
 import json
@@ -33,6 +34,7 @@ from earcanal.cli import main
 from earcanal.config import MAX_LEVEL
 from earcanal.mesh import TriangleMesh, parse_stl, write_binary_stl
 from earcanal.synth import PlantGenerator, generate_plant
+from stl_cases import mutated_stl
 
 # small but structurally complete: MLS period 4095 still covers the
 # 2048-tap synthetic plants
@@ -555,6 +557,52 @@ def test_unfittable_mesh_exits_one(tmp_path, capsys):
     assert "flat" in capsys.readouterr().err
     # computational failure leaves no partial outputs behind
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64",
+     "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"),
+    ("", "MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_one_with_an_error_line(tmp_path, fast_cfg, corpus, capsys,
+                                                    monkeypatch, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "shape_center_fn", exhausted)
+    room = tmp_path / "room"
+    room.mkdir()
+    code = main(["shape", "--config", str(fast_cfg), "--out", str(room / "o"),
+                 "--manifest", str(corpus / "shape_manifest.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert list(room.iterdir()) == []
+
+
+def check_exit_contract(code, err, room):
+    """The CLI contract on any input: an exit code of 0, 1 or 2, stderr of
+    ``error: `` and ``warning: `` lines only, and on failure no ``--out``
+    and no staging directory beside it."""
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+    assert sorted(p.name for p in room.iterdir()) == ([] if code else ["o"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=mutated_stl())
+def test_shape_on_mutated_stl_keeps_the_exit_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "in").mkdir()
+        (root / "in" / "scan.stl").write_bytes(data)
+        (root / "in" / "m.json").write_text(json.dumps({"subjects": {"scan": "scan.stl"}}))
+        (root / "room").mkdir()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["shape", "--manifest", str(root / "in" / "m.json"),
+                         "--out", str(root / "room" / "o")])
+        check_exit_contract(code, err.getvalue(), root / "room")
 
 
 def ascii_stl(mesh: TriangleMesh, case) -> bytes:

@@ -287,12 +287,18 @@ def mixed_slices(seed):
     return [slices[i] for i in order]
 
 
+def fit_slices(slices):
+    """:func:`fit_conics` on a list of (k, 2) arrays: their rows gathered
+    into one array, and their lengths as the counts."""
+    return fit_conics(np.concatenate([np.empty((0, 2)), *slices]), [len(s) for s in slices])
+
+
 # a failing slice is set aside, not computed into NaN: no warning
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_matches_the_per_slice_fit(seed):
     slices = mixed_slices(seed)
-    conics, centers = fit_conics(slices)
+    conics, centers = fit_slices(slices)
     failed = []
     for n, pts in enumerate(slices):
         try:
@@ -310,8 +316,8 @@ def test_batch_matches_the_per_slice_fit(seed):
 def test_singular_slice_leaves_the_rest_of_the_batch_alone():
     e = make_ellipse((1.0, -2.0), (2.0, 1.0), 0.3)
     flat = np.column_stack([np.arange(8.0), np.zeros(8)])
-    _, alone = fit_conics([sample(e, 30)])
-    _, mixed = fit_conics([flat, sample(e, 30), flat])
+    _, alone = fit_slices([sample(e, 30)])
+    _, mixed = fit_slices([flat, sample(e, 30), flat])
     np.testing.assert_array_equal(mixed[1], alone[0])
     assert np.isnan(mixed[[0, 2]]).all()
 
@@ -321,12 +327,31 @@ def test_batch_rows_fail_where_fit_ellipse_raises():
     e = make_ellipse((0.5, 0.5), (1.5, 1.0), 0.2)
     bad = np.array(sample(e, 12))
     bad[3] = np.nan
-    conics, centers = fit_conics([sample(e, 4), np.empty((0, 2)), bad, sample(e, 12)])
+    conics, centers = fit_slices([sample(e, 4), np.empty((0, 2)), bad, sample(e, 12)])
     assert np.isnan(centers[:3]).all() and np.isnan(conics[:3]).all()
     assert_same_ellipse(conic_to_geometric(conics[3]), e.center, e.axes, e.angle)
     np.testing.assert_array_equal(centers[3], conic_to_geometric(conics[3]).center)
-    empty_conics, empty_centers = fit_conics([])
+    # the empty slice shifts no other slice's sums
+    alone_conics, alone_centers = fit_conics(sample(e, 12), [12])
+    np.testing.assert_array_equal(conics[3], alone_conics[0])
+    np.testing.assert_array_equal(centers[3], alone_centers[0])
+    empty_conics, empty_centers = fit_conics(np.empty((0, 2)), [])
     assert empty_conics.shape == (0, 6) and empty_centers.shape == (0, 2)
+    none_conics, _ = fit_conics(np.empty((0, 2)), [0, 0])
+    assert none_conics.shape == (2, 6) and np.isnan(none_conics).all()
+
+
+def test_slices_of_fewer_than_five_points_get_no_fit():
+    # without the check, most random 3- and 4-point slices would fit
+    rng = np.random.default_rng(0)
+    counts = [12, 0, 1, 2] + [3, 4] * 20 + [0, 9]
+    xy = rng.normal(size=(sum(counts), 2))
+    conics, centers = fit_conics(xy, counts)
+    small = [n for n, k in enumerate(counts) if k < 5]
+    assert np.isnan(conics[small]).all() and np.isnan(centers[small]).all()
+    first, last = fit_conics(xy[:12], [12]), fit_conics(xy[-9:], [9])
+    np.testing.assert_array_equal(conics[[0, -1]], np.concatenate([first[0], last[0]]))
+    np.testing.assert_array_equal(centers[[0, -1]], np.concatenate([first[1], last[1]]))
 
 
 def collinear_slices(seed, count=50):
@@ -344,7 +369,7 @@ def collinear_slices(seed, count=50):
 @pytest.mark.parametrize("seed", range(4))
 def test_collinear_slices_get_no_fit(seed):
     slices = collinear_slices(seed)
-    conics, centers = fit_conics(slices)
+    conics, centers = fit_slices(slices)
     assert np.isnan(conics).all() and np.isnan(centers).all()
     for pts in slices[:10]:
         with pytest.raises(EllipseFitError):
@@ -367,14 +392,14 @@ def test_spread_check_changes_no_other_fit(seed, monkeypatch):
         except EllipseFitError:
             pass
     assert len(good) == 24
-    conics, centers = fit_conics(good)
+    conics, centers = fit_slices(good)
     # the collinear slices leave the rest of a batch alone
-    mixed_conics, mixed_centers = fit_conics(collinear_slices(seed, 10) + good)
+    mixed_conics, mixed_centers = fit_slices(collinear_slices(seed, 10) + good)
     np.testing.assert_array_equal(mixed_conics[10:], conics)
     np.testing.assert_array_equal(mixed_centers[10:], centers)
     # and the check marks no non-degenerate slice
     monkeypatch.setattr("earcanal.ellipse._MIN_SPREAD", -np.inf)
-    unchecked_conics, unchecked_centers = fit_conics(good)
+    unchecked_conics, unchecked_centers = fit_slices(good)
     np.testing.assert_array_equal(conics, unchecked_conics)
     np.testing.assert_array_equal(centers, unchecked_centers)
 
@@ -422,8 +447,8 @@ def test_moment_sums_are_bitwise_the_product_loop(make, monkeypatch):
     for key in want:
         np.testing.assert_array_equal(bits(got[key]), bits(want[key]))
     # and so the fits are bitwise the fits of the product loop
-    conics, centers = fit_conics(slices)
+    conics, centers = fit_slices(slices)
     monkeypatch.setattr(ellipse, "_moment_sums", product_loop_sums)
-    old_conics, old_centers = fit_conics(slices)
+    old_conics, old_centers = fit_slices(slices)
     np.testing.assert_array_equal(bits(conics), bits(old_conics))
     np.testing.assert_array_equal(bits(centers), bits(old_centers))

@@ -18,55 +18,15 @@ from earcanal.mesh import (
     triangle_centroids,
     write_binary_stl,
 )
+from stl_cases import ASCII_TETRA, ascii_text, mutated_stl, random_mesh
 
-ASCII_TETRA = """\
-solid unit tetra example
-  facet normal 0 0 -1
-    outer loop
-      vertex 0 0 0
-      vertex 1.0e+00 0 0
-      vertex 0 1 0
-    endloop
-  endfacet
-  facet normal 0 -1 0
-    outer loop
-      vertex 0 0 0
-      vertex 1 0 0
-      vertex 0 0 1
-    endloop
-  endfacet
-  facet normal -1 0 0
-    outer loop
-      vertex 0 0 0
-      vertex 0 1 0
-      vertex 0 0 1
-    endloop
-  endfacet
-  facet normal 0.5 0.5 0.5
-    outer loop
-      vertex 1 0 0
-      vertex 0 1 0
-      vertex 0 0 1
-    endloop
-  endfacet
-endsolid unit tetra example
-""".encode()
-
-# face centroids of the unit tetrahedron, one per facet above
+# face centroids of the unit tetrahedron, one per facet of ASCII_TETRA
 TETRA_CENTROIDS = np.array([
     [1 / 3, 1 / 3, 0.0],
     [1 / 3, 0.0, 1 / 3],
     [0.0, 1 / 3, 1 / 3],
     [1 / 3, 1 / 3, 1 / 3],
 ])
-
-
-def random_mesh(n, seed=0):
-    rng = np.random.default_rng(seed)
-    # float32 grid so binary STL storage is exact
-    verts = rng.normal(size=(n, 3, 3)).astype(np.float32).astype(np.float64)
-    norms = rng.normal(size=(n, 3)).astype(np.float32).astype(np.float64)
-    return TriangleMesh(verts, norms)
 
 
 def test_ascii_parse_tetrahedron():
@@ -216,55 +176,12 @@ def reference_parse_ascii(data: bytes) -> TriangleMesh:
     return TriangleMesh(np.asarray(tris), np.asarray(norms))
 
 
-def ascii_text(mesh: TriangleMesh) -> bytes:
-    """ASCII STL with every value written as the shortest repr of its
-    float64, the style of a file exported from float32 data."""
-    facets = []
-    for normal, tri in zip(mesh.normals, mesh.vertices):
-        vertices = "".join(f"      vertex {x!r} {y!r} {z!r}\n" for x, y, z in tri.tolist())
-        facets.append(f"  facet normal {' '.join(map(repr, normal.tolist()))}\n"
-                      f"    outer loop\n{vertices}    endloop\n  endfacet\n")
-    return ("solid scan\n" + "".join(facets) + "endsolid scan\n").encode()
-
-
 def outcome(parse, data: bytes):
     try:
         mesh = parse(data)
     except ValueError as exc:
         return type(exc), str(exc)
     return mesh.vertices, mesh.normals
-
-
-MUTATION_WORDS = ["facet", "normal", "outer", "loop", "vertex", "endloop", "endfacet",
-                  "endsolid", "solid", "zero", "1e5", "-0.25", "nan", "inf", "1_0", "x"]
-
-
-@st.composite
-def mutated_stl(draw):
-    """A valid ASCII STL with up to three edits, joined by a drawn separator."""
-    base = draw(st.sampled_from([ASCII_TETRA, ascii_text(random_mesh(12, seed=4))]))
-    tokens = base.decode().split()
-    for _ in range(draw(st.integers(1, 3))):
-        edit = draw(st.sampled_from(["delete", "insert", "replace", "case", "name", "junk",
-                                     "cut"]))
-        # the leading 'solid' stays: without it the file is not ASCII STL
-        i = draw(st.integers(1, max(1, len(tokens) - 1)))
-        if edit == "delete":
-            del tokens[i:i + 1]
-        elif edit == "insert":
-            tokens.insert(i, draw(st.sampled_from(MUTATION_WORDS)))
-        elif edit == "replace":
-            tokens[i:i + 1] = [draw(st.sampled_from(MUTATION_WORDS))]
-        elif edit == "case" and i < len(tokens):
-            tokens[i] = draw(st.sampled_from([str.upper, str.capitalize, str.swapcase]))(tokens[i])
-        elif edit == "name":
-            tokens[1:1] = ["multi", "token", "facetted", "name"]
-        elif edit == "junk":
-            tokens += ["trailing", "junk", "facet", "1", "zero"]
-        elif edit == "cut":
-            del tokens[i:]
-    sep = draw(st.sampled_from([" ", "\n", "\r\n  ", "\x1c", "\t\x1f"]))
-    return sep.join(tokens).encode()
 
 
 @settings(max_examples=300, deadline=None)
@@ -558,25 +475,26 @@ def cloud_at_z(zs):
 def test_boundary_points_fall_in_lower_bin():
     # delta_z 0.5 is exactly representable, so the edges are exact floats
     s = slice_centroids(cloud_at_z([0.0, 0.25, 0.5, 0.5 + 1e-9, 1.0, 1.2]), 0.5)
-    counts = [len(b) for b in s.bins]
-    assert counts == [3, 2, 1]  # {0, .25, .5}, {.5+eps, 1.0}, {1.2}
-    assert s.bins[0][:, 0].tolist() == [0.0, 1.0, 2.0]
-    assert all(b.shape[1] == 2 and not b.flags.writeable for b in s.bins)
+    assert s.bins.tolist() == [3, 2, 1]  # {0, .25, .5}, {.5+eps, 1.0}, {1.2}
+    assert s.xy[:3, 0].tolist() == [0.0, 1.0, 2.0]
+    assert s.xy.shape == (6, 2) and s.bins.dtype == np.int64
+    assert not s.xy.flags.writeable and not s.bins.flags.writeable
 
 
 def test_origin_point_kept_in_bin_zero():
     s = slice_centroids(cloud_at_z([2.0, 2.7]), 0.5)
-    assert [len(b) for b in s.bins] == [1, 1]  # bins from z 2.0, not 0
+    assert s.bins.tolist() == [1, 1]  # bins from z 2.0, not 0
 
 
 def test_empty_interior_bins_retained():
     s = slice_centroids(cloud_at_z([0.1, 1.9]), 0.5)
-    assert [b.shape for b in s.bins] == [(1, 2), (0, 2), (0, 2), (1, 2)]
+    assert s.bins.tolist() == [1, 0, 0, 1]
+    assert s.xy.shape == (2, 2)
 
 
 def test_explicit_origin_below_minimum():
     s = slice_centroids(cloud_at_z([1.0, 1.4]), 0.5, z_origin=0.0)
-    assert [len(b) for b in s.bins] == [0, 1, 1]
+    assert s.bins.tolist() == [0, 1, 1]
 
 
 def test_origin_above_minimum_rejected():
@@ -608,10 +526,10 @@ def test_malformed_points_rejected(points, message):
 )
 def test_binning_partitions_the_cloud(zs, delta):
     s = slice_centroids(cloud_at_z(zs), delta)
-    assert sum(len(b) for b in s.bins) == len(zs)
+    assert s.bins.sum() == len(s.xy) == len(zs)
     z0 = min(zs)  # the default origin
     z_by_x = {float(i): z for i, z in enumerate(zs)}
-    for n, b in enumerate(s.bins):
+    for n, b in enumerate(per_slice(s)):
         for x, _ in b:
             rel = z_by_x[float(x)] - z0
             # interval membership up to one representation ulp at the edges
@@ -622,8 +540,13 @@ def test_binning_partitions_the_cloud(zs, delta):
     cloud = cloud_at_z(zs)
     rel = cloud[:, 2] - z0
     idx = np.maximum(np.ceil(rel / delta).astype(np.int64) - 1, 0)
-    for n, b in enumerate(s.bins):
+    for n, b in enumerate(per_slice(s)):
         np.testing.assert_array_equal(b, cloud[idx == n, :2])
+
+
+def per_slice(s):
+    """Each slice of ``s`` as its own (k, 2) view of ``s.xy``."""
+    return np.split(s.xy, np.cumsum(s.bins)[:-1])
 
 
 def split_slices(points, delta_z, z_origin=None):
@@ -648,22 +571,20 @@ def test_bins_are_bitwise_the_split_bins(seed):
     for delta_z, z_origin in [(0.1, None), (0.5, None), (0.1, zs.min() - 3.05), (0.25, -7.0)]:
         s = slice_centroids(points, delta_z, z_origin)
         want = split_slices(points, delta_z, z_origin)
-        assert len(s.bins) == len(want)
+        assert s.bins.tolist() == [len(b) for b in want]
         assert any(len(b) == 0 for b in want[1:-1]) or delta_z == 0.5
-        for got, ref in zip(s.bins, want):
-            assert got.shape == ref.shape and not got.flags.writeable
-            np.testing.assert_array_equal(bits(got), bits(ref))
+        assert not s.xy.flags.writeable and not s.bins.flags.writeable
+        np.testing.assert_array_equal(bits(s.xy), bits(np.concatenate(want)))
 
 
 def test_any_memory_layout_slices_alike():
     rng = np.random.default_rng(4)
     points = np.column_stack([rng.normal(size=(500, 2)), rng.uniform(0, 5, 500)])
-    want = slice_centroids(points, 0.25).bins
+    want = slice_centroids(points, 0.25)
     for layout in (np.asfortranarray(points), np.repeat(points, 2, axis=0)[::2]):
-        got = slice_centroids(layout, 0.25).bins
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(bits(g), bits(w))
+        got = slice_centroids(layout, 0.25)
+        np.testing.assert_array_equal(got.bins, want.bins)
+        np.testing.assert_array_equal(bits(got.xy), bits(want.xy))
 
 
 @pytest.mark.parametrize("zs", [[0.0, 1.0, 1e300], [0.0, 1e17]], ids=["overflow", "huge"])

@@ -6,14 +6,21 @@ import json
 import numpy as np
 import pytest
 
-from earcanal.ellipse import EllipseFitError, fit_ellipse
-from earcanal.mesh import SliceSet
+from earcanal.ellipse import EllipseFitError, fit_conics, fit_ellipse
+from earcanal.mesh import (
+    SliceSet,
+    parse_stl,
+    slice_centroids,
+    triangle_centroids,
+    write_binary_stl,
+)
 from earcanal.shape import (
     ShapeCenterFn,
     shape_center_fn,
     shape_similarity,
     shape_similarity_matrix,
 )
+from earcanal.synth import generate_canal_mesh, make_subject_family
 
 GRID = 3600
 GRID_STEP = 2 * np.pi / GRID
@@ -43,12 +50,19 @@ def circle_points(center, radius=1.0, n=8):
                             center[1] + radius * np.sin(t)])
 
 
+def slice_set(arrays, delta_z=0.1):
+    """The :class:`SliceSet` of a list of per-slice (k, 2) point arrays."""
+    xy = np.concatenate([np.empty((0, 2)), *arrays])
+    return SliceSet(delta_z, xy, np.array([len(a) for a in arrays], dtype=np.int64))
+
+
+def circles(centers, counts=None):
+    """One circle of points about each center, of 8 points or ``counts[n]``."""
+    return [circle_points(c, n=8 if counts is None else counts[n]) for n, c in enumerate(centers)]
+
+
 def slices_from_centers(centers, counts=None, delta_z=0.1):
-    bins = []
-    for n, c in enumerate(centers):
-        count = 8 if counts is None else counts[n]
-        bins.append(circle_points(c, n=count))
-    return SliceSet(delta_z, tuple(bins))
+    return slice_set(circles(centers, counts), delta_z)
 
 
 def test_self_similarity_is_one():
@@ -175,10 +189,9 @@ def test_sparse_interior_slice_is_interpolated():
 
 
 def test_degenerate_interior_slice_is_interpolated():
-    s = slices_from_centers([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
-    bad = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
-    s = SliceSet(s.delta_z, s.bins[:2] + (bad,) + s.bins[3:])
-    fn = shape_center_fn(s)
+    bins = circles([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
+    bins[2] = np.column_stack([np.linspace(0, 1, 8), np.zeros(8)])
+    fn = shape_center_fn(slice_set(bins))
     assert fn.interpolated == (2,)
     np.testing.assert_allclose(fn.raw_centers[2], [0.4, 0.15], rtol=0, atol=1e-9)
 
@@ -191,11 +204,11 @@ def test_long_gap_fills_linearly():
     np.testing.assert_allclose(fn.raw_centers[3], [0.7, 0.4], rtol=0, atol=1e-9)
 
 
-def reference_center_track(slices, min_points=5):
+def reference_center_track(bins, min_points=5):
     """The per-slice loop the batched fit replaced: raw centers and the
-    interpolated slices."""
+    interpolated slices of a list of per-slice point arrays."""
     fitted = []
-    for b in slices.bins:
+    for b in bins:
         center = None
         if len(b) >= min_points:
             try:
@@ -222,20 +235,140 @@ def reference_center_track(slices, min_points=5):
 def test_batched_track_interpolates_the_same_slices():
     rng = np.random.default_rng(5)
     centers = np.cumsum(rng.normal(scale=0.1, size=(30, 2)), axis=0)
-    s = slices_from_centers(centers, counts=rng.integers(3, 12, size=30).tolist())
+    bins = circles(centers, counts=rng.integers(3, 12, size=30).tolist())
     line = np.column_stack([np.arange(8.0), np.arange(8.0) - 1.5])
-    bins = list(s.bins)
     bins[0] = circle_points(centers[0], n=9)
     bins[7] = line  # collinear: the fit fails
     bins[8] = np.full((6, 2), 0.5)  # coincident: the fit fails
     bins[-3:] = [line, circle_points(centers[-2], n=4), np.empty((0, 2))]  # unfittable tail
-    s = SliceSet(s.delta_z, tuple(bins))
-    fn = shape_center_fn(s)
-    track, gaps = reference_center_track(s)
+    fn = shape_center_fn(slice_set(bins))
+    track, gaps = reference_center_track(bins)
     assert {7, 8} <= set(gaps)
     assert fn.interpolated == gaps
     assert fn.n_slices == len(track) < len(bins) - 2
     np.testing.assert_allclose(fn.raw_centers, track, rtol=0, atol=1e-12)
+
+
+def tuple_slices(points, delta_z):
+    """The slicer as it was: the gathered points cut into a tuple of one
+    read-only view per slice."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    z = points[:, 2]
+    idx = np.ceil((z - z.min()) / delta_z).astype(np.int64) - 1
+    idx[idx < 0] = 0
+    order = np.argsort(idx, kind="stable")
+    xy = points[:, :2].view(np.complex128)[order].view(np.float64)
+    xy.flags.writeable = False
+    ends = np.cumsum(np.bincount(idx)).tolist()
+    return tuple(xy[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def list_center_track(bins, delta_z, min_points=5):
+    """:func:`shape_center_fn` as it was: a list of the fittable slices,
+    one batch fit of their concatenation, and a Python loop over the gaps."""
+    fittable = [n for n, b in enumerate(bins) if len(b) >= min_points]
+    chosen = [bins[n] for n in fittable]
+    track = np.full((len(bins), 2), np.nan)
+    track[fittable] = fit_conics(np.concatenate([np.empty((0, 2)), *chosen]),
+                                 [len(b) for b in chosen])[1]
+    fitted = np.flatnonzero(~np.isnan(track[:, 0]))
+    assert fitted[0] == 0 and fitted[-1] > 0
+    track = track[: fitted[-1] + 1]
+    gaps = []
+    for prev, n in zip(fitted[:-1], fitted[1:]):
+        for k in range(prev + 1, n):
+            f = (k - prev) / (n - prev)
+            track[k] = (1.0 - f) * track[prev] + f * track[n]
+            gaps.append(k)
+    return ShapeCenterFn(delta_z, track - track[0], track, tuple(gaps))
+
+
+def family_clouds(binary):
+    """The centroid clouds of the criterion-7 cohort, from its float64
+    meshes or, as the ``synth`` corpus holds them, from binary STL."""
+    clouds = []
+    for sub in make_subject_family(0):
+        mesh = generate_canal_mesh(sub.canal)
+        clouds.append(triangle_centroids(parse_stl(write_binary_stl(mesh)) if binary else mesh))
+    return clouds
+
+
+def stacked_cloud(arrays, delta_z):
+    """A centroid cloud whose slice n at ``delta_z`` holds the points of
+    ``arrays[n]``: a point at z 0 fixes the origin, the rest sit inside
+    their slice."""
+    rng = np.random.default_rng(11)
+    cloud = [np.array([[*arrays[0][0], 0.0]])]
+    for n, a in enumerate(arrays):
+        z = (n + rng.uniform(0.2, 0.8, len(a))) * delta_z
+        cloud.append(np.column_stack([a, z])[1 if n == 0 else 0:])
+    return np.concatenate(cloud)
+
+
+def noisy_circles(rng, counts):
+    """``counts[n]`` noisy points on a circle about a drifting center, per slice."""
+    arrays, center = [], np.zeros(2)
+    for k in counts:
+        center = center + rng.normal(scale=0.1, size=2)
+        t = rng.uniform(0, 2 * np.pi, k)
+        arrays.append(center + rng.uniform(1.0, 2.0) * np.column_stack([np.cos(t), np.sin(t)])
+                      + rng.normal(scale=0.01, size=(k, 2)))
+    return arrays
+
+
+def sparse_slices_case():
+    """Slices of 5 <= k < min_points points, fittable but not to be fitted."""
+    rng = np.random.default_rng(3)
+    counts = rng.integers(3, 14, size=60)
+    counts[0] = 12
+    arrays = noisy_circles(rng, counts)
+    arrays[20] = np.column_stack([np.arange(10.0), np.arange(10.0) * 0.5])  # collinear
+    return [stacked_cloud(arrays, 0.5)], 0.5, 9
+
+
+def truncated_tail_case():
+    """A track whose last fittable slice is followed by unfittable ones."""
+    rng = np.random.default_rng(4)
+    arrays = noisy_circles(rng, [10] * 35 + [2, 4, 0, 3])
+    arrays.append(np.column_stack([np.arange(8.0), np.zeros(8)]))  # collinear, last
+    arrays[12:15] = noisy_circles(rng, [4, 0, 3])  # and an interior gap
+    return [stacked_cloud(arrays, 0.5)], 0.5, 5
+
+
+REFERENCE_CASES = {
+    "criterion_7_cohort": lambda: (family_clouds(binary=False), 0.1, 5),
+    "corpus_dz_0005": lambda: (family_clouds(binary=True), 0.0005, 5),
+    "sparse_slices": sparse_slices_case,
+    "truncated_tail": truncated_tail_case,
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_array_slices_give_the_tuple_slices_track(case):
+    clouds, delta_z, min_points = REFERENCE_CASES[case]()
+    for cloud in clouds:
+        slices = slice_centroids(cloud, delta_z)
+        old_slices = tuple_slices(cloud, delta_z)
+        assert slices.bins.tolist() == [len(b) for b in old_slices]
+        np.testing.assert_array_equal(bits(slices.xy), bits(np.concatenate(old_slices)))
+        fn = shape_center_fn(slices, min_points)
+        want = list_center_track(old_slices, delta_z, min_points)
+        np.testing.assert_array_equal(bits(fn.centers), bits(want.centers))
+        np.testing.assert_array_equal(bits(fn.raw_centers), bits(want.raw_centers))
+        assert fn.interpolated == want.interpolated
+    # each case reaches what it is named for
+    if case == "corpus_dz_0005":
+        assert (slices.bins == 0).mean() > 0.5 and len(fn.interpolated) > 10_000
+    if case == "sparse_slices":
+        assert ((slices.bins >= 5) & (slices.bins < min_points)).sum() > 5
+        assert len(fn.interpolated) > 5
+    if case == "truncated_tail":
+        assert fn.n_slices == 35 < len(slices.bins)
+        assert {12, 13, 14} <= set(fn.interpolated)
 
 
 def test_unfittable_tail_is_truncated():
@@ -376,11 +509,10 @@ def test_matrix_rejects_mixed_slice_widths_and_disjoint_tracks():
 
 @pytest.mark.parametrize("seed", [1, 3, 4])
 def test_collinear_interior_slice_of_general_slope_is_interpolated(seed):
-    s = slices_from_centers([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
+    bins = circles([(0.0, 0.0), (0.2, 0.0), (0.4, 0.0), (0.6, 0.3)])
     t = np.random.default_rng(seed).uniform(-1.0, 1.0, 12)
-    line = np.column_stack([0.4 + 0.7 * t, 0.15 - 1.3 * t])
-    s = SliceSet(s.delta_z, s.bins[:2] + (line,) + s.bins[3:])
-    fn = shape_center_fn(s)
+    bins[2] = np.column_stack([0.4 + 0.7 * t, 0.15 - 1.3 * t])
+    fn = shape_center_fn(slice_set(bins))
     assert fn.interpolated == (2,)
     np.testing.assert_allclose(fn.raw_centers[2], [0.4, 0.15], rtol=0, atol=1e-9)
 
