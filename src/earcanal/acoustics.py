@@ -194,10 +194,9 @@ def add_noise(recording: np.ndarray, noise_rms: float, rng) -> np.ndarray:
         raise ValueError("noise_rms must be nonnegative")
     if noise_rms == 0:
         return recording
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     # added into the noise buffer; addition commutes, so this is
     # recording + noise bit for bit without a second full-size array
-    noisy = gen.normal(0.0, noise_rms, size=recording.shape)
+    noisy = np.random.default_rng(rng).normal(0.0, noise_rms, size=recording.shape)
     noisy += recording
     return noisy
 

@@ -77,9 +77,11 @@ log = logging.getLogger(__name__)
 log.addHandler(_StderrHandler())
 
 
-def _read_input(path: Path, sid=None) -> bytes:
-    """The bytes of an input file; one larger than ``MAX_INPUT_BYTES`` is
-    refused before it is read.  ``sid`` names the subject in the errors."""
+def _read_input(path: Path, parse, sid=None):
+    """``parse`` of the bytes of the input file ``path``; every input file
+    is read here.  A file larger than ``MAX_INPUT_BYTES`` is refused
+    before it is read, and whatever ``parse`` rejects is an InputError
+    naming the file and, when ``sid`` is given, its subject."""
     whose = "" if sid is None else f" (subject {sid!r})"
     if not path.is_file():
         raise InputError(f"no such file: {path}{whose}")
@@ -87,28 +89,24 @@ def _read_input(path: Path, sid=None) -> bytes:
     if size > MAX_INPUT_BYTES:
         raise InputError(f"{path}{whose}: {size} bytes exceed the input limit of "
                          f"{MAX_INPUT_BYTES} bytes")
-    return path.read_bytes()
-
-
-def _load_json(path: Path) -> dict:
-    data = _read_input(path)
     try:
-        # UTF-8 only: json.loads would also take bytes in UTF-16 or UTF-32
-        return json.loads(data.decode("utf-8"))
+        return parse(path.read_bytes())
     # ValueError covers malformed JSON, bad UTF-8 and integers too long
-    # to convert; RecursionError, nesting too deep for the parser
-    except (ValueError, RecursionError) as exc:
-        raise InputError(f"cannot parse {path}: {exc}") from None
+    # to convert; TypeError, a value of the wrong JSON type; OverflowError,
+    # an integer too large for a float; RecursionError, nesting too deep
+    # for the JSON parser
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise InputError(f"cannot parse {path}{whose}: {exc}") from None
+
+
+def _json(data: bytes):
+    # UTF-8 only: json.loads would also take bytes in UTF-16 or UTF-32
+    return json.loads(data.decode("utf-8"))
 
 
 def _load_config(args) -> PipelineConfig:
-    if args.config is not None:
-        try:
-            cfg = PipelineConfig.from_dict(_load_json(Path(args.config)))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"invalid config {args.config}: {exc}") from None
-    else:
-        cfg = PipelineConfig()
+    cfg = PipelineConfig() if args.config is None else _read_input(
+        Path(args.config), lambda data: PipelineConfig.from_dict(_json(data)))
     if args.seed is not None:
         try:
             cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -117,29 +115,27 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _check_subject_id(sid: str, source: Path) -> None:
-    """Raise InputError, naming ``source``, for an id that cannot name
-    output files or head a similarity CSV row."""
-    try:
-        check_file_name(sid)
-    except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from None
+def _check_subject_id(sid: str) -> None:
+    """Raise ValueError for an id that cannot name output files or head
+    a similarity CSV row."""
+    check_file_name(sid)
     # an id also heads a row of the similarity CSVs, which are split at
     # ',' and line breaks and skip lines that start with '#'
     if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
-        raise InputError(
-            f"{source}: subject id {sid!r} cannot be a similarity CSV cell "
+        raise ValueError(
+            f"subject id {sid!r} cannot be a similarity CSV cell "
             "(holding ',' or a line break, or starting with '#')"
         )
 
 
-def _manifest_subjects(manifest_path: Path) -> dict:
-    data = _load_json(manifest_path)
-    subjects = data.get("subjects") if isinstance(data, dict) else None
+def _manifest_subjects(data: bytes) -> dict:
+    """The ``subjects`` object of a manifest's bytes, its ids checked."""
+    manifest = _json(data)
+    subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
     if not isinstance(subjects, dict) or not subjects:
-        raise InputError(f"{manifest_path}: manifest must map 'subjects' to a nonempty object")
+        raise ValueError("manifest must map 'subjects' to a nonempty object")
     for sid in subjects:
-        _check_subject_id(sid, manifest_path)
+        _check_subject_id(sid)
     return subjects
 
 
@@ -157,14 +153,14 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _parse_wav(buf: bytes) -> tuple:
-    """``(format_tag, channels, rate, bits, block_align, data)`` of a
-    RIFF/WAVE file, ``data`` being the bytes of its first data chunk.
+def _parse_wav(buf: bytes, expected_rate: int) -> np.ndarray:
+    """The samples, divided by 32768, of the first data chunk of a mono
+    16-bit PCM RIFF/WAVE file recorded at ``expected_rate``.
 
     Chunks other than ``fmt `` and ``data`` are skipped, together with
     the pad byte that follows a chunk of odd size.  A
     WAVE_FORMAT_EXTENSIBLE header reports the tag of its sub-format.
-    Raises ValueError on anything it cannot read.
+    Raises ValueError on anything it cannot read or does not take.
     """
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise ValueError("not a RIFF/WAVE file")
@@ -188,27 +184,20 @@ def _parse_wav(buf: bytes) -> tuple:
         elif chunk_id == b"data":
             if fmt is None:
                 raise ValueError("data chunk before the fmt chunk")
-            return (*fmt, body)
+            break
         pos += 8 + size + size % 2
-    raise ValueError("no data chunk")
-
-
-def _read_wav(path: Path, expected_rate: int) -> np.ndarray:
-    buf = _read_input(path)
-    try:
-        tag, channels, rate, bits, align, data = _parse_wav(buf)
-    except ValueError as exc:
-        raise InputError(f"cannot decode {path}: {exc}") from None
+    else:
+        raise ValueError("no data chunk")
+    tag, channels, rate, bits, align = fmt
     if rate != expected_rate:
-        raise InputError(f"{path}: expected {expected_rate} Hz, got {rate} Hz (no resampling)")
+        raise ValueError(f"expected {expected_rate} Hz, got {rate} Hz (no resampling)")
     if channels != 1:
-        raise InputError(f"{path}: expected mono audio, got {channels} channels")
+        raise ValueError(f"expected mono audio, got {channels} channels")
     if tag != _WAVE_FORMAT_PCM or bits != 16 or align != 2:
-        raise InputError(
-            f"{path}: expected 16-bit PCM, got format {tag:#06x}, "
-            f"{bits} bits in {align}-byte blocks"
+        raise ValueError(
+            f"expected 16-bit PCM, got format {tag:#06x}, {bits} bits in {align}-byte blocks"
         )
-    return np.frombuffer(data, "<i2", count=len(data) // 2).astype(np.float64) / 32768.0
+    return np.frombuffer(body, "<i2", count=len(body) // 2).astype(np.float64) / 32768.0
 
 
 def _publish(out: Path, files: dict) -> None:
@@ -237,7 +226,7 @@ def _center_track(stl_path: Path, sid, cfg: PipelineConfig) -> ShapeCenterFn:
     """One subject's center track; its mesh is freed before the next is read."""
     # one expression, so the mesh and the file bytes it views are freed
     # as soon as the centroids are made
-    slices = slice_centroids(triangle_centroids(parse_stl(_read_input(stl_path, sid))),
+    slices = slice_centroids(triangle_centroids(_read_input(stl_path, parse_stl, sid)),
                              cfg.delta_z)
     return shape_center_fn(slices, cfg.min_slice_points)
 
@@ -245,7 +234,7 @@ def _center_track(stl_path: Path, sid, cfg: PipelineConfig) -> ShapeCenterFn:
 def cmd_shape(args) -> dict:
     cfg = _load_config(args)
     manifest_path = Path(args.manifest)
-    subjects = _manifest_subjects(manifest_path)
+    subjects = _read_input(manifest_path, _manifest_subjects)
 
     tracks = []
     failures = []
@@ -272,7 +261,7 @@ def cmd_shape(args) -> dict:
     return files
 
 
-def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
+def _plant(plant_spec, cfg: PipelineConfig) -> np.ndarray:
     """A subject's plant: literal ``{"taps": [...]}`` or a ``plant/1``
     generator.  Its length is checked against one excitation period
     before anything of that length is made, and its taps' absolute sum
@@ -286,32 +275,27 @@ def _plant(sid, plant_spec, cfg: PipelineConfig) -> np.ndarray:
                 f"({period} samples at mls_order {cfg.mls_order})"
             )
 
-    try:
-        if isinstance(plant_spec, dict) and "taps" in plant_spec:
-            taps = plant_spec["taps"]
-            if set(plant_spec) != {"taps"}:
-                raise ValueError(f"unknown plant fields: {sorted(set(plant_spec) - {'taps'})}")
-            # a bool is never a number here, though Python counts it an int
-            numbers = isinstance(taps, list) and all(type(v) in (int, float) for v in taps)
-            if not numbers or not taps:
-                raise ValueError("taps must be a nonempty list of numbers")
-            check_length(len(taps))
-            h = np.array(taps, dtype=np.float64)
-        elif isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
-            gen = PlantGenerator.from_dict(plant_spec)
-            check_length(gen.tap_count)
-            h = generate_plant(gen, cfg.sample_rate)
-        else:
-            raise InputError(
-                f"subject {sid!r}: plant JSON must hold either 'taps' or a 'plant/1' generator"
-            )
-        # each tap is bounded first, so the sum of up to 2**24 cannot overflow
-        mags = np.abs(h)
-        if not ((mags <= MAX_LEVEL).all() and mags.sum() <= MAX_LEVEL):
-            raise ValueError(f"taps must be finite, with an absolute sum of at most {MAX_LEVEL:g}")
-        return h
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"subject {sid!r}: invalid plant JSON: {exc}") from None
+    if isinstance(plant_spec, dict) and "taps" in plant_spec:
+        taps = plant_spec["taps"]
+        if set(plant_spec) != {"taps"}:
+            raise ValueError(f"unknown plant fields: {sorted(set(plant_spec) - {'taps'})}")
+        # a bool is never a number here, though Python counts it an int
+        numbers = isinstance(taps, list) and all(type(v) in (int, float) for v in taps)
+        if not numbers or not taps:
+            raise ValueError("taps must be a nonempty list of numbers")
+        check_length(len(taps))
+        h = np.array(taps, dtype=np.float64)
+    elif isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
+        gen = PlantGenerator.from_dict(plant_spec)
+        check_length(gen.tap_count)
+        h = generate_plant(gen, cfg.sample_rate)
+    else:
+        raise ValueError("plant JSON must hold either 'taps' or a 'plant/1' generator")
+    # each tap is bounded first, so the sum of up to 2**24 cannot overflow
+    mags = np.abs(h)
+    if not ((mags <= MAX_LEVEL).all() and mags.sum() <= MAX_LEVEL):
+        raise ValueError(f"taps must be finite, with an absolute sum of at most {MAX_LEVEL:g}")
+    return h
 
 
 def _take_feature(cfg: PipelineConfig, excitation, recording, take: int):
@@ -347,8 +331,9 @@ def _subject_recordings(manifest_path: Path, sidx: int, sid, entry, cfg: Pipelin
     simulated once; each take adds its own seeded noise to it on its
     worker thread."""
     if isinstance(entry, dict) and "plant" in entry:
-        spec = _load_json(_entry_path(manifest_path, sid, entry["plant"]))
-        clean = simulate_measurement(excitation, _plant(sid, spec, cfg), cfg.repeats)
+        plant = _read_input(_entry_path(manifest_path, sid, entry["plant"]),
+                            lambda data: _plant(_json(data), cfg), sid)
+        clean = simulate_measurement(excitation, plant, cfg.repeats)
 
         def recording(take):
             rng = np.random.default_rng([cfg.seed, sidx, take])
@@ -361,7 +346,8 @@ def _subject_recordings(manifest_path: Path, sidx: int, sid, entry, cfg: Pipelin
                 f"got {entry['takes']!r}"
             )
         wavs = [
-            _read_wav(_entry_path(manifest_path, sid, rel), cfg.sample_rate)
+            _read_input(_entry_path(manifest_path, sid, rel),
+                        lambda buf: _parse_wav(buf, cfg.sample_rate), sid)
             for rel in entry["takes"]
         ]
         return len(wavs), wavs.__getitem__
@@ -378,7 +364,7 @@ def cmd_acoustic(args) -> dict:
     except ValueError as exc:
         raise InputError(f"invalid config: {exc}") from None
     manifest_path = Path(args.manifest)
-    subjects = _manifest_subjects(manifest_path)
+    subjects = _read_input(manifest_path, _manifest_subjects)
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
@@ -427,18 +413,18 @@ def cmd_acoustic(args) -> dict:
     return files
 
 
+def _similarity_csv(data: bytes) -> SimilarityMatrix:
+    matrix = SimilarityMatrix.from_csv(data.decode("utf-8"))
+    # the report names a file after every id, so the manifests' rule holds here too
+    for sid in matrix.ids:
+        _check_subject_id(sid)
+    return matrix
+
+
 def cmd_correlate(args) -> dict:
     cfg = _load_config(args)
-    shape_path, acoustic_path = Path(args.shape), Path(args.acoustic)
-    texts = [_read_input(p) for p in (shape_path, acoustic_path)]
-    try:
-        shape_m, acoustic_m = (SimilarityMatrix.from_csv(t.decode("utf-8")) for t in texts)
-    except ValueError as exc:
-        raise InputError(f"cannot parse similarity CSV: {exc}") from None
-    # the report names a file after every id, so the manifests' rule holds here too
-    for path, matrix in ((shape_path, shape_m), (acoustic_path, acoustic_m)):
-        for sid in matrix.ids:
-            _check_subject_id(sid, path)
+    shape_m, acoustic_m = (_read_input(Path(p), _similarity_csv)
+                           for p in (args.shape, args.acoustic))
     if set(shape_m.ids) != set(acoustic_m.ids):
         raise InputError(
             f"matrices cover different subjects: {sorted(shape_m.ids)} vs {sorted(acoustic_m.ids)}"

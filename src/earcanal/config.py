@@ -41,10 +41,10 @@ MAX_LEVEL = 1e100
 MAX_INPUT_BYTES = 2**30
 
 
-def readonly_view(a) -> np.ndarray:
-    """A read-only float64 view of ``a``.  It copies only what is not
-    already contiguous float64, and it never freezes the caller's array."""
-    v = np.ascontiguousarray(a, dtype=np.float64).view()
+def readonly_view(a, dtype=np.float64) -> np.ndarray:
+    """A read-only ``dtype`` view of ``a``.  It copies only what is not
+    already contiguous ``dtype``, and it never freezes the caller's array."""
+    v = np.ascontiguousarray(a, dtype=dtype).view()
     v.flags.writeable = False
     return v
 

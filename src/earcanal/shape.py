@@ -35,14 +35,14 @@ class ShapeCenterFn:
     ``centers[n]`` is the xy offset of slice n's ellipse center from
     slice 0's; ``centers[0]`` is exactly (0, 0).  ``raw_centers`` keeps
     the uncorrected fit centers for diagnostics, and ``interpolated``
-    lists the slice indices whose center was filled by interpolation
-    rather than fitted.
+    holds, as a read-only int64 array, the slice indices whose center was
+    filled by interpolation rather than fitted.
     """
 
     delta_z: float
     centers: np.ndarray
     raw_centers: np.ndarray
-    interpolated: tuple = field(default=())
+    interpolated: np.ndarray = field(default=())
 
     def __post_init__(self) -> None:
         c = readonly_view(self.centers).reshape(-1, 2)
@@ -53,7 +53,7 @@ class ShapeCenterFn:
             raise ValueError("raw_centers must match centers in shape")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "raw_centers", raw)
-        object.__setattr__(self, "interpolated", tuple(np.asarray(self.interpolated, int).tolist()))
+        object.__setattr__(self, "interpolated", readonly_view(self.interpolated, np.int64))
 
     @property
     def n_slices(self) -> int:
@@ -65,7 +65,7 @@ class ShapeCenterFn:
             "delta_z": self.delta_z,
             "centers": self.centers.tolist(),
             "raw_centers": self.raw_centers.tolist(),
-            "interpolated": list(self.interpolated),
+            "interpolated": self.interpolated.tolist(),
         }
 
     def to_csv(self) -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -247,7 +248,8 @@ def test_correlate_rejects_an_undefined_cell(tmp_path, shape_out, acoustic_out, 
     code = main(["correlate", "--out", str(tmp_path / "r"),
                  "--shape", str(shape_out / "shape_similarity.csv"), "--acoustic", str(holed)])
     assert code == 2
-    assert f"cell ({cells[0]}, subject_c)" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {holed}: cell ({cells[0]}, subject_c) is empty or NaN\n")
     assert not (tmp_path / "r").exists()
 
 
@@ -462,9 +464,10 @@ def test_wav_with_wrong_rate_is_rejected(tmp_path, fast_cfg, capsys):
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "expected 44100 Hz, got 48000 Hz" in err
-    assert "no resampling" in err
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {path.resolve()} (subject 's'): expected 44100 Hz, got 48000 Hz "
+        "(no resampling)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_wav_must_be_mono_16bit(tmp_path, fast_cfg, capsys):
@@ -494,7 +497,7 @@ def test_truncated_wav_exits_two(tmp_path, fast_cfg, capsys, cut):
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot decode {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {path} (subject 's'): ")
     assert not (tmp_path / "o").exists()
 
 
@@ -528,9 +531,8 @@ def test_damaged_wav_exits_with_a_code(cut, edits):
         (root / "cfg.json").write_text(json.dumps(SMALL_WAV_CFG))
         (root / "m.json").write_text(json.dumps(
             {"subjects": {"a": {"takes": ["take.wav"]}, "b": {"takes": ["take.wav"]}}}))
-        code = main(["acoustic", "--config", str(root / "cfg.json"), "--out", str(root / "o"),
-                     "--manifest", str(root / "m.json")])
-    assert code in (0, 1, 2)
+        code = check_exit_contract(["acoustic", "--config", str(root / "cfg.json"),
+                                    "--manifest", str(root / "m.json")], root / "room")
     if not edits and cut == len(SMALL_WAV):
         assert code == 0
 
@@ -559,6 +561,34 @@ def test_unfittable_mesh_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+ONE_FACET_BINARY = write_binary_stl(parse_stl(ONE_FACET_STL.encode()))  # 134 bytes
+MALFORMED_STL = {
+    "truncated_binary": (ONE_FACET_BINARY[:124],
+                         "binary STL declares 1 triangles (134 bytes) but file holds 124 bytes"),
+    "binary_count_mismatch": (ONE_FACET_BINARY + bytes(50),
+                              "binary STL declares 1 triangles (134 bytes) but file holds "
+                              "184 bytes"),
+    "ascii_bad_keyword": (ONE_FACET_STL.replace("outer loop", "outer lop").encode(),
+                          "expected 'loop' in ASCII STL, got 'lop'"),
+    # the first vertex's x, after the 84-byte preamble and the facet's normal
+    "nan_vertex": (ONE_FACET_BINARY[:96] + struct.pack("<f", np.nan) + ONE_FACET_BINARY[100:],
+                   "mesh contains non-finite vertex coordinates"),
+}
+
+
+@pytest.mark.parametrize("data, reason", MALFORMED_STL.values(), ids=MALFORMED_STL.keys())
+def test_malformed_stl_exits_two_naming_file_and_subject(tmp_path, corpus, capsys, data, reason):
+    (tmp_path / "bad.stl").write_bytes(data)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"intact": str(corpus / "twin_b.stl"),
+                                                 "bad": "bad.stl"}}))
+    code = main(["shape", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {(tmp_path / 'bad.stl').resolve()} (subject 'bad'): {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.stl", "m.json"]
+
+
 @pytest.mark.parametrize("message, line", [
     ("Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64",
      "Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64"),
@@ -579,14 +609,20 @@ def test_out_of_memory_exits_one_with_an_error_line(tmp_path, fast_cfg, corpus, 
     assert list(room.iterdir()) == []
 
 
-def check_exit_contract(code, err, room):
-    """The CLI contract on any input: an exit code of 0, 1 or 2, stderr of
-    ``error: `` and ``warning: `` lines only, and on failure no ``--out``
-    and no staging directory beside it."""
+def check_exit_contract(argv, room):
+    """Run ``main(argv)`` with ``--out`` in the fresh directory ``room`` and
+    check the CLI contract on any input: an exit code of 0, 1 or 2, stderr
+    of ``error: `` and ``warning: `` lines only, and on failure no
+    ``--out`` and no staging directory beside it.  Returns the code."""
+    room.mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([*argv, "--out", str(room / "o")])
     assert code in (0, 1, 2)
-    assert "Traceback" not in err
-    assert all(line.startswith(("error: ", "warning: ")) for line in err.splitlines())
+    assert "Traceback" not in err.getvalue()
+    assert all(line.startswith(("error: ", "warning: ")) for line in err.getvalue().splitlines())
     assert sorted(p.name for p in room.iterdir()) == ([] if code else ["o"])
+    return code
 
 
 @settings(max_examples=80, deadline=None)
@@ -597,12 +633,7 @@ def test_shape_on_mutated_stl_keeps_the_exit_contract(data):
         (root / "in").mkdir()
         (root / "in" / "scan.stl").write_bytes(data)
         (root / "in" / "m.json").write_text(json.dumps({"subjects": {"scan": "scan.stl"}}))
-        (root / "room").mkdir()
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(["shape", "--manifest", str(root / "in" / "m.json"),
-                         "--out", str(root / "room" / "o")])
-        check_exit_contract(code, err.getvalue(), root / "room")
+        check_exit_contract(["shape", "--manifest", str(root / "in" / "m.json")], root / "room")
 
 
 def ascii_stl(mesh: TriangleMesh, case) -> bytes:
@@ -818,7 +849,11 @@ def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, ent
     code = main([command, "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: subject 'odd_one'") and err.count("\n") == 1
+    # a plant file is named by the reader; a manifest entry by its subject
+    head = "error: subject 'odd_one': "
+    if files:
+        head = f"error: cannot parse {(tmp_path / 'p.json').resolve()} (subject 'odd_one'): "
+    assert err.startswith(head) and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
@@ -903,8 +938,8 @@ def test_huge_tap_count_is_rejected_before_the_plant_is_made(tmp_path, fast_cfg,
                  "--manifest", str(manifest)])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: subject 'big': invalid plant JSON: 1000000000000 taps exceed one "
-        "excitation period (4095 samples at mls_order 12)\n")
+        f"error: cannot parse {(tmp_path / 'p.json').resolve()} (subject 'big'): 1000000000000 "
+        "taps exceed one excitation period (4095 samples at mls_order 12)\n")
 
 
 def test_literal_taps_plant_runs(tmp_path, fast_cfg):
@@ -980,7 +1015,8 @@ def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsy
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot parse {bad.resolve()}: ")
+    whose = " (subject 'a')" if route == "plant" else ""
+    assert capsys.readouterr().err.startswith(f"error: cannot parse {bad.resolve()}{whose}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -1155,7 +1191,7 @@ def test_input_past_the_size_limit_exits_two_before_it_is_read(tmp_path, shape_o
     monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or read_bytes(self))
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    whose = " (subject 's')" if route == "stl" else ""
+    whose = " (subject 's')" if route in ("stl", "plant", "wav") else ""
     assert capsys.readouterr().err == (
         f"error: {big}{whose}: {limit + 1} bytes exceed the input limit of {limit} bytes\n")
     assert big not in read
@@ -1236,12 +1272,59 @@ def test_any_json_input_exits_with_a_code(config, manifest, plants):
         unsafe = isinstance(subjects, dict) and any(
             sid in ("", ".", "..") or any(c in sid for c in "/\\\0") for sid in subjects)
         for command in ("acoustic", "shape"):
-            code = main([command, "--config", str(root / "cfg.json"),
-                         "--out", str(root / command), "--manifest", str(root / "m.json")])
-            if unsafe:
-                assert code == 2 and not (root / command).exists()
-            else:
-                assert code in (0, 1, 2)
+            code = check_exit_contract([command, "--config", str(root / "cfg.json"),
+                                        "--manifest", str(root / "m.json")], root / command)
+            assert code == 2 or not unsafe
+
+
+def small_csvs():
+    """Shape and acoustic similarity CSVs of four subjects, the acoustic
+    one with ``mean±std`` cells."""
+    ids = ("a", "b", "c", "d")
+    rng = np.random.default_rng(2)
+    texts = []
+    for spread in (None, 0.05):
+        v = rng.uniform(-1, 1, (4, 4))
+        v = (v + v.T) / 2
+        np.fill_diagonal(v, np.nan)
+        stds = None if spread is None else np.abs(v) * spread
+        texts.append(SimilarityMatrix(ids, v, stds=stds).to_csv().encode())
+    return texts
+
+
+SMALL_CSVS = small_csvs()
+# the separators and number pieces of the format, an undecodable byte,
+# and any short run of bytes
+CSV_PIECES = st.sampled_from([b"", b",", b"\n", b"#", b"-", b"e9", b"nan", "±".encode(),
+                              b"\xb1"]) | st.binary(max_size=2)
+
+
+@st.composite
+def mutated_csv(draw, data):
+    """``data``, perhaps cut short, with up to three bytes each replaced
+    by a piece from ``CSV_PIECES``."""
+    out = bytearray(data)
+    if draw(st.sampled_from([False] * 3 + [True])):
+        del out[draw(st.integers(0, len(out))):]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(out)))
+        out[pos:pos + 1] = draw(CSV_PIECES)
+    return bytes(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=mutated_csv(SMALL_CSVS[0]), acoustic=mutated_csv(SMALL_CSVS[1]),
+       pair=st.sampled_from([[], ["--pair", "a,b"]]))
+def test_correlate_on_mutated_csv_keeps_the_exit_contract(shape, acoustic, pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "shape.csv").write_bytes(shape)
+        (root / "acoustic.csv").write_bytes(acoustic)
+        code = check_exit_contract(["correlate", "--shape", str(root / "shape.csv"),
+                                    "--acoustic", str(root / "acoustic.csv"), *pair],
+                                   root / "room")
+    if (shape, acoustic) == tuple(SMALL_CSVS):
+        assert code == 0
 
 
 def source_env():

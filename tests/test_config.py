@@ -74,7 +74,8 @@ def test_record_json_round_trip(record, schema):
     (lambda v, n: mesh.TriangleMesh(v, n), [np.zeros((1, 3, 3)), np.zeros((1, 3))]),
     (lambda v, s: analysis.SimilarityMatrix(("a", "b"), v, s),
      [np.array([[np.nan, 0.5], [0.5, np.nan]]), np.zeros((2, 2))]),
-    (lambda c, r: shape.ShapeCenterFn(0.1, c, r), [np.zeros((2, 2)), np.zeros((2, 2))]),
+    (lambda c, r, i: shape.ShapeCenterFn(0.1, c, r, i),
+     [np.zeros((2, 2)), np.zeros((2, 2)), np.array([1], dtype=np.int64)]),
 ], ids=["excitation", "mesh", "matrix", "center_fn"])
 def test_stored_arrays_are_frozen_views_of_the_callers(make, arrays):
     value = make(*arrays)

@@ -65,7 +65,7 @@ def test_vertex_rings_are_planar_and_evenly_spaced():
 def test_straight_tube_center_track_is_zero():
     fn = track_of(tube())
     assert fn.n_slices == 80
-    assert fn.interpolated == ()
+    assert fn.interpolated.tolist() == []
     np.testing.assert_allclose(fn.centers, np.zeros_like(fn.centers),
                                rtol=0, atol=1e-9)
 
