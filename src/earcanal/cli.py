@@ -128,22 +128,29 @@ def _check_subject_id(sid: str) -> None:
         )
 
 
-def _manifest_subjects(data: bytes) -> dict:
-    """The ``subjects`` object of a manifest's bytes, its ids checked."""
+def _manifest_subjects(data: bytes, base: Path, entry) -> dict:
+    """The ``subjects`` object of a manifest's bytes, its ids checked and
+    each value resolved by ``entry(base, value)``, ``base`` the manifest's
+    directory, so that every entry is checked before any subject is read."""
     manifest = _json(data)
     subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
     if not isinstance(subjects, dict) or not subjects:
         raise ValueError("manifest must map 'subjects' to a nonempty object")
-    for sid in subjects:
+    resolved = {}
+    for sid, value in subjects.items():
         _check_subject_id(sid)
-    return subjects
+        try:
+            resolved[sid] = entry(base, value)
+        except ValueError as exc:
+            raise ValueError(f"subject {sid!r}: {exc}") from None
+    return resolved
 
 
-def _entry_path(manifest_path: Path, sid, rel) -> Path:
+def _entry_path(base: Path, rel) -> Path:
     """A manifest path, which is relative to the manifest's directory."""
     if not isinstance(rel, str):
-        raise InputError(f"subject {sid!r}: manifest paths must be strings, got {rel!r}")
-    return (manifest_path.parent / rel).resolve()
+        raise ValueError(f"manifest paths must be strings, got {rel!r}")
+    return (base / rel).resolve()
 
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -233,13 +240,13 @@ def _center_track(stl_path: Path, sid, cfg: PipelineConfig) -> ShapeCenterFn:
 
 def cmd_shape(args) -> dict:
     cfg = _load_config(args)
-    manifest_path = Path(args.manifest)
-    subjects = _read_input(manifest_path, _manifest_subjects)
+    manifest = Path(args.manifest)
+    subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
+                                                                     _entry_path))
 
     tracks = []
     failures = []
-    for sid, rel in subjects.items():
-        stl_path = _entry_path(manifest_path, sid, rel)
+    for sid, stl_path in subjects.items():
         try:
             tracks.append((sid, _center_track(stl_path, sid, cfg)))
         except ValueError as exc:
@@ -323,37 +330,36 @@ def _workers() -> int:
     return max(1, cores or 1)
 
 
-def _subject_recordings(manifest_path: Path, sidx: int, sid, entry, cfg: PipelineConfig,
-                        excitation) -> tuple:
+def _acoustic_entry(base: Path, entry):
+    """An acoustic manifest entry: its plant's path, or its list of take
+    WAV paths."""
+    if isinstance(entry, dict) and "plant" in entry:
+        return _entry_path(base, entry["plant"])
+    if isinstance(entry, dict) and "takes" in entry:
+        if not isinstance(entry["takes"], list) or not entry["takes"]:
+            raise ValueError(f"'takes' must be a nonempty list of WAV paths, "
+                             f"got {entry['takes']!r}")
+        return [_entry_path(base, rel) for rel in entry["takes"]]
+    raise ValueError("manifest entry needs a 'plant' path or a 'takes' list")
+
+
+def _subject_recordings(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -> tuple:
     """``(n_takes, recording)`` of one subject, ``recording`` mapping a
     take index to its samples.  Its input files are read and checked
     here, before any take runs.  A plant's noiseless recording is
     simulated once; each take adds its own seeded noise to it on its
     worker thread."""
-    if isinstance(entry, dict) and "plant" in entry:
-        plant = _read_input(_entry_path(manifest_path, sid, entry["plant"]),
-                            lambda data: _plant(_json(data), cfg), sid)
+    if isinstance(entry, Path):
+        plant = _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
         clean = simulate_measurement(excitation, plant, cfg.repeats)
 
         def recording(take):
             rng = np.random.default_rng([cfg.seed, sidx, take])
             return add_noise(clean, cfg.noise_rms, rng)
         return cfg.takes, recording
-    if isinstance(entry, dict) and "takes" in entry:
-        if not isinstance(entry["takes"], list) or not entry["takes"]:
-            raise InputError(
-                f"subject {sid!r}: 'takes' must be a nonempty list of WAV paths, "
-                f"got {entry['takes']!r}"
-            )
-        wavs = [
-            _read_input(_entry_path(manifest_path, sid, rel),
-                        lambda buf: _parse_wav(buf, cfg.sample_rate), sid)
-            for rel in entry["takes"]
-        ]
-        return len(wavs), wavs.__getitem__
-    raise InputError(
-        f"subject {sid!r}: manifest entry needs a 'plant' path or a 'takes' list"
-    )
+    wavs = [_read_input(path, lambda buf: _parse_wav(buf, cfg.sample_rate), sid)
+            for path in entry]
+    return len(wavs), wavs.__getitem__
 
 
 def cmd_acoustic(args) -> dict:
@@ -363,8 +369,9 @@ def cmd_acoustic(args) -> dict:
                              cfg.sample_rate)
     except ValueError as exc:
         raise InputError(f"invalid config: {exc}") from None
-    manifest_path = Path(args.manifest)
-    subjects = _read_input(manifest_path, _manifest_subjects)
+    manifest = Path(args.manifest)
+    subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
+                                                                     _acoustic_entry))
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
@@ -374,8 +381,7 @@ def cmd_acoustic(args) -> dict:
     # take's error, and every take ends before the next subject is read.
     with ThreadPoolExecutor(_workers()) as pool:
         for sidx, (sid, entry) in enumerate(subjects.items()):
-            n_takes, recording = _subject_recordings(manifest_path, sidx, sid, entry, cfg,
-                                                     excitation)
+            n_takes, recording = _subject_recordings(sidx, sid, entry, cfg, excitation)
             feats = pool.map(functools.partial(_take_feature, cfg, excitation, recording),
                              range(n_takes))
             all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))

@@ -48,37 +48,6 @@ class Ellipse:
     conic: tuple
 
 
-def conic_to_geometric(conic) -> Ellipse:
-    """Decompose a general conic 6-vector into geometric parameters.
-
-    The center solves the gradient-zero condition of the quadratic form;
-    axes and orientation come from its eigendecomposition.  Raises
-    :class:`EllipseFitError` unless the conic has a real elliptic locus
-    (4AC - B^2 > 0 and negative value at the center).
-    """
-    A, B, C, D, E, F = (float(v) for v in np.asarray(conic, dtype=np.float64))
-    disc = 4.0 * A * C - B * B
-    if disc <= 0:
-        raise EllipseFitError(f"conic is not an ellipse (4AC - B^2 = {disc:g})")
-    cx = (B * E - 2.0 * C * D) / disc
-    cy = (B * D - 2.0 * A * E) / disc
-    # conic value at the center; must be negative for a real locus
-    fc = F + (D * cx + E * cy) / 2.0
-    quad = np.array([[A, B / 2.0], [B / 2.0, C]])
-    evals, evecs = np.linalg.eigh(quad)
-    if evals[0] <= 0 or fc >= 0:
-        raise EllipseFitError("conic has no real elliptic locus")
-    # ascending eigenvalues give descending axes: semi-major first
-    axes = np.sqrt(-fc / evals)
-    angle = float(np.arctan2(evecs[1, 0], evecs[0, 0])) % np.pi
-    return Ellipse(
-        center=(cx, cy),
-        axes=(float(axes[0]), float(axes[1])),
-        angle=angle,
-        conic=(A, B, C, D, E, F),
-    )
-
-
 def fit_ellipse(points: np.ndarray) -> Ellipse:
     """Fit an ellipse to scattered 2D points, shape (n, 2), n >= 5.
 
@@ -95,12 +64,25 @@ def fit_ellipse(points: np.ndarray) -> Ellipse:
         raise EllipseFitError(f"need at least 5 points to fit an ellipse, got {pts.shape[0]}")
     if not np.isfinite(pts).all():
         raise EllipseFitError("points contain non-finite coordinates")
-    conics, _ = fit_conics(pts, [len(pts)])
+    conics, centers = fit_conics(pts, [len(pts)])
     if np.isnan(conics[0, 0]):
         raise EllipseFitError(
             "no ellipse fits these points (coincident, collinear or not elliptic)"
         )
-    return conic_to_geometric(conics[0])
+    A, B, C, D, E, F = conics[0].tolist()
+    cx, cy = centers[0].tolist()
+    # fit_conics keeps a conic only with A > 0, 4AC - B^2 > 0 and a
+    # negative value at its center, so both eigenvalues of the quadratic
+    # form are positive and both axes are real
+    evals, evecs = np.linalg.eigh(np.array([[A, B / 2.0], [B / 2.0, C]]))
+    # ascending eigenvalues give descending axes: semi-major first
+    axes = np.sqrt(-(F + (D * cx + E * cy) / 2.0) / evals)
+    return Ellipse(
+        center=(cx, cy),
+        axes=(float(axes[0]), float(axes[1])),
+        angle=float(np.arctan2(evecs[1, 0], evecs[0, 0])) % np.pi,
+        conic=(A, B, C, D, E, F),
+    )
 
 
 def _by_slice(rows) -> np.ndarray:
@@ -213,9 +195,9 @@ def fit_conics(xy, counts) -> tuple:
     conic = conic[ok] / np.sqrt(norm[ok])[:, None]
     conic[conic[:, 0] < 0] *= -1.0
 
-    # center and real-locus test of conic_to_geometric, in closed form:
-    # with A > 0 and 4AC - B^2 > 0 both eigenvalues of the quadratic
-    # form are positive
+    # center, and the real-locus test: with A > 0 and 4AC - B^2 > 0 both
+    # eigenvalues of the quadratic form are positive, so the locus is a
+    # real ellipse exactly when the conic is negative at the center
     A, B, C, D, E, F = conic.T
     disc = 4.0 * A * C - B * B
     cx = (B * E - 2.0 * C * D) / disc

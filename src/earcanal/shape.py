@@ -179,10 +179,8 @@ def shape_similarity(a: ShapeCenterFn, b: ShapeCenterFn,
 
 def shape_similarity_matrix(subjects, grid_size: int = DEFAULTS.theta_samples):
     """Pairwise rotation-maximized similarity for ``(id, ShapeCenterFn)``
-    pairs."""
+    pairs; :class:`SimilarityMatrix` rejects duplicate ids."""
     ids = [sid for sid, _ in subjects]
-    if len(ids) != len(set(ids)):
-        raise ValueError("duplicate subject ids")
     if len(ids) < 2:
         raise ValueError("need at least 2 subjects for a similarity matrix")
     phi = _similarities([t for _, t in subjects], grid_size)[0]

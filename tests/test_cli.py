@@ -849,8 +849,9 @@ def test_malformed_subject_inputs_exit_two(tmp_path, capsys, command, files, ent
     code = main([command, "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
     assert code == 2
     err = capsys.readouterr().err
-    # a plant file is named by the reader; a manifest entry by its subject
-    head = "error: subject 'odd_one': "
+    # a plant file is named by the reader with its subject; a manifest
+    # entry by the manifest's reader and its subject
+    head = f"error: cannot parse {manifest}: subject 'odd_one': "
     if files:
         head = f"error: cannot parse {(tmp_path / 'p.json').resolve()} (subject 'odd_one'): "
     assert err.startswith(head) and err.count("\n") == 1
@@ -1045,6 +1046,26 @@ def test_band_and_filter_faults_exit_two_before_any_take(tmp_path, corpus, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: ") and needle in err, err
+    assert simulated == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("last", [5, {"plant": 5}, {"takes": "x.wav"}, {"tap": "x.json"}],
+                         ids=["number", "plant_number", "takes_string", "no_plant_or_takes"])
+def test_malformed_last_entry_exits_two_before_any_take(tmp_path, corpus, capsys, monkeypatch,
+                                                        last):
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_measurement", lambda *a: simulated.append(a))
+    subjects = json.loads((corpus / "acoustic_manifest.json").read_text())["subjects"]
+    assert list(subjects)[-1] == "twin_b"
+    subjects = {sid: {"plant": str(corpus / entry["plant"])} for sid, entry in subjects.items()}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {**subjects, "twin_b": last}}))
+    code = main(["acoustic", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {manifest}: subject 'twin_b': ")
+    assert err.count("\n") == 1
     assert simulated == []
     assert not (tmp_path / "o").exists()
 

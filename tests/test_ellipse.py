@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earcanal import ellipse
-from earcanal.ellipse import EllipseFitError, conic_to_geometric, fit_conics, fit_ellipse
+from earcanal.ellipse import Ellipse, EllipseFitError, fit_conics, fit_ellipse
 
 
 def make_ellipse(center, axes, angle):
-    """Build the reference ellipse directly from geometric parameters."""
+    """The ellipse of the given parameters, ``axes`` semi-major first,
+    with its conic built from them and normalized like the fitter's."""
     a, b = axes
     ca, sa = np.cos(angle), np.sin(angle)
     # conic of the rotated/translated ellipse, then normalize like the fitter
@@ -23,7 +24,8 @@ def make_ellipse(center, axes, angle):
     E = -B * cx - 2 * C * cy
     F = A * cx**2 + B * cx * cy + C * cy**2 - 1
     conic = np.array([A, B, C, D, E, F]) / np.sqrt(4 * A * C - B * B)
-    return conic_to_geometric(conic)
+    return Ellipse((float(cx), float(cy)), (float(a), float(b)), float(angle),
+                   tuple(conic.tolist()))
 
 
 def sample(e, n=64, rng=None):
@@ -49,34 +51,16 @@ def assert_same_ellipse(got, center, axes, angle, tol=1e-9):
         assert min(delta, np.pi - delta) < tol
 
 
-def test_unit_circle_conic():
-    # x^2 + y^2 - 1 = 0, already satisfying 4AC - B^2 = 4
-    e = conic_to_geometric([0.5, 0.0, 0.5, 0.0, 0.0, -0.5])
-    assert e.center == (0.0, 0.0)
-    np.testing.assert_allclose(e.axes, (1.0, 1.0), rtol=1e-15)
-
-
-def test_shifted_circle_conic():
-    # (x - 2)^2 + (y + 1)^2 = 4  ->  x^2 + y^2 - 4x + 2y + 1 = 0
-    e = conic_to_geometric(np.array([1.0, 0.0, 1.0, -4.0, 2.0, 1.0]) / 2.0)
-    np.testing.assert_allclose(e.center, (2.0, -1.0), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(e.axes, (2.0, 2.0), rtol=1e-14)
-
-
 def test_axis_aligned_ellipse_conic():
-    # x^2/9 + y^2/4 = 1
-    e = make_ellipse((0.0, 0.0), (3.0, 2.0), 0.0)
-    assert_same_ellipse(e, (0.0, 0.0), (3.0, 2.0), 0.0, tol=1e-13)
+    # x^2/4 + y^2/9 = 1, its major axis along y: the fit still gives the
+    # semi-major axis first, at angle pi/2
+    t = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    e = fit_ellipse(np.column_stack([2.0 * np.cos(t), 3.0 * np.sin(t)]))
+    assert_same_ellipse(e, (0.0, 0.0), (3.0, 2.0), np.pi / 2, tol=1e-13)
     assert e.axes[0] >= e.axes[1]
-
-
-def test_non_elliptic_conics_rejected():
-    with pytest.raises(EllipseFitError):
-        conic_to_geometric([1.0, 0.0, -1.0, 0.0, 0.0, -1.0])  # hyperbola
-    with pytest.raises(EllipseFitError):
-        conic_to_geometric([1.0, 2.0, 1.0, 0.0, 1.0, 0.0])  # parabola
-    with pytest.raises(EllipseFitError):
-        conic_to_geometric([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])  # empty locus
+    # 36 (x^2/4 + y^2/9 - 1), scaled so that 4AC - B^2 = 1
+    np.testing.assert_allclose(e.conic, np.array([9.0, 0.0, 4.0, 0.0, 0.0, -36.0]) / 12.0,
+                               rtol=0, atol=1e-13)
 
 
 def test_exact_fit_recovers_parameters():
@@ -180,12 +164,6 @@ def test_degenerate_inputs_rejected():
         fit_ellipse(np.zeros((6, 3)))
 
 
-def test_conic_form_round_trip():
-    e = make_ellipse((1.0, 2.0), (2.0, 1.0), 0.5)
-    again = conic_to_geometric(e.conic)
-    np.testing.assert_allclose(again.center, e.center, rtol=1e-12)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     cx=st.floats(-50, 50),
@@ -207,7 +185,8 @@ def test_fit_recovers_random_ellipses(cx, cy, a, ratio, angle, n):
 
 def reference_fit_ellipse(points):
     """The per-slice fit that :func:`fit_conics` replaced: scatter
-    matrices from matrix products, one 3x3 solve and eigenproblem."""
+    matrices from matrix products, one 3x3 solve and eigenproblem.
+    Returns ``(conic, center)``, the center in closed form."""
     pts = np.asarray(points, dtype=np.float64)
     mx, my = pts.mean(axis=0)
     x = pts[:, 0] - mx
@@ -257,7 +236,12 @@ def reference_fit_ellipse(points):
     conic /= np.sqrt(norm)
     if conic[0] < 0:
         conic = -conic
-    return conic_to_geometric(conic)
+    A, B, C, D, E, F = conic
+    disc = 4.0 * A * C - B * B
+    center = np.array([B * E - 2.0 * C * D, B * D - 2.0 * A * E]) / disc
+    if F + (D * center[0] + E * center[1]) / 2.0 >= 0:
+        raise EllipseFitError("conic has no real elliptic locus")
+    return conic, center
 
 
 def mixed_slices(seed):
@@ -302,12 +286,12 @@ def test_batch_matches_the_per_slice_fit(seed):
     failed = []
     for n, pts in enumerate(slices):
         try:
-            want = reference_fit_ellipse(pts)
+            want_conic, want_center = reference_fit_ellipse(pts)
         except EllipseFitError:
             failed.append(n)
             continue
-        np.testing.assert_allclose(centers[n], want.center, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(conics[n], want.conic, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(centers[n], want_center, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(conics[n], want_conic, rtol=0, atol=1e-9)
     assert np.flatnonzero(np.isnan(centers[:, 0])).tolist() == failed
     assert np.isnan(conics[failed]).all()
     assert len(failed) == 5
@@ -329,8 +313,13 @@ def test_batch_rows_fail_where_fit_ellipse_raises():
     bad[3] = np.nan
     conics, centers = fit_slices([sample(e, 4), np.empty((0, 2)), bad, sample(e, 12)])
     assert np.isnan(centers[:3]).all() and np.isnan(conics[:3]).all()
-    assert_same_ellipse(conic_to_geometric(conics[3]), e.center, e.axes, e.angle)
-    np.testing.assert_array_equal(centers[3], conic_to_geometric(conics[3]).center)
+    for pts in (sample(e, 4), np.empty((0, 2)), bad):
+        with pytest.raises(EllipseFitError):
+            fit_ellipse(pts)
+    fitted = fit_ellipse(sample(e, 12))
+    assert_same_ellipse(fitted, e.center, e.axes, e.angle)
+    np.testing.assert_array_equal(bits(centers[3]), bits(np.array(fitted.center)))
+    np.testing.assert_array_equal(bits(conics[3]), bits(np.array(fitted.conic)))
     # the empty slice shifts no other slice's sums
     alone_conics, alone_centers = fit_conics(sample(e, 12), [12])
     np.testing.assert_array_equal(conics[3], alone_conics[0])
@@ -339,6 +328,38 @@ def test_batch_rows_fail_where_fit_ellipse_raises():
     assert empty_conics.shape == (0, 6) and empty_centers.shape == (0, 2)
     none_conics, _ = fit_conics(np.empty((0, 2)), [0, 0])
     assert none_conics.shape == (2, 6) and np.isnan(none_conics).all()
+
+
+def criterion_3_points(seed):
+    """The 40 points of the acceptance gate's criterion-3 ellipse ``seed``."""
+    rng = np.random.default_rng(seed)
+    cx, cy = rng.uniform(-15.0, 15.0, 2)
+    a = rng.uniform(0.5, 6.0)
+    ecc = 0.97 if seed % 10 == 9 else rng.uniform(0.0, 0.97)
+    b = a * np.sqrt(1.0 - ecc**2)
+    angle = rng.uniform(0.0, np.pi)
+    t = rng.uniform(0.0, 2.0 * np.pi, 40)
+    ca, sa = np.cos(angle), np.sin(angle)
+    px, py = a * np.cos(t), b * np.sin(t)
+    return np.column_stack([cx + ca * px - sa * py, cy + sa * px + ca * py])
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_ellipse_is_its_row_of_fit_conics():
+    point_sets = [criterion_3_points(s) for s in range(100)]
+    point_sets += [pts for seed in range(4) for pts in mixed_slices(seed)]
+    raised = 0
+    for pts in point_sets:
+        conics, centers = fit_conics(pts, [len(pts)])
+        try:
+            fitted = fit_ellipse(pts)
+        except EllipseFitError:
+            raised += 1
+            assert np.isnan(conics).all() and np.isnan(centers).all()
+            continue
+        np.testing.assert_array_equal(bits(np.array(fitted.center)), bits(centers[0]))
+        np.testing.assert_array_equal(bits(np.array(fitted.conic)), bits(conics[0]))
+    assert raised == 4 * 5
 
 
 def test_slices_of_fewer_than_five_points_get_no_fit():

@@ -429,6 +429,12 @@ def test_matrix_rejects_bad_subject_lists():
         shape_similarity_matrix([("a", a)])
 
 
+def test_duplicate_ids_raise_the_matrix_error():
+    a, b = spiral_track(rate=0.2), spiral_track(rate=0.3)
+    with pytest.raises(ValueError, match="^duplicate subject ids$"):
+        shape_similarity_matrix([("a", a), ("b", b), ("a", b)])
+
+
 def mirrored_grid(grid_size):
     """Step and rotation-grid trig, cos symmetric and sin antisymmetric
     bit for bit, as the similarity builds them."""
