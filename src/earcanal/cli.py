@@ -273,15 +273,6 @@ def _plant(plant_spec, cfg: PipelineConfig) -> np.ndarray:
     generator.  Its length is checked against one excitation period
     before anything of that length is made, and its taps' absolute sum
     against ``MAX_LEVEL``, which keeps the acoustic chain finite."""
-    period = 2**cfg.mls_order - 1
-
-    def check_length(n_taps: int) -> None:
-        if n_taps > period:
-            raise ValueError(
-                f"{n_taps} taps exceed one excitation period "
-                f"({period} samples at mls_order {cfg.mls_order})"
-            )
-
     if isinstance(plant_spec, dict) and "taps" in plant_spec:
         taps = plant_spec["taps"]
         if set(plant_spec) != {"taps"}:
@@ -290,14 +281,17 @@ def _plant(plant_spec, cfg: PipelineConfig) -> np.ndarray:
         numbers = isinstance(taps, list) and all(type(v) in (int, float) for v in taps)
         if not numbers or not taps:
             raise ValueError("taps must be a nonempty list of numbers")
-        check_length(len(taps))
-        h = np.array(taps, dtype=np.float64)
+        gen, n_taps = None, len(taps)
     elif isinstance(plant_spec, dict) and plant_spec.get("schema") == "plant/1":
         gen = PlantGenerator.from_dict(plant_spec)
-        check_length(gen.tap_count)
-        h = generate_plant(gen, cfg.sample_rate)
+        n_taps = gen.tap_count
     else:
         raise ValueError("plant JSON must hold either 'taps' or a 'plant/1' generator")
+    period = 2**cfg.mls_order - 1
+    if n_taps > period:
+        raise ValueError(f"{n_taps} taps exceed one excitation period "
+                         f"({period} samples at mls_order {cfg.mls_order})")
+    h = np.array(taps, dtype=np.float64) if gen is None else generate_plant(gen, cfg.sample_rate)
     # each tap is bounded first, so the sum of up to 2**24 cannot overflow
     mags = np.abs(h)
     if not ((mags <= MAX_LEVEL).all() and mags.sum() <= MAX_LEVEL):
@@ -344,14 +338,13 @@ def _acoustic_entry(base: Path, entry):
 
 
 def _subject_recordings(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -> tuple:
-    """``(n_takes, recording)`` of one subject, ``recording`` mapping a
-    take index to its samples.  Its input files are read and checked
-    here, before any take runs.  A plant's noiseless recording is
-    simulated once; each take adds its own seeded noise to it on its
-    worker thread."""
-    if isinstance(entry, Path):
-        plant = _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
-        clean = simulate_measurement(excitation, plant, cfg.repeats)
+    """``(n_takes, recording)`` of one subject whose ``entry`` is its
+    checked plant taps or its WAV paths, ``recording`` mapping a take
+    index to its samples.  A plant's noiseless recording is simulated
+    once; each take adds its own seeded noise to it on its worker
+    thread.  WAV takes are read and checked here, before any take runs."""
+    if isinstance(entry, np.ndarray):
+        clean = simulate_measurement(excitation, entry, cfg.repeats)
 
         def recording(take):
             rng = np.random.default_rng([cfg.seed, sidx, take])
@@ -372,6 +365,9 @@ def cmd_acoustic(args) -> dict:
     manifest = Path(args.manifest)
     subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
                                                                      _acoustic_entry))
+    # every plant is read and checked before the first take
+    subjects = {sid: _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
+                if isinstance(entry, Path) else entry for sid, entry in subjects.items()}
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar, get_type_hints
 
@@ -82,7 +83,8 @@ class Record:
     fields, rejects any other unknown key and reads JSON lists as tuples.
     Each field is checked against its annotation on construction: a
     float field also takes an int (JSON has one number type), a bool is
-    never a number, and a tuple field must hold numbers.
+    never a number, a tuple field must hold numbers, and no float may be
+    infinite or NaN, as ``json`` reads ``Infinity``, ``NaN`` and ``1e400``.
     """
 
     schema: ClassVar[str]
@@ -98,6 +100,9 @@ class Record:
                 )
             if expected is tuple and not all(_is_a(v, (int, float)) for v in value):
                 raise TypeError(f"{f.name} must hold numbers, got {value!r}")
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in (value if expected is tuple else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         return {"schema": self.schema, **asdict(self)}

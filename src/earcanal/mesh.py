@@ -261,23 +261,22 @@ def _parse_binary_stl(data: bytes) -> TriangleMesh:
 
 
 def parse_stl(data: bytes) -> TriangleMesh:
-    """Parse STL file content, auto-detecting binary vs ASCII.
-
-    Coordinates are taken as millimeters with no rescaling.  Binary and
-    ASCII encodings of the same geometry parse to the same triangle set.
-    Raises :class:`StlParseError` on truncation, a triangle count that
-    disagrees with the payload length, or non-numeric ASCII tokens.
+    """Parse STL file content: binary when it is exactly 84 + 50·n bytes,
+    n the triangle count at byte 80, whatever its header says; else ASCII
+    when it starts with ``solid`` (after whitespace, in any letter case).
+    Coordinates are millimeters, not rescaled; binary and ASCII copies of
+    one geometry parse to the same triangles.  Raises
+    :class:`StlParseError` on truncation, a triangle count that disagrees
+    with the file's size, or non-numeric ASCII tokens.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_stl expects raw file bytes")
     data = bytes(data)
+    facets = len(data) - _BINARY_HEADER_LEN - 4  # bytes after the header and the count
+    if facets >= 0 and facets == _FACET_DTYPE.itemsize * int.from_bytes(data[80:84], "little"):
+        return _parse_binary_stl(data)
     start = _LEADING_SPACE.match(data).end()
-    head = data[start : start + 5].lower()
-    # binary files may legally start with 'solid' inside the 80-byte header,
-    # so 'solid' alone is not enough -- require an ASCII structure word too,
-    # in any letter case.  Blocks overlap by 7 bytes, so no word is split.
-    blocks = (data[i : i + _LOWER_BLOCK + 7].lower() for i in range(0, len(data), _LOWER_BLOCK))
-    if head == b"solid" and any(b"facet" in b or b"endsolid" in b for b in blocks):
+    if data[start : start + 5].lower() == b"solid":
         return _parse_ascii_stl(data)
     return _parse_binary_stl(data)
 

@@ -570,6 +570,11 @@ MALFORMED_STL = {
                               "184 bytes"),
     "ascii_bad_keyword": (ONE_FACET_STL.replace("outer loop", "outer lop").encode(),
                           "expected 'loop' in ASCII STL, got 'lop'"),
+    # not 84 + 50·n bytes and starting with 'solid', so it is read as ASCII
+    "solid_header_truncated_binary": (
+        b"solid" + ONE_FACET_BINARY[5:124],
+        "ASCII STL contains non-ASCII bytes: 'ascii' codec can't decode byte 0x80 in "
+        "position 94: ordinal not in range(128)"),
     # the first vertex's x, after the 84-byte preamble and the facet's normal
     "nan_vertex": (ONE_FACET_BINARY[:96] + struct.pack("<f", np.nan) + ONE_FACET_BINARY[100:],
                    "mesh contains non-finite vertex coordinates"),
@@ -862,25 +867,37 @@ LOUD_PLANT_1 = {"schema": "plant/1", "resonance_frequencies": [5000.0], "q_facto
                 "tap_count": 250}
 
 
+NAN_PLANT_1 = {**LOUD_PLANT_1, "gains": [1.0], "resonance_frequencies": [float("nan")]}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("plant, noise_rms, needle", [
-    ({"taps": [1e308, 1e308]}, 0.5, "subject 'loud'"),
-    ({"taps": [1e200, -1e200]}, 0.5, "subject 'loud'"),
-    ({"taps": [6e99, -4.1e99]}, 0.5, "subject 'loud'"),  # each tap under the bound, the sum over
-    ({**LOUD_PLANT_1, "gains": [1e300]}, 0.5, "subject 'loud'"),
-    ({"taps": [1.0, 0.5]}, 1e200, "noise_rms"),
-    ({"taps": [1.0, 0.5]}, float("inf"), "noise_rms"),
-    ({"taps": [1.0, 0.5]}, float("nan"), "noise_rms"),
+# ``config`` is raw JSON text, since json.dumps writes no number as 1e400
+@pytest.mark.parametrize("plant, config, needle", [
+    ({"taps": [1e308, 1e308]}, '"noise_rms": 0.5', "subject 'loud'"),
+    ({"taps": [1e200, -1e200]}, '"noise_rms": 0.5', "subject 'loud'"),
+    # each tap under the bound, the sum over
+    ({"taps": [6e99, -4.1e99]}, '"noise_rms": 0.5', "subject 'loud'"),
+    ({**LOUD_PLANT_1, "gains": [1e300]}, '"noise_rms": 0.5', "subject 'loud'"),
+    ({"taps": [1.0, 0.5]}, '"noise_rms": 1e200', "noise_rms"),
+    ({"taps": [1.0, 0.5]}, '"noise_rms": Infinity', "noise_rms"),
+    ({"taps": [1.0, 0.5]}, '"noise_rms": NaN', "noise_rms"),
+    ({"taps": [1.0, 0.5]}, '"delta_z": NaN', "delta_z must be finite"),
+    ({"taps": [1.0, 0.5]}, '"delta_z": Infinity', "delta_z must be finite"),
+    ({"taps": [1.0, 0.5]}, '"delta_z": 1e400', "delta_z must be finite"),
+    ({"taps": [1.0, 0.5]}, '"band_low_hz": NaN', "band_low_hz must be finite"),
+    ({"taps": [1.0, 0.5]}, '"band_high_hz": NaN', "band_high_hz must be finite"),
+    (NAN_PLANT_1, '"noise_rms": 0.5', "subject 'loud'): resonance_frequencies must be finite"),
 ], ids=["taps_1e308", "taps_1e200", "taps_sum", "plant_gains_1e300", "noise_1e200",
-        "noise_infinity", "noise_nan"])
-def test_finite_but_huge_inputs_exit_two(tmp_path, capsys, plant, noise_rms, needle):
+        "noise_infinity", "noise_nan", "delta_z_nan", "delta_z_infinity", "delta_z_1e400",
+        "band_low_nan", "band_high_nan", "plant_frequency_nan"])
+def test_finite_but_huge_inputs_exit_two(tmp_path, capsys, plant, config, needle):
     (tmp_path / "p.json").write_text(json.dumps(plant))
     (tmp_path / "ok.json").write_text(json.dumps({"taps": [1.0, -0.5]}))
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"subjects": {"ok": {"plant": "ok.json"},
                                                  "loud": {"plant": "p.json"}}}))
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**FAST, "mls_order": 8, "noise_rms": noise_rms}))
+    cfg.write_text(json.dumps({**FAST, "mls_order": 8})[:-1] + f", {config}}}")
     code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 2
@@ -1065,6 +1082,28 @@ def test_malformed_last_entry_exits_two_before_any_take(tmp_path, corpus, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot parse {manifest}: subject 'twin_b': ")
+    assert err.count("\n") == 1
+    assert simulated == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("plant", [{"taps": "12"}, {**PLANT_OK, "tap_count": 10**6}],
+                         ids=["taps_string", "longer_than_period"])
+def test_malformed_last_plant_exits_two_before_any_take(tmp_path, corpus, capsys, monkeypatch,
+                                                        plant):
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_measurement", lambda *a: simulated.append(a))
+    subjects = json.loads((corpus / "acoustic_manifest.json").read_text())["subjects"]
+    assert list(subjects)[-1] == "twin_b"
+    subjects = {sid: {"plant": str(corpus / entry["plant"])} for sid, entry in subjects.items()}
+    (tmp_path / "p.json").write_text(json.dumps(plant))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {**subjects, "twin_b": {"plant": "p.json"}}}))
+    code = main(["acoustic", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {(tmp_path / 'p.json').resolve()} "
+                          "(subject 'twin_b'): ")
     assert err.count("\n") == 1
     assert simulated == []
     assert not (tmp_path / "o").exists()

@@ -56,9 +56,14 @@ def test_binary_header_starting_with_solid_is_still_binary():
     mesh = random_mesh(3)
     # craft the header by hand; the writer's own header is not 'solid'
     body = write_binary_stl(mesh)
-    data = b"solid-ish binary header".ljust(80, b"\0") + body[80:]
-    parsed = parse_stl(data)
-    np.testing.assert_array_equal(parsed.vertices, mesh.vertices)
+    want = parse_stl(body)
+    printable = np.random.default_rng(4).integers(0x20, 0x7F, 75, dtype=np.uint8).tobytes()
+    # a binary file is its size, whatever structure words its header holds
+    for header in (b"solid-ish binary header", b"solid part, 4800 facets",
+                   b"SOLID exported FACET by FACET endsolid", b"solid" + printable):
+        parsed = parse_stl(header.ljust(80, b"\0") + body[80:])
+        assert parsed.vertices.tobytes() == want.vertices.tobytes(), header
+        assert parsed.normals.tobytes() == want.normals.tobytes(), header
 
 
 @pytest.mark.parametrize("header", [b"SOLID binary header", b"Solid"])
@@ -81,10 +86,20 @@ def test_ascii_detection_ignores_letter_case(case):
 
 @pytest.mark.parametrize("start", [65529, 65532, 65535, 65536])
 def test_a_structure_word_across_a_lower_case_block_boundary_is_found(start):
-    # the word's only occurrence starts at byte ``start``, next to a 64 KiB boundary
+    # the file is not 84 + 50·n bytes long and starts with 'solid', so it
+    # is ASCII; its one structure word starts at byte ``start``, next to a
+    # 64 KiB boundary
     data = b"solid " + b"n" * (start - 7) + b" EndSolid"
     with pytest.raises(StlParseError, match="ASCII STL contains no facets"):
         parse_stl(data)
+
+
+def test_short_solid_files_are_ascii_at_every_length():
+    # below 84 bytes no file is binary by its size, and from 84 on these
+    # spaces declare 0x20202020 facets, so each is an empty ASCII solid
+    for n in range(19, 121):
+        with pytest.raises(StlParseError, match="^ASCII STL contains no facets$"):
+            parse_stl(b"solid a\nendsolid a\n".ljust(n))
 
 
 def test_writer_header_does_not_start_with_solid():
