@@ -8,6 +8,12 @@ convolution, its tail folded onto the period and tiled, and the
 correlation with an m-sequence is a Walsh-Hadamard transform between two
 fixed permutations, computed with additions only (Cohn & Lempel, IEEE
 Trans. Inf. Theory 23(1), 1977; Borish & Angell, JAES 31(7), 1983).
+A simulated take never holds its whole recording: every steady period of
+a plant is the same, so :func:`noisy_period_mean` draws a take's noise
+one period at a time onto that one period and adds it into a running
+sum, bit for bit the average :func:`recover_impulse_response` takes of
+the whole noisy recording, and :func:`correlate_period` correlates the
+average.
 The recovered response is then reduced to a comparable feature: leading
 dead time is trimmed, the minimum-phase equivalent is taken (a canal
 response is minimum phase, and this removes residual alignment
@@ -163,8 +169,10 @@ def simulate_measurement(
     period, tiled ``repeats`` times.
     The recording is noiseless; :func:`add_noise` then models the
     microphone chain.  Takes of one plant differ only in their noise, so
-    a caller simulating many takes computes the recording once and adds
-    each take's noise to it.
+    a caller simulating many takes keeps one steady period,
+    ``simulate_measurement(excitation, plant, 1)[excitation.length:]``,
+    and averages each take's noisy copies of it with
+    :func:`noisy_period_mean`.
     """
     h = np.asarray(plant, dtype=np.float64)
     length = excitation.length
@@ -201,6 +209,73 @@ def add_noise(recording: np.ndarray, noise_rms: float, rng) -> np.ndarray:
     return noisy
 
 
+def noisy_period_mean(
+    steady: np.ndarray, noise_rms: float, rng, repeats: int
+) -> np.ndarray:
+    """Bit for bit, the mean of the last ``repeats`` periods of
+    ``add_noise(np.tile(steady, repeats + 1), noise_rms, rng)``, which is
+    the average :func:`recover_impulse_response` takes, without that
+    recording.  The noise is drawn one period at a time, which gives
+    ``rng`` (a seed or Generator) the same normals as one draw, and each
+    noisy period is added in order into a sum that starts at 0, as
+    numpy's mean over the periods adds them.  At most two periods are
+    held.
+    """
+    if noise_rms < 0:
+        raise ValueError("noise_rms must be nonnegative")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    length = steady.shape[0]
+    total = np.zeros(length)
+    if noise_rms == 0:
+        for _ in range(repeats):
+            total += steady
+    else:
+        rng = np.random.default_rng(rng)
+        rng.normal(0.0, noise_rms, size=length)  # the warm-up period's noise
+        for _ in range(repeats):
+            period = rng.normal(0.0, noise_rms, size=length)
+            period += steady
+            total += period
+            del period  # freed before the next period is drawn
+    total /= repeats
+    return total
+
+
+def correlate_period(period: np.ndarray, excitation: ExcitationSignal) -> np.ndarray:
+    """The plant impulse response from one averaged steady period.
+
+    Circular cross-correlation with the excitation inverts the
+    convolution.  It is a fast Walsh-Hadamard transform: the period is
+    scattered into a ``2**order`` buffer by the excitation's column
+    permutation, transformed one bit per stage with additions and
+    subtractions, and gathered by its row permutation (Cohn & Lempel,
+    IEEE Trans. Inf. Theory 23(1), 1977; Borish & Angell, JAES 31(7),
+    1983).  A +1 sample is bit 1, which the transform counts as -1,
+    hence the sign of the scale.  Because the MLS autocorrelation's
+    off-peak value is -1 rather than 0, the correlation scaled by
+    1/(length+1) recovers every tap offset by -sum(h)/(length+1); the
+    offset is removed exactly by adding the sum of the biased estimate
+    (the bias makes that sum equal sum(h)/(length+1)).  Raises
+    ValueError if the excitation is not an m-sequence.
+    """
+    length = excitation.length
+    if period.shape != (length,):
+        raise ValueError(f"period of shape {period.shape}, need ({length},)")
+    cols, rows = excitation._hadamard_permutations
+    a = np.zeros(length + 1)
+    a[cols] = period
+    # constant-geometry stages: each transforms the lowest index bit and
+    # rotates it to the top, so after ``order`` stages the order is natural
+    b, half = np.empty_like(a), a.shape[0] // 2
+    for _ in range(excitation.order):
+        np.add(a[0::2], a[1::2], out=b[:half])
+        np.subtract(a[0::2], a[1::2], out=b[half:])
+        a, b = b, a
+    corr = a[rows] * (-1.0 / (length + 1))
+    return corr + corr.sum()
+
+
 def recover_impulse_response(
     recorded: np.ndarray,
     excitation: ExcitationSignal,
@@ -210,20 +285,9 @@ def recover_impulse_response(
 
     The first period is discarded as warm-up; the remaining ``repeats``
     periods are averaged sample-wise (synchronous addition, suppressing
-    uncorrelated noise by 1/sqrt(repeats)); circular cross-correlation
-    with the excitation then inverts the convolution.  The correlation is
-    a fast Walsh-Hadamard transform: the average is scattered into a
-    ``2**order`` buffer by the excitation's column permutation,
-    transformed one bit per stage with additions and subtractions, and
-    gathered by its row permutation (Cohn & Lempel, IEEE Trans. Inf.
-    Theory 23(1), 1977; Borish & Angell, JAES 31(7), 1983).  A +1 sample
-    is bit 1, which the transform counts as -1, hence the sign of the
-    scale.  Because the MLS autocorrelation's off-peak value is -1 rather
-    than 0, the correlation scaled by 1/(length+1) recovers every tap
-    offset by -sum(h)/(length+1); the offset is removed exactly by adding
-    the sum of the biased estimate (the bias makes that sum equal
-    sum(h)/(length+1)).  Raises ValueError if the excitation is not an
-    m-sequence.
+    uncorrelated noise by 1/sqrt(repeats)); :func:`correlate_period`
+    then inverts the convolution.  Raises ValueError if the excitation is
+    not an m-sequence.
     """
     rec = np.asarray(recorded, dtype=np.float64)
     length = excitation.length
@@ -235,18 +299,7 @@ def recover_impulse_response(
             f"recording holds {rec.shape[0]} samples, need at least {need} "
             f"({repeats + 1} periods of {length})"
         )
-    cols, rows = excitation._hadamard_permutations
-    a = np.zeros(length + 1)
-    a[cols] = rec[length:need].reshape(repeats, length).mean(axis=0)
-    # constant-geometry stages: each transforms the lowest index bit and
-    # rotates it to the top, so after ``order`` stages the order is natural
-    b, half = np.empty_like(a), a.shape[0] // 2
-    for _ in range(excitation.order):
-        np.add(a[0::2], a[1::2], out=b[:half])
-        np.subtract(a[0::2], a[1::2], out=b[half:])
-        a, b = b, a
-    corr = a[rows] * (-1.0 / (length + 1))
-    return corr + corr.sum()
+    return correlate_period(rec[length:need].reshape(repeats, length).mean(axis=0), excitation)
 
 
 def trim_pre_rise(

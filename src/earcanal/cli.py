@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import inspect
 import json
 import logging
@@ -39,9 +38,10 @@ import numpy as np
 
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
-    add_noise,
     butterworth_bandpass,
+    correlate_period,
     generate_mls,
+    noisy_period_mean,
     recover_impulse_response,
     response_feature,
     simulate_measurement,
@@ -160,9 +160,9 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _parse_wav(buf: bytes, expected_rate: int) -> np.ndarray:
-    """The samples, divided by 32768, of the first data chunk of a mono
-    16-bit PCM RIFF/WAVE file recorded at ``expected_rate``.
+def _wav_pcm(buf: bytes, expected_rate: int) -> np.ndarray:
+    """The 16-bit samples, a view of ``buf``, of the first data chunk of
+    a mono 16-bit PCM RIFF/WAVE file recorded at ``expected_rate``.
 
     Chunks other than ``fmt `` and ``data`` are skipped, together with
     the pad byte that follows a chunk of odd size.  A
@@ -204,7 +204,12 @@ def _parse_wav(buf: bytes, expected_rate: int) -> np.ndarray:
         raise ValueError(
             f"expected 16-bit PCM, got format {tag:#06x}, {bits} bits in {align}-byte blocks"
         )
-    return np.frombuffer(body, "<i2", count=len(body) // 2).astype(np.float64) / 32768.0
+    return np.frombuffer(body, "<i2", count=len(body) // 2)
+
+
+def _parse_wav(buf: bytes, expected_rate: int) -> np.ndarray:
+    """The samples of :func:`_wav_pcm`, divided by 32768."""
+    return _wav_pcm(buf, expected_rate).astype(np.float64) / 32768.0
 
 
 def _publish(out: Path, files: dict) -> None:
@@ -299,16 +304,11 @@ def _plant(plant_spec, cfg: PipelineConfig) -> np.ndarray:
     return h
 
 
-def _take_feature(cfg: PipelineConfig, excitation, recording, take: int):
-    """One take: recording -> impulse response -> feature.
-
-    ``recording`` maps the take index to its samples, so a simulated
-    recording is made on the worker thread and freed once its impulse
-    response is recovered.
-    """
-    raw = recover_impulse_response(recording(take), excitation, cfg.repeats)
+def _take_feature(cfg: PipelineConfig, response, take: int):
+    """One take: impulse response -> feature, ``response`` mapping the
+    take index to its impulse response on the worker thread."""
     return response_feature(
-        raw,
+        response(take),
         trim_threshold=cfg.trim_threshold,
         low_hz=cfg.band_low_hz,
         high_hz=cfg.band_high_hz,
@@ -337,22 +337,23 @@ def _acoustic_entry(base: Path, entry):
     raise ValueError("manifest entry needs a 'plant' path or a 'takes' list")
 
 
-def _subject_recordings(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -> tuple:
-    """``(n_takes, recording)`` of one subject whose ``entry`` is its
-    checked plant taps or its WAV paths, ``recording`` mapping a take
-    index to its samples.  A plant's noiseless recording is simulated
-    once; each take adds its own seeded noise to it on its worker
-    thread.  WAV takes are read and checked here, before any take runs."""
+def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -> tuple:
+    """``(n_takes, response)`` of one subject whose ``entry`` is its
+    checked plant taps or its WAV paths, ``response`` mapping a take
+    index to its impulse response.  A plant's steady period is simulated
+    once; each take averages its own seeded noise onto it, one period at
+    a time.  WAV takes, their headers checked already, are read here."""
     if isinstance(entry, np.ndarray):
-        clean = simulate_measurement(excitation, entry, cfg.repeats)
+        steady = simulate_measurement(excitation, entry, 1)[excitation.length:]
 
-        def recording(take):
+        def response(take):
             rng = np.random.default_rng([cfg.seed, sidx, take])
-            return add_noise(clean, cfg.noise_rms, rng)
-        return cfg.takes, recording
+            return correlate_period(noisy_period_mean(steady, cfg.noise_rms, rng, cfg.repeats),
+                                    excitation)
+        return cfg.takes, response
     wavs = [_read_input(path, lambda buf: _parse_wav(buf, cfg.sample_rate), sid)
             for path in entry]
-    return len(wavs), wavs.__getitem__
+    return len(wavs), lambda take: recover_impulse_response(wavs[take], excitation, cfg.repeats)
 
 
 def cmd_acoustic(args) -> dict:
@@ -365,22 +366,36 @@ def cmd_acoustic(args) -> dict:
     manifest = Path(args.manifest)
     subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
                                                                      _acoustic_entry))
-    # every plant is read and checked before the first take
-    subjects = {sid: _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
-                if isinstance(entry, Path) else entry for sid, entry in subjects.items()}
+    # every plant is read and checked, and every WAV take's header, before
+    # the first take; a WAV's samples are read on its subject's turn
+    for sid, entry in subjects.items():
+        if isinstance(entry, Path):
+            subjects[sid] = _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
+        else:
+            for path in entry:
+                _read_input(path, lambda buf: _wav_pcm(buf, cfg.sample_rate), sid)
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
     # numpy's FFTs and ufuncs release the GIL, so takes run in parallel,
-    # on one pool for the whole run.  Subjects go one after another: map
-    # yields a subject's takes in order and re-raises the first failing
-    # take's error, and every take ends before the next subject is read.
-    with ThreadPoolExecutor(_workers()) as pool:
+    # on one pool for the whole run.  A subject's takes are submitted as
+    # soon as its steady period or WAV samples exist, and the next
+    # subject's are made while they run, so the pool never waits for a
+    # subject to be read and at most one subject is ahead.  Results are
+    # collected in subject and take order, so the first failing take's
+    # error is the one raised, and the takes not yet started are dropped.
+    pool = ThreadPoolExecutor(_workers())
+    try:
+        running = []
         for sidx, (sid, entry) in enumerate(subjects.items()):
-            n_takes, recording = _subject_recordings(sidx, sid, entry, cfg, excitation)
-            feats = pool.map(functools.partial(_take_feature, cfg, excitation, recording),
-                             range(n_takes))
-            all_feats.extend((sid, take, feat) for take, feat in enumerate(feats))
+            n_takes, response = _subject_responses(sidx, sid, entry, cfg, excitation)
+            submitted = [(sid, take, pool.submit(_take_feature, cfg, response, take))
+                         for take in range(n_takes)]
+            all_feats.extend((s, take, f.result()) for s, take, f in running)
+            running = submitted
+        all_feats.extend((s, take, f.result()) for s, take, f in running)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     files = {}
     for sid, take, feat in all_feats:

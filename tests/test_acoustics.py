@@ -1,5 +1,7 @@
 """MLS measurement chain, feature extraction, and acoustic similarity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from earcanal.acoustics import (
     add_noise,
     applied_band,
     butterworth_bandpass,
+    correlate_period,
     generate_mls,
     minimum_phase,
+    noisy_period_mean,
     normalize_power,
     recover_impulse_response,
     response_feature,
@@ -169,6 +173,29 @@ def test_recovery_needs_enough_periods():
         recover_impulse_response(np.zeros(3 * mls.length - 1), mls, repeats=2)
     with pytest.raises(ValueError):
         recover_impulse_response(np.zeros(4 * mls.length), mls, repeats=0)
+    for period in (np.zeros(1), np.zeros(mls.length + 1), np.zeros((1, mls.length))):
+        with pytest.raises(ValueError, match="period of shape"):
+            correlate_period(period, mls)
+    with pytest.raises(ValueError, match="repeats"):
+        noisy_period_mean(np.zeros(mls.length), 0.1, 0, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        noisy_period_mean(np.zeros(mls.length), -0.1, 0, 2)
+
+
+def test_noise_and_average_peaks_below_one_recording():
+    mls = generate_mls(14)
+    steady = simulate_measurement(mls, ir(0.9 ** np.arange(512)), 1)[mls.length:]
+    repeats = DEFAULTS.repeats
+    # made untraced: the first Generator of a process imports modules
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        noisy_period_mean(steady, 0.5, rng, repeats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the noisy recording that add_noise makes before averaging
+    assert peak < (repeats + 1) * mls.length * 8
 
 
 def test_hadamard_permutations_are_bijections():

@@ -32,7 +32,7 @@ from earcanal.acoustics import (
 )
 from earcanal.analysis import SimilarityMatrix
 from earcanal.cli import main
-from earcanal.config import MAX_LEVEL
+from earcanal.config import MAX_LEVEL, PipelineConfig
 from earcanal.mesh import TriangleMesh, parse_stl, write_binary_stl
 from earcanal.synth import PlantGenerator, generate_plant
 from stl_cases import mutated_stl
@@ -416,6 +416,62 @@ def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
                  "--manifest", str(manifest)])
     assert code == 0
     assert_acoustic_output(out, serial_features(FAST, recordings))
+
+
+@pytest.mark.parametrize("order", [*range(2, 13), 16])
+def test_simulated_takes_are_bitwise_the_whole_recording_path(order):
+    """A take averaged period by period from one steady period recovers
+    the response of the whole noisy recording, byte for byte."""
+    excitation = generate_mls(order)
+    L = excitation.length
+    rng = np.random.default_rng(order)
+    # a short plant, and one that fills the period and so folds its tail
+    plants = [rng.normal(size=min(L, 5)), rng.normal(size=L) * 0.99 ** np.arange(L)]
+    cases = [(repeats, noise_rms, seed)
+             for repeats in range(1, 7) for noise_rms in (0.0, 0.5) for seed in (0, 1, 7)]
+    if order == 16:  # once, at the paper cohort's settings
+        plants, cases = plants[1:], [(5, 0.5, 3)]
+    for plant in plants:
+        for repeats, noise_rms, seed in cases:
+            cfg = PipelineConfig(mls_order=order, repeats=repeats, noise_rms=noise_rms,
+                                 seed=seed, takes=2)
+            n_takes, response = cli._subject_responses(2, "s", plant, cfg, excitation)
+            assert n_takes == 2
+            for take in range(n_takes):
+                recording = add_noise(simulate_measurement(excitation, plant, repeats),
+                                      noise_rms, np.random.default_rng([seed, 2, take]))
+                want = recover_impulse_response(recording, excitation, repeats)
+                assert response(take).tobytes() == want.tobytes(), (len(plant), repeats,
+                                                                    noise_rms, seed, take)
+
+
+def test_at_most_one_subject_is_made_ahead(tmp_path, fast_cfg, corpus, monkeypatch, workers):
+    finished = []  # the subject index of every finished take
+    real_responses, real_feature = cli._subject_responses, cli._take_feature
+
+    def subject_responses(sidx, *args):
+        # every take of every subject before the previous one has finished
+        assert all(finished.count(s) == FAST["takes"] for s in range(sidx - 1)), \
+            (sidx, finished)
+        n_takes, response = real_responses(sidx, *args)
+
+        def tagged(take):
+            return response(take)
+        tagged.sidx = sidx
+        return n_takes, tagged
+
+    def take_feature(cfg, response, take):
+        feat = real_feature(cfg, response, take)
+        finished.append(response.sidx)
+        return feat
+
+    monkeypatch.setattr(cli, "_subject_responses", subject_responses)
+    monkeypatch.setattr(cli, "_take_feature", take_feature)
+    out = tmp_path / "o"
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(out),
+                 "--manifest", str(corpus / "acoustic_manifest.json")])
+    assert code == 0
+    assert sorted(finished) == [s for s in range(4) for _ in range(FAST["takes"])]
 
 
 def test_failing_take_exits_one_and_writes_nothing(tmp_path, fast_cfg, workers, capsys):
@@ -1106,6 +1162,50 @@ def test_malformed_last_plant_exits_two_before_any_take(tmp_path, corpus, capsys
                           "(subject 'twin_b'): ")
     assert err.count("\n") == 1
     assert simulated == []
+    assert not (tmp_path / "o").exists()
+
+
+def malformed_wavs():
+    """{case: bytes} of WAV files the header check refuses."""
+    buf = io.BytesIO()
+    wavfile.write(buf, 44100, np.zeros(64, dtype=np.int16))
+    whole = buf.getvalue()
+    cases = {"not_riff": b"RIFX" + whole[4:], "data_cut": whole[:-10],
+             "no_data_chunk": whole[:36]}
+    for case, rate, samples in (("rate_48000", 48000, np.zeros(64, dtype=np.int16)),
+                                ("stereo", 44100, np.zeros((64, 2), dtype=np.int16)),
+                                ("float32", 44100, np.zeros(64, dtype=np.float32)),
+                                ("pcm_8_bit", 44100, np.zeros(64, dtype=np.uint8))):
+        buf = io.BytesIO()
+        wavfile.write(buf, rate, samples)
+        cases[case] = buf.getvalue()
+    return cases
+
+
+MALFORMED_WAVS = malformed_wavs()
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_WAVS))
+def test_malformed_last_wav_exits_two_before_any_take(tmp_path, corpus, capsys, monkeypatch,
+                                                      case):
+    simulated, taken = [], []
+    monkeypatch.setattr(cli, "simulate_measurement", lambda *a: simulated.append(a))
+    monkeypatch.setattr(cli, "_take_feature", lambda *a: taken.append(a))
+    subjects = json.loads((corpus / "acoustic_manifest.json").read_text())["subjects"]
+    assert list(subjects)[-1] == "twin_b"
+    subjects = {sid: {"plant": str(corpus / entry["plant"])} for sid, entry in subjects.items()}
+    wavfile.write(tmp_path / "good.wav", 44100, np.zeros(64, dtype=np.int16))
+    (tmp_path / "bad.wav").write_bytes(MALFORMED_WAVS[case])
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {
+        **subjects, "twin_b": {"takes": ["good.wav", "bad.wav"]}}}))
+    code = main(["acoustic", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {(tmp_path / 'bad.wav').resolve()} "
+                          "(subject 'twin_b'): "), err
+    assert err.count("\n") == 1
+    assert simulated == [] and taken == []
     assert not (tmp_path / "o").exists()
 
 
