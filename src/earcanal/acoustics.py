@@ -8,12 +8,12 @@ convolution, its tail folded onto the period and tiled, and the
 correlation with an m-sequence is a Walsh-Hadamard transform between two
 fixed permutations, computed with additions only (Cohn & Lempel, IEEE
 Trans. Inf. Theory 23(1), 1977; Borish & Angell, JAES 31(7), 1983).
-A simulated take never holds its whole recording: every steady period of
-a plant is the same, so :func:`noisy_period_mean` draws a take's noise
-one period at a time onto that one period and adds it into a running
-sum, bit for bit the average :func:`recover_impulse_response` takes of
-the whole noisy recording, and :func:`correlate_period` correlates the
-average.
+:func:`period_mean` averages every take's periods, one at a time, so no
+take holds a whole float64 recording: :func:`recover_impulse_response`
+feeds it a recording's period slices, 16-bit samples included, and
+:func:`noisy_period_mean` a simulated take's noisy copies of its plant's
+one steady period, each drawn as it is added.
+:func:`correlate_period` correlates the average.
 The recovered response is then reduced to a comparable feature: leading
 dead time is trimmed, the minimum-phase equivalent is taken (a canal
 response is minimum phase, and this removes residual alignment
@@ -209,37 +209,35 @@ def add_noise(recording: np.ndarray, noise_rms: float, rng) -> np.ndarray:
     return noisy
 
 
+def period_mean(period_at, repeats: int) -> np.ndarray:
+    """The mean of the periods ``period_at(k)``, k < ``repeats``, each
+    made only when it is added.  They are added in order into a float64
+    sum that starts at 0, and the sum is divided by ``repeats``: bit for
+    bit numpy's mean of the stacked periods along axis 0, -0.0 included.
+    """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    total = np.add(0.0, period_at(0), dtype=np.float64)
+    for k in range(1, repeats):
+        total += period_at(k)
+    total /= repeats
+    return total
+
+
 def noisy_period_mean(
     steady: np.ndarray, noise_rms: float, rng, repeats: int
 ) -> np.ndarray:
     """Bit for bit, the mean of the last ``repeats`` periods of
     ``add_noise(np.tile(steady, repeats + 1), noise_rms, rng)``, which is
     the average :func:`recover_impulse_response` takes, without that
-    recording.  The noise is drawn one period at a time, which gives
-    ``rng`` (a seed or Generator) the same normals as one draw, and each
-    noisy period is added in order into a sum that starts at 0, as
-    numpy's mean over the periods adds them.  At most two periods are
-    held.
+    recording.  Each period's noise is drawn by :func:`add_noise` as
+    :func:`period_mean` adds the period, which gives ``rng`` (a seed or
+    Generator) the same normals as one draw; the warm-up period is drawn
+    and dropped.  At most two periods are held.
     """
-    if noise_rms < 0:
-        raise ValueError("noise_rms must be nonnegative")
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
-    length = steady.shape[0]
-    total = np.zeros(length)
-    if noise_rms == 0:
-        for _ in range(repeats):
-            total += steady
-    else:
-        rng = np.random.default_rng(rng)
-        rng.normal(0.0, noise_rms, size=length)  # the warm-up period's noise
-        for _ in range(repeats):
-            period = rng.normal(0.0, noise_rms, size=length)
-            period += steady
-            total += period
-            del period  # freed before the next period is drawn
-    total /= repeats
-    return total
+    rng = np.random.default_rng(rng)
+    add_noise(steady, noise_rms, rng)  # the warm-up period
+    return period_mean(lambda k: add_noise(steady, noise_rms, rng), repeats)
 
 
 def correlate_period(period: np.ndarray, excitation: ExcitationSignal) -> np.ndarray:
@@ -283,13 +281,14 @@ def recover_impulse_response(
 ) -> np.ndarray:
     """Recover the plant impulse response from a repeated-MLS recording.
 
-    The first period is discarded as warm-up; the remaining ``repeats``
-    periods are averaged sample-wise (synchronous addition, suppressing
-    uncorrelated noise by 1/sqrt(repeats)); :func:`correlate_period`
-    then inverts the convolution.  Raises ValueError if the excitation is
-    not an m-sequence.
+    The first period is discarded as warm-up; :func:`period_mean`
+    averages the remaining ``repeats`` period slices sample-wise, one
+    slice at a time and with no float64 copy of the recording
+    (synchronous addition, suppressing uncorrelated noise by
+    1/sqrt(repeats)); :func:`correlate_period` then inverts the
+    convolution.  Raises ValueError if the excitation is not an m-sequence.
     """
-    rec = np.asarray(recorded, dtype=np.float64)
+    rec = np.asarray(recorded)
     length = excitation.length
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -299,7 +298,8 @@ def recover_impulse_response(
             f"recording holds {rec.shape[0]} samples, need at least {need} "
             f"({repeats + 1} periods of {length})"
         )
-    return correlate_period(rec[length:need].reshape(repeats, length).mean(axis=0), excitation)
+    return correlate_period(period_mean(lambda k: rec[(k + 1) * length : (k + 2) * length],
+                                        repeats), excitation)
 
 
 def trim_pre_rise(

@@ -207,11 +207,6 @@ def _wav_pcm(buf: bytes, expected_rate: int) -> np.ndarray:
     return np.frombuffer(body, "<i2", count=len(body) // 2)
 
 
-def _parse_wav(buf: bytes, expected_rate: int) -> np.ndarray:
-    """The samples of :func:`_wav_pcm`, divided by 32768."""
-    return _wav_pcm(buf, expected_rate).astype(np.float64) / 32768.0
-
-
 def _publish(out: Path, files: dict) -> None:
     """Write ``files``, ``{path relative to out: str | bytes}``, into a
     fresh directory beside ``out`` and rename that onto ``out``, absent
@@ -341,8 +336,10 @@ def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -
     """``(n_takes, response)`` of one subject whose ``entry`` is its
     checked plant taps or its WAV paths, ``response`` mapping a take
     index to its impulse response.  A plant's steady period is simulated
-    once; each take averages its own seeded noise onto it, one period at
-    a time.  WAV takes, their headers checked already, are read here."""
+    once; each take averages its own seeded noise onto it.  WAV takes,
+    headers checked already, are read here as 16-bit samples, which each
+    take averages one period at a time; its response is divided by
+    32768, a power of two, so it is exactly that of the samples / 32768."""
     if isinstance(entry, np.ndarray):
         steady = simulate_measurement(excitation, entry, 1)[excitation.length:]
 
@@ -351,9 +348,10 @@ def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -
             return correlate_period(noisy_period_mean(steady, cfg.noise_rms, rng, cfg.repeats),
                                     excitation)
         return cfg.takes, response
-    wavs = [_read_input(path, lambda buf: _parse_wav(buf, cfg.sample_rate), sid)
+    wavs = [_read_input(path, lambda buf: _wav_pcm(buf, cfg.sample_rate), sid)
             for path in entry]
-    return len(wavs), lambda take: recover_impulse_response(wavs[take], excitation, cfg.repeats)
+    return len(wavs), lambda take: (recover_impulse_response(wavs[take], excitation, cfg.repeats)
+                                    / 32768.0)
 
 
 def cmd_acoustic(args) -> dict:

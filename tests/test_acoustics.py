@@ -18,6 +18,7 @@ from earcanal.acoustics import (
     minimum_phase,
     noisy_period_mean,
     normalize_power,
+    period_mean,
     recover_impulse_response,
     response_feature,
     simulate_measurement,
@@ -180,6 +181,29 @@ def test_recovery_needs_enough_periods():
         noisy_period_mean(np.zeros(mls.length), 0.1, 0, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         noisy_period_mean(np.zeros(mls.length), -0.1, 0, 2)
+
+
+def test_period_mean_is_numpys_mean_over_the_periods():
+    rng = np.random.default_rng(4)
+    for repeats in range(1, 7):
+        rows = rng.normal(size=(repeats, 40))
+        rows[rng.random(rows.shape) < 0.5] = -0.0
+        rows[:, :3] = -0.0  # columns that are -0.0 in every period
+        pcm = rng.integers(-32768, 32768, size=(repeats, 40)).astype(np.int16)
+        for periods in (rows, pcm):
+            got = period_mean(lambda k: periods[k], repeats)
+            assert got.tobytes() == periods.mean(axis=0).tobytes(), (repeats, periods.dtype)
+        assert np.signbit(rows[0, 0])  # the first period is left as it was
+    # a recording holding -0.0 samples recovers what the mean of its
+    # stacked periods does
+    mls = generate_mls(3)
+    for repeats in range(1, 5):
+        need = (repeats + 1) * mls.length
+        rec = rng.normal(size=need + 2)
+        rec[rng.random(need + 2) < 0.5] = -0.0
+        want = correlate_period(rec[mls.length:need].reshape(repeats, -1).mean(axis=0), mls)
+        got = recover_impulse_response(rec, mls, repeats)
+        assert got.tobytes() == want.tobytes(), repeats
 
 
 def test_noise_and_average_peaks_below_one_recording():

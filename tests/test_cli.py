@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -25,6 +26,7 @@ from earcanal import cli
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
     add_noise,
+    correlate_period,
     generate_mls,
     recover_impulse_response,
     response_feature,
@@ -418,6 +420,59 @@ def test_threaded_wav_takes_match_serial_reference(tmp_path, fast_cfg, workers):
     assert_acoustic_output(out, serial_features(FAST, recordings))
 
 
+@pytest.mark.parametrize("wav_first", [True, False], ids=["wav_first", "plant_first"])
+def test_mixed_manifest_gives_each_subject_its_kind_of_features(tmp_path, corpus, wav_first):
+    cfg = {**FAST, "noise_rms": 0.3, "seed": 5}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    excitation = generate_mls(cfg["mls_order"])
+    wav_subjects, plant_subjects = {}, {}
+    for k, sid in enumerate(("wav_a", "wav_b")):
+        plant = (0.8 + 0.05 * k) ** np.arange(200)
+        names = []
+        for take in range(3):
+            rec = add_noise(simulate_measurement(excitation, plant, cfg["repeats"]), 0.01,
+                            [k, take])
+            names.append(f"{sid}_{take}.wav")
+            write_wav(tmp_path / names[-1], rec)
+        wav_subjects[sid] = {"takes": names}
+    corpus_subjects = json.loads((corpus / "acoustic_manifest.json").read_text())["subjects"]
+    for sid in ("twin_a", "twin_b"):
+        plant_subjects[sid] = {"plant": str(corpus / corpus_subjects[sid]["plant"])}
+    subjects = ({**wav_subjects, **plant_subjects} if wav_first
+                else {**plant_subjects, **wav_subjects})
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": subjects}))
+    out = tmp_path / "out"
+    code = main(["acoustic", "--config", str(cfg_path), "--out", str(out),
+                 "--manifest", str(manifest)])
+    assert code == 0
+    # WAV subjects from their files' samples, plant subjects simulated in
+    # full with the noise of their place in the manifest
+    recordings = []
+    for sidx, (sid, entry) in enumerate(subjects.items()):
+        if "takes" in entry:
+            takes = [wavfile.read(tmp_path / name)[1].astype(np.float64) / 32768.0
+                     for name in entry["takes"]]
+        else:
+            spec = json.loads(Path(entry["plant"]).read_text())
+            plant = generate_plant(PlantGenerator.from_dict(spec))
+            takes = [add_noise(simulate_measurement(excitation, plant, cfg["repeats"]),
+                               cfg["noise_rms"],
+                               np.random.default_rng([cfg["seed"], sidx, take]))
+                     for take in range(cfg["takes"])]
+        recordings.append((sid, takes))
+    assert_acoustic_output(out, serial_features(cfg, recordings))
+
+
+def whole_recording_response(rec, excitation, repeats):
+    """The impulse response of a whole float64 recording, averaged by
+    numpy's mean over its stacked periods after the first."""
+    L = excitation.length
+    need = (repeats + 1) * L
+    return correlate_period(rec[L:need].reshape(repeats, L).mean(axis=0), excitation)
+
+
 @pytest.mark.parametrize("order", [*range(2, 13), 16])
 def test_simulated_takes_are_bitwise_the_whole_recording_path(order):
     """A take averaged period by period from one steady period recovers
@@ -440,9 +495,68 @@ def test_simulated_takes_are_bitwise_the_whole_recording_path(order):
             for take in range(n_takes):
                 recording = add_noise(simulate_measurement(excitation, plant, repeats),
                                       noise_rms, np.random.default_rng([seed, 2, take]))
-                want = recover_impulse_response(recording, excitation, repeats)
+                want = whole_recording_response(recording, excitation, repeats)
                 assert response(take).tobytes() == want.tobytes(), (len(plant), repeats,
                                                                     noise_rms, seed, take)
+
+
+def extreme_pcm(rng, n):
+    """``n`` random int16 samples, about 3 in 8 of them -32768, 32767 or 0."""
+    pcm = rng.integers(-32768, 32768, size=n).astype(np.int16)
+    pick = rng.integers(0, 8, size=n)
+    for k, value in enumerate((-32768, 32767, 0)):
+        pcm[pick == k] = value
+    return pcm
+
+
+@pytest.mark.parametrize("order", [*range(2, 13), 16])
+def test_wav_takes_are_bitwise_the_whole_recording_path(tmp_path, order):
+    """A WAV take averaged from its 16-bit samples, one period at a time,
+    recovers the response of its whole recording divided by 32768, byte
+    for byte."""
+    excitation = generate_mls(order)
+    L = excitation.length
+    rng = np.random.default_rng(100 + order)
+    all_repeats = [5] if order == 16 else range(1, 7)  # order 16 once
+    for repeats in all_repeats:
+        need = (repeats + 1) * L
+        # a take of exactly the periods used, one longer, and one whose
+        # samples are every one -32768, 32767 or 0
+        takes = [extreme_pcm(rng, need), extreme_pcm(rng, need + L // 2 + 3),
+                 rng.choice(np.array([-32768, 32767, 0], np.int16), size=need)]
+        paths = []
+        for take, pcm in enumerate(takes):
+            paths.append(tmp_path / f"o{order}_r{repeats}_{take}.wav")
+            wavfile.write(paths[-1], 44100, pcm)
+        cfg = PipelineConfig(mls_order=order, repeats=repeats)
+        n_takes, response = cli._subject_responses(0, "s", paths, cfg, excitation)
+        assert n_takes == len(takes)
+        for take, pcm in enumerate(takes):
+            want = whole_recording_response(pcm.astype(np.float64) / 32768.0, excitation,
+                                            repeats)
+            assert response(take).tobytes() == want.tobytes(), (repeats, take)
+
+
+def test_wav_subject_peaks_below_half_its_float_recordings(tmp_path):
+    cfg = PipelineConfig(mls_order=14, takes=10)
+    excitation = generate_mls(cfg.mls_order)
+    recording = (cfg.repeats + 1) * excitation.length
+    rng = np.random.default_rng(6)
+    paths = []
+    for take in range(cfg.takes):
+        paths.append(tmp_path / f"take{take}.wav")
+        wavfile.write(paths[-1], 44100, extreme_pcm(rng, recording))
+    excitation._hadamard_permutations  # built once a run, untraced
+    tracemalloc.start()
+    try:
+        n_takes, response = cli._subject_responses(0, "s", paths, cfg, excitation)
+        response(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n_takes == cfg.takes
+    # the subject's takes held as float64 recordings
+    assert peak < cfg.takes * recording * 8 / 2
 
 
 def test_at_most_one_subject_is_made_ahead(tmp_path, fast_cfg, corpus, monkeypatch, workers):

@@ -237,7 +237,7 @@ def test_wav_reader_is_sample_equal_to_scipy(tmp_path):
         rate, want = wavfile.read(path)
         assert rate == 44100 and want.dtype == np.int16
         np.testing.assert_array_equal(want, pcm)
-        got = cli._parse_wav(path.read_bytes(), 44100)
+        got = cli._wav_pcm(path.read_bytes(), 44100) / 32768.0
         np.testing.assert_array_equal(got, want.astype(np.float64) / 32768.0)
 
 
