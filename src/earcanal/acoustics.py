@@ -292,8 +292,10 @@ def recover_impulse_response(
     length = excitation.length
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if rec.ndim != 1:
+        raise ValueError(f"recording must be one-dimensional, got shape {rec.shape}")
     need = (repeats + 1) * length
-    if rec.ndim != 1 or rec.shape[0] < need:
+    if rec.shape[0] < need:
         raise ValueError(
             f"recording holds {rec.shape[0]} samples, need at least {need} "
             f"({repeats + 1} periods of {length})"
@@ -326,7 +328,7 @@ def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n - 1).bit_length())
 
 
-def minimum_phase(ir: np.ndarray, n_fft: int | None = None) -> np.ndarray:
+def minimum_phase(ir: np.ndarray) -> np.ndarray:
     """Minimum-phase sequence with the same magnitude spectrum.
 
     The log magnitude and the phase of a minimum-phase system form a
@@ -339,22 +341,18 @@ def minimum_phase(ir: np.ndarray, n_fft: int | None = None) -> np.ndarray:
     before the log, the standard safeguard against true spectral nulls;
     a peak so small that the floor underflows to 0 raises ValueError.
 
-    ``n_fft`` controls cepstral aliasing and defaults to twice the input
-    length rounded up to a power of two, at least 4096; the output keeps
-    the full n_fft length so its magnitude spectrum can be compared
-    bin-for-bin against the padded input.  The folded cepstrum of a
-    finite response is infinitely long, so any n_fft aliases its tail.
-    For the 65,535-sample responses of MLS order 16 the default is
-    131,072 points.  On the criterion-7 cohort the finished features
+    The transform length n_fft, which sets the cepstral aliasing, is
+    twice the input length rounded up to a power of two, at least 4096;
+    the output keeps the full n_fft length so its magnitude spectrum can
+    be compared bin-for-bin against the padded input.  The folded
+    cepstrum of a finite response is infinitely long, so any n_fft
+    aliases its tail.  For the 65,535-sample responses of MLS order 16
+    n_fft is 131,072 points.  On the criterion-7 cohort the finished features
     (peak about 0.35) lie within 4.8e-4 max-abs of an n_fft of 2**22 on
     take 0 of each subject, and within 4.7e-4 of an 8x n_fft, four
     times the transform, over all 40 takes.
     """
-    n = len(ir)
-    if n_fft is None:
-        n_fft = max(4096, _next_pow2(2 * n))
-    elif n_fft < n:
-        raise ValueError(f"n_fft {n_fft} is shorter than the response ({n} samples)")
+    n_fft = max(4096, _next_pow2(2 * len(ir)))
     spec = np.fft.rfft(ir, n_fft)
     mag = np.abs(spec)
     peak = mag.max()

@@ -7,7 +7,10 @@ Pearson correlation r and coefficient of determination R^2, quantifies
 how well canal geometry predicts canal acoustics for that subject.
 Matrix-level statistics (overall mean and the excess of a designated
 pair over it) summarize how strongly a particular pair, such as a twin
-pair, stands out from the cohort.
+pair, stands out from the cohort.  Both matrices are
+:class:`SimilarityMatrix` values, each exactly what its CSV reads back,
+so every cell used here is defined and every subject id is safe to name
+a file after.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from earcanal.config import check_file_name, json_text, readonly_view
+from earcanal.config import check_subject_id, json_text, readonly_view
 
 
 def _fmt(x: float) -> str:
@@ -43,7 +46,9 @@ class SimilarityMatrix:
 
     ``values[i, j]`` is the similarity between ``ids[i]`` and ``ids[j]``;
     the diagonal holds NaN.  An acoustic matrix may carry a per-cell
-    standard deviation over take pairs.
+    standard deviation over take pairs.  A matrix holds only what its
+    CSV can say: every off-diagonal cell is defined, and every id
+    passes :func:`check_subject_id`, so it names files and heads a row.
     """
 
     ids: tuple
@@ -59,8 +64,11 @@ class SimilarityMatrix:
         if v.shape != (m, m):
             raise ValueError(f"values must be {m}x{m}, got {v.shape}")
         off = ~np.eye(m, dtype=bool)
-        defined = off & ~np.isnan(v)
-        if np.any(np.abs(v[defined]) > 1.0 + 1e-12):
+        undefined = np.argwhere(np.isnan(v) & off)
+        if len(undefined):
+            i, j = undefined[0]
+            raise ValueError(f"cell ({ids[i]}, {ids[j]}) is empty or NaN")
+        if np.any(np.abs(v[off]) > 1.0 + 1e-12):
             raise ValueError("similarity values must lie in [-1, 1]")
         if not np.array_equal(v, v.T, equal_nan=True):
             raise ValueError("similarity matrix must be symmetric")
@@ -74,6 +82,8 @@ class SimilarityMatrix:
             if np.any(s[~np.isnan(s)] < 0):
                 raise ValueError("standard deviations must be nonnegative")
         object.__setattr__(self, "stds", s)
+        for sid in ids:
+            check_subject_id(sid)
 
     @property
     def n_subjects(self) -> int:
@@ -90,7 +100,7 @@ class SimilarityMatrix:
         return float(self.values[i, j])
 
     def to_csv(self) -> str:
-        shown = ~np.eye(self.n_subjects, dtype=bool) & ~np.isnan(self.values)
+        shown = ~np.eye(self.n_subjects, dtype=bool)
         cells = np.where(shown, _fmt_cells(self.values), "")
         if self.stds is not None:
             spread = shown & ~np.isnan(self.stds)
@@ -131,10 +141,6 @@ class SimilarityMatrix:
                     has_std = True
                 else:
                     values[i, j] = float(cell)
-        undefined = np.argwhere(np.isnan(values) & ~np.eye(m, dtype=bool))
-        if len(undefined):
-            i, j = undefined[0]
-            raise ValueError(f"cell ({ids[i]}, {ids[j]}) is empty or NaN")
         return cls(tuple(ids), values, stds=stds if has_std else None)
 
 
@@ -178,15 +184,8 @@ class RegressionResult:
 
 def matrix_statistics(m: SimilarityMatrix, pair: tuple) -> MatrixStatistics:
     """Overall mean of the unordered off-diagonal cells and how far the
-    designated pair's cell sits above it, in percent.
-
-    Requires a fully populated off-diagonal: a missing cell would bias
-    the mean silently.
-    """
-    vals = m.values[np.triu_indices(m.n_subjects, 1)]
-    if np.isnan(vals).any():
-        raise ValueError("matrix has undefined off-diagonal cells")
-    overall = float(vals.mean())
+    designated pair's cell sits above it, in percent."""
+    overall = float(m.values[np.triu_indices(m.n_subjects, 1)].mean())
     pair_value = m.cell(pair[0], pair[1])
     if overall == 0.0:
         raise ValueError("overall mean is zero; percent excess is undefined")
@@ -323,11 +322,9 @@ def emit_report(
     scatter-and-fit plot per subject, and a machine-readable JSON summary
     (``summary.json``) embedding the resolved configuration.  The files
     are pure functions of the inputs: identical inputs give identical
-    text.  A subject id that is not a plain file name
-    (:func:`check_file_name`) raises ValueError.
+    text.  Every file name it makes from a subject id is safe, as
+    :class:`SimilarityMatrix` checks its ids.
     """
-    for sid in (*shape_m.ids, *acoustic_m.ids):
-        check_file_name(sid)
     results = regress_all_subjects(shape_m, acoustic_m)
     files = {
         "shape_similarity.csv": shape_m.to_csv(),

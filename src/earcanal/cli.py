@@ -47,7 +47,7 @@ from earcanal.acoustics import (
     simulate_measurement,
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
-from earcanal.config import MAX_INPUT_BYTES, MAX_LEVEL, PipelineConfig, check_file_name, json_text
+from earcanal.config import MAX_INPUT_BYTES, MAX_LEVEL, PipelineConfig, check_subject_id, json_text
 from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
@@ -115,19 +115,6 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _check_subject_id(sid: str) -> None:
-    """Raise ValueError for an id that cannot name output files or head
-    a similarity CSV row."""
-    check_file_name(sid)
-    # an id also heads a row of the similarity CSVs, which are split at
-    # ',' and line breaks and skip lines that start with '#'
-    if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
-        raise ValueError(
-            f"subject id {sid!r} cannot be a similarity CSV cell "
-            "(holding ',' or a line break, or starting with '#')"
-        )
-
-
 def _manifest_subjects(data: bytes, base: Path, entry) -> dict:
     """The ``subjects`` object of a manifest's bytes, its ids checked and
     each value resolved by ``entry(base, value)``, ``base`` the manifest's
@@ -138,7 +125,7 @@ def _manifest_subjects(data: bytes, base: Path, entry) -> dict:
         raise ValueError("manifest must map 'subjects' to a nonempty object")
     resolved = {}
     for sid, value in subjects.items():
-        _check_subject_id(sid)
+        check_subject_id(sid)
         try:
             resolved[sid] = entry(base, value)
         except ValueError as exc:
@@ -428,18 +415,10 @@ def cmd_acoustic(args) -> dict:
     return files
 
 
-def _similarity_csv(data: bytes) -> SimilarityMatrix:
-    matrix = SimilarityMatrix.from_csv(data.decode("utf-8"))
-    # the report names a file after every id, so the manifests' rule holds here too
-    for sid in matrix.ids:
-        _check_subject_id(sid)
-    return matrix
-
-
 def cmd_correlate(args) -> dict:
     cfg = _load_config(args)
-    shape_m, acoustic_m = (_read_input(Path(p), _similarity_csv)
-                           for p in (args.shape, args.acoustic))
+    shape_m, acoustic_m = (_read_input(Path(p), lambda data: SimilarityMatrix.from_csv(
+        data.decode("utf-8"))) for p in (args.shape, args.acoustic))
     if set(shape_m.ids) != set(acoustic_m.ids):
         raise InputError(
             f"matrices cover different subjects: {sorted(shape_m.ids)} vs {sorted(acoustic_m.ids)}"

@@ -10,7 +10,8 @@ The module also holds the rules the value types and writers share.
 :class:`Record` is the JSON rule of the types read from JSON: the config
 here, and the canal and plant generators of ``earcanal.synth``.
 :func:`json_text` is the text of every JSON file written, and
-:func:`check_file_name` the rule for a subject id that names files.
+:func:`check_subject_id` the one rule for a subject id, which names
+files and heads a row of a similarity CSV.
 :func:`readonly_view` is how a type that holds an array stores it.
 """
 
@@ -50,13 +51,20 @@ def readonly_view(a, dtype=np.float64) -> np.ndarray:
     return v
 
 
-def check_file_name(sid: str) -> None:
-    """Raise ValueError unless the subject id ``sid`` is one plain file
-    name, as it names output files inside one directory."""
+def check_subject_id(sid: str) -> None:
+    """Raise ValueError unless the subject id ``sid`` can name output
+    files inside one directory and head a row of a similarity CSV."""
     if sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ValueError(
             f"subject id {sid!r} is not a plain file name "
             "(empty, '.', '..', or holding '/', '\\' or NUL)"
+        )
+    # a similarity CSV is split at ',' and line breaks, and skips lines
+    # that start with '#'
+    if "," in sid or sid.splitlines() != [sid] or sid.startswith("#"):
+        raise ValueError(
+            f"subject id {sid!r} cannot be a similarity CSV cell "
+            "(holding ',' or a line break, or starting with '#')"
         )
 
 

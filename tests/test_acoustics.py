@@ -1,5 +1,6 @@
 """MLS measurement chain, feature extraction, and acoustic similarity."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,13 @@ def test_recovery_needs_enough_periods():
         noisy_period_mean(np.zeros(mls.length), -0.1, 0, 2)
 
 
+@pytest.mark.parametrize("shape", [(), (2, 30)])
+def test_recovery_rejects_a_recording_that_is_not_one_dimensional(shape):
+    # a (2, 30) recording holds 60 samples in 2 rows, not 2 samples
+    with pytest.raises(ValueError, match=rf"one-dimensional, got shape {re.escape(str(shape))}"):
+        recover_impulse_response(np.ones(shape), generate_mls(3), 1)
+
+
 def test_period_mean_is_numpys_mean_over_the_periods():
     rng = np.random.default_rng(4)
     for repeats in range(1, 7):
@@ -321,7 +329,7 @@ def test_minimum_phase_keeps_a_minimum_phase_pair():
 def test_minimum_phase_preserves_magnitude_spectrum():
     sig = signal_from_roots([(0.7, 0.9), (0.4, 2.1), (1.6, 0.5)], gain=0.8)
     src = ir(sig)
-    out = minimum_phase(src, n_fft=4096)
+    out = minimum_phase(src)
     assert len(out) == 4096
     got = np.abs(np.fft.rfft(out))
     want = np.abs(np.fft.rfft(src, 4096))
@@ -335,7 +343,7 @@ def test_minimum_phase_front_loads_energy():
                  for lim in rng.choice([(0.2, 0.85), (1.18, 5.0)], size=3)]
         sig = signal_from_roots(pairs)
         sig /= np.linalg.norm(sig)  # unit energy so the tolerance is absolute
-        out = minimum_phase(ir(sig), n_fft=4096)
+        out = minimum_phase(ir(sig))
         padded = np.zeros(4096)
         padded[:len(sig)] = sig
         lead = np.cumsum(out * out) - np.cumsum(padded * padded)
@@ -373,31 +381,23 @@ def test_default_fft_length_stays_near_the_eightfold_transform():
         trimmed = trim_pre_rise(raw)
         got = response_feature(raw)
         n_fft = max(4096, 1 << (8 * len(trimmed) - 1).bit_length())
-        # the chain of response_feature, with the FFT size set
+        # the chain of response_feature, with the reference fold at 8x
         eightfold = normalize_power(butterworth_bandpass(
-            minimum_phase(trimmed, n_fft)[: DEFAULTS.feature_length]))
+            complex_fft_minimum_phase(trimmed, n_fft)[: DEFAULTS.feature_length]))
         assert float(np.abs(got - eightfold).max()) <= 6e-4
         assert float(got @ eightfold) >= 0.99999  # both have unit power
 
 
 def test_minimum_phase_matches_the_complex_fft_fold():
     rng = np.random.default_rng(7)
-    cases = [(rng.normal(size=n) * np.exp(-np.arange(n) / (n / 4)), n_fft)
-             for n, n_fft in ((10, None), (300, None), (300, 4097), (1001, 1001),
-                              (64, 1025), (2048, 16384))]
-    cases.append((np.array([1.0, -1.0]), None))  # a true null at DC: the floor applies
+    cases = [rng.normal(size=n) * np.exp(-np.arange(n) / (n / 4)) for n in (10, 300)]
+    cases.append(np.array([1.0, -1.0]))  # a true null at DC: the floor applies
     worst = 0.0
-    for x, n_fft in cases:
-        out = minimum_phase(ir(x), n_fft)
+    for x in cases:
+        out = minimum_phase(ir(x))
         ref = complex_fft_minimum_phase(x, len(out))
-        assert len(out) == (n_fft or len(out))
         worst = max(worst, float(np.abs(out - ref).max()))
     assert worst <= 1e-12
-
-
-def test_minimum_phase_validation():
-    with pytest.raises(ValueError):
-        minimum_phase(ir(np.ones(16)), n_fft=8)
 
 
 def test_band_clamp_near_nyquist():

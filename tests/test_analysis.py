@@ -1,11 +1,14 @@
 """Similarity matrices, per-subject regression, and report emission."""
 
 import json
+import re
 from importlib import resources
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earcanal.analysis import (
     RegressionResult,
@@ -14,6 +17,7 @@ from earcanal.analysis import (
     _regressions,
     emit_report,
     matrix_statistics,
+    mirror_upper,
     regress_all_subjects,
 )
 from earcanal.config import json_text
@@ -111,6 +115,41 @@ def test_matrix_csv_rejects_malformed_input():
         SimilarityMatrix.from_csv(good + "extra,0.1,0.2,0.3\n")
 
 
+@st.composite
+def matrices(draw):
+    """Ids and values for a :class:`SimilarityMatrix`: 1-4 distinct
+    arbitrary ids and odd or undefined cells mirrored below a NaN
+    diagonal."""
+    ids = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
+    m = len(ids)
+    cells = np.full((m, m), np.nan)
+    cells[np.triu_indices(m, 1)] = draw(st.lists(
+        st.sampled_from([0.5, -0.0, 5e-324, 1.0, -1.0, np.nan]),
+        min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+    return tuple(ids), mirror_upper(cells)
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrices())
+def test_a_matrix_is_what_its_csv_reads_back(case):
+    ids, values = case
+    undefined = np.argwhere(np.isnan(values) & ~np.eye(len(ids), dtype=bool))
+    if len(undefined):
+        # the first undefined cell is named, so no report can write NaN
+        i, j = undefined[0]
+        with pytest.raises(ValueError, match=re.escape(f"cell ({ids[i]}, {ids[j]}) is empty")):
+            SimilarityMatrix(ids, values)
+        return
+    try:
+        matrix = SimilarityMatrix(ids, values)
+    except ValueError as exc:  # an id that cannot name a file or head a CSV row
+        assert str(exc).startswith("subject id ")
+        return
+    again = SimilarityMatrix.from_csv(matrix.to_csv())
+    assert again.ids == matrix.ids
+    assert again.values.tobytes() == matrix.values.tobytes()
+
+
 @pytest.mark.parametrize("cell", ["", "nan", "nan±0.01"])
 def test_matrix_csv_rejects_undefined_cells(cell):
     text = tri_matrix([0.2, 0.4, 0.6]).to_csv().replace("b,0.2,,0.6", f"b,0.2,,{cell}")
@@ -130,7 +169,8 @@ def test_matrix_statistics_rejects_holes_and_zero_mean():
     v = np.full((m, m), np.nan)
     v[0, 1] = v[1, 0] = 0.5
     v[0, 2] = v[2, 0] = 0.5
-    with pytest.raises(ValueError):
+    # no matrix holds a hole, so none reaches the mean
+    with pytest.raises(ValueError, match=r"cell \(b, c\) is empty or NaN"):
         matrix_statistics(SimilarityMatrix(("a", "b", "c"), v), ("a", "b"))
     with pytest.raises(ValueError):
         matrix_statistics(tri_matrix([0.5, -0.25, -0.25]), ("a", "b"))
@@ -287,7 +327,7 @@ def test_svg_titles_are_escaped():
 
 
 # emit_report only computes, so a failure can leave nothing behind: the
-# two tests below check that it raises
+# two tests below check that it, or the matrix it is given, raises
 def test_failing_report_writes_nothing():
     shape = tri_matrix([0.9, 0.8, 0.7])
     acoustic = tri_matrix([0.5, 0.4, 0.3])
@@ -297,12 +337,9 @@ def test_failing_report_writes_nothing():
 
 @pytest.mark.parametrize("bad", ["a/b", "..", ".", "", "a\\b", "a\0b"])
 def test_report_with_an_id_that_is_no_file_name_writes_nothing(bad):
-    # the bad id comes last, after ids whose files would be built first
-    ids = ("a", "b", bad)
-    shape = tri_matrix([0.9, 0.8, 0.7], ids=ids)
-    acoustic = tri_matrix([0.5, 0.4, 0.3], ids=ids)
+    # no matrix holds such an id, so no report can name a file after it
     with pytest.raises(ValueError, match="is not a plain file name"):
-        emit_report(shape, acoustic, designated_pair=("a", "b"))
+        tri_matrix([0.9, 0.8, 0.7], ids=("a", "b", bad))
 
 
 def test_emit_report_is_deterministic():
@@ -449,7 +486,7 @@ def test_to_csv_is_bytewise_the_loop(m):
 
 
 def test_to_csv_of_odd_cells_is_bytewise_the_loop():
-    values = tri_matrix([-0.0, 5e-324, np.nan, 2.2250738585072014e-308, -1.0, 1 / 3],
+    values = tri_matrix([-0.0, 5e-324, 1.0, 2.2250738585072014e-308, -1.0, 1 / 3],
                         ids=("a", "b", "c", "d")).values
     stds = np.full((4, 4), np.nan)
     upper = np.triu_indices(4, 1)
@@ -459,8 +496,8 @@ def test_to_csv_of_odd_cells_is_bytewise_the_loop():
                    SimilarityMatrix(("a", "b", "c", "d"), values, stds)):
         assert matrix.to_csv() == loop_to_csv(matrix)
     text = matrix.to_csv()
-    # a NaN mean hides its std; a NaN std leaves the mean alone
-    assert "\na,,-0.0±1e+300,5e-324,\n" in text
+    # a NaN std leaves the mean alone
+    assert "\na,,-0.0±1e+300,5e-324,1.0±0.0\n" in text
     assert "\nb,-0.0±1e+300,,2.2250738585072014e-308±-0.0,-1.0±5e-324\n" in text
 
 
