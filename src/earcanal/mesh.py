@@ -9,7 +9,6 @@ ellipse fits.
 
 from __future__ import annotations
 
-import itertools
 import re
 import struct
 from dataclasses import dataclass
@@ -81,11 +80,11 @@ class SliceSet:
     (n, 2) xy coordinates in slice order, and ``bins``, the read-only
     int64 point count of each slice.  Slice n is the ``bins[n]`` rows of
     ``xy`` after slice n-1's: exactly the points with ``n*delta_z < z -
-    z_origin <= (n+1)*delta_z``, ``z_origin`` being where
-    :func:`slice_centroids` started; slice 0 additionally includes points
-    exactly at the origin (closed below), so the ear-entrance boundary
-    point is never dropped.  Empty interior slices are retained, with
-    count 0, so the index n maps linearly to depth.
+    zmin <= (n+1)*delta_z``, ``zmin`` being the cloud's minimum z, the
+    ear-entrance end; slice 0 additionally includes the points at
+    ``zmin`` (closed below), so the ear-entrance boundary point is never
+    dropped.  Empty interior slices are retained, with count 0, so the
+    index n maps linearly to depth.
     """
 
     delta_z: float
@@ -101,10 +100,12 @@ _FACET_WORDS = {1: b"normal", 5: b"outer", 6: b"loop", 7: b"vertex", 11: b"verte
                 15: b"vertex", 19: b"endloop", 20: b"endfacet"}
 _FACET_NUMBERS = (2, 3, 4, 8, 9, 10, 12, 13, 14, 16, 17, 18)
 _LOWER_BLOCK = 1 << 14  # bytes of STL text lower-cased or split at a time
-_ASCII_BLOCK = 1024  # facets the ASCII parser checks and reads at a time
 # str.split also splits at the ASCII separators 0x1c-0x1f; bytes.split does not
 _SEPARATORS_TO_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
-_SEPARATOR = re.compile(rb"[\t\n\x0b\x0c\r \x1c-\x1f]")  # a byte str.split splits at
+_SPLIT = rb"\t\n\x0b\x0c\r \x1c-\x1f"  # the bytes str.split splits at
+_SEPARATOR = re.compile(rb"[%s]" % _SPLIT)
+_FIRST_TOKEN = re.compile(rb"[%s]*([^%s]*)" % (_SPLIT, _SPLIT))
+_FIRST_FACET = re.compile(rb"(?<![^%s])(?:facet|endsolid)(?![^%s])" % (_SPLIT, _SPLIT), re.I)
 _LEADING_SPACE = re.compile(rb"[\t\n\x0b\x0c\r ]*")  # what bytes.lstrip strips, found uncopied
 
 
@@ -130,44 +131,16 @@ def _count_word(data: bytes, word: bytes) -> int:
                for i in range(0, len(data), _LOWER_BLOCK))
 
 
-def _token_ranges(data: bytes):
-    """The tokens of ``data``, split where ``str.split`` splits, one list
-    per byte range of ``_LOWER_BLOCK`` bytes or more.  Each range ends
-    just past a separator, so no token spans two ranges."""
-    start = 0
+def _token_ranges(data: bytes, start: int):
+    """The tokens of ``data`` from byte ``start`` on, split where
+    ``str.split`` splits, one list per byte range of ``_LOWER_BLOCK``
+    bytes or more.  Each range ends just past a separator, so no token
+    spans two ranges."""
     while start < len(data):
         sep = _SEPARATOR.search(data, start + _LOWER_BLOCK)
         stop = sep.end() if sep else len(data)
         yield data[start:stop].translate(_SEPARATORS_TO_SPACE).split()
         start = stop
-
-
-def _facet_blocks(data: bytes):
-    """Yield (tokens, last): the tokens of an ASCII STL from its first
-    facet (or endsolid) on, ``_ASCII_BLOCK`` whole facets at a time, and
-    with ``last`` set, the rest.  The solid's name, any number of tokens
-    after 'solid', is dropped a range at a time."""
-    ranges = filter(None, _token_ranges(data))
-    tokens = next(ranges, None)
-    if tokens is None:
-        raise StlParseError("truncated ASCII STL: unexpected end of file")
-    if tokens[0].lower() != b"solid":
-        raise StlParseError(f"expected 'solid' in ASCII STL, got {tokens[0].decode()!r}")
-    parts = itertools.chain([tokens], ranges)
-    for part in parts:
-        first = next((i for i, tok in enumerate(part) if tok.lower() in (b"facet", b"endsolid")),
-                     None)
-        if first is not None:
-            parts = itertools.chain([part[first:]], parts)
-            break
-    size = _FACET_TOKENS * _ASCII_BLOCK
-    tokens = []
-    for part in parts:
-        tokens += part
-        while len(tokens) >= size:
-            yield tokens[:size], False
-            del tokens[:size]
-    yield tokens, True
 
 
 def _parse_facets(tokens: list, last: bool) -> tuple:
@@ -213,30 +186,42 @@ def _parse_facets(tokens: list, last: bool) -> tuple:
 
 
 def _parse_ascii_stl(data: bytes) -> TriangleMesh:
-    """Parse ASCII STL a block of facets at a time, so memory is the
-    file, one block of tokens and the output.  The bytes, not a decoded
-    copy, are split where ``str.split`` splits.  Anything after the
-    solid's ``endsolid`` is ignored.  On malformed input the error is
-    the one a token-by-token reader meets first: the first block with a
-    fault holds the earliest.
+    """Parse ASCII STL a byte range at a time, so memory is the file,
+    one range of tokens and the output.  The bytes, not a decoded copy,
+    are split where ``str.split`` splits.  The solid's name, every token
+    before the first ``facet`` or ``endsolid``, is skipped unsplit; each
+    range's whole facets are then checked and read as soon as it is
+    split, and the partial facet at its end is carried to the next.
+    Anything after the solid's ``endsolid`` is ignored.  On malformed
+    input the error is the one a token-by-token reader meets first: no
+    token past a range's last whole facet is checked before the next.
     """
     if not data.isascii():
         try:
             data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise StlParseError(f"ASCII STL contains non-ASCII bytes: {exc}") from None
-    # Every facet that passes its checks holds one 'endloop', so a block
+    first = _FIRST_TOKEN.match(data)
+    if not first[1]:
+        raise StlParseError("truncated ASCII STL: unexpected end of file")
+    if first[1].lower() != b"solid":
+        raise StlParseError(f"expected 'solid' in ASCII STL, got {first[1].decode()!r}")
+    facet = _FIRST_FACET.search(data, first.end())
+    ranges = _token_ranges(data, facet.start() if facet else len(data))
+    # Every facet that passes its checks holds one 'endloop', so a range
     # that would run past this many facets has a fault and raises first.
     cap = _count_word(data, b"endloop")
     vertices, normals = np.empty((cap, 3, 3)), np.empty((cap, 3))
-    n = 0
-    for tokens, last in _facet_blocks(data):
-        values, ended = _parse_facets(tokens, last)
+    n, tokens, ended = 0, [], False
+    while not ended:
+        part = next(ranges, None)
+        tokens += part or []
+        whole = tokens if part is None else tokens[: len(tokens) - len(tokens) % _FACET_TOKENS]
+        values, ended = _parse_facets(whole, part is None)
         vertices[n : n + len(values)] = values[:, 3:].reshape(-1, 3, 3)
         normals[n : n + len(values)] = values[:, :3]
         n += len(values)
-        if ended:
-            break
+        del tokens[: _FACET_TOKENS * len(values)]
     if n == 0:
         raise StlParseError("ASCII STL contains no facets")
     return TriangleMesh(vertices[:n], normals[:n])
@@ -310,15 +295,15 @@ def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
     return readonly_view(c)
 
 
-def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> SliceSet:
+def slice_centroids(points, delta_z: float) -> SliceSet:
     """Bin (n, 3) centroid points into thin z-slices of width ``delta_z``.
 
-    Each point lands in the bin ``n`` with ``n*delta_z < z - z_origin <=
-    (n+1)*delta_z`` (bin 0 is closed below).  ``z_origin`` defaults to the
-    minimum z of the cloud, the ear-entrance end; an explicit value must
-    not exceed that minimum, since slicing indexes depth from the entrance.
-    More than ``_MAX_SLICES`` slices raise ValueError before any is made.
-    The xy points are gathered once, in slice order, each slice in cloud order.
+    Each point lands in the bin ``n`` with ``n*delta_z < z - zmin <=
+    (n+1)*delta_z`` (bin 0 is closed below), ``zmin`` being the minimum z
+    of the cloud, the ear-entrance end, so depth is indexed from the
+    entrance.  More than ``_MAX_SLICES`` slices raise ValueError before
+    any is made.  The xy points are gathered once, in slice order, each
+    slice in cloud order.
     """
     if delta_z <= 0:
         raise ValueError(f"delta_z must be positive, got {delta_z}")
@@ -331,19 +316,12 @@ def slice_centroids(points, delta_z: float, z_origin: float | None = None) -> Sl
         raise ValueError("centroid cloud contains non-finite coordinates")
     z = points[:, 2]
     zmin, zmax = float(z.min()), float(z.max())
-    if z_origin is None:
-        z_origin = zmin
-    elif z_origin > zmin:
-        raise ValueError(
-            f"z_origin {z_origin} exceeds the minimum cloud z {zmin}; "
-            "slicing must start at the ear-entrance end"
-        )
-    count = np.ceil((zmax - z_origin) / delta_z)
+    count = np.ceil((zmax - zmin) / delta_z)
     if not count <= _MAX_SLICES:
-        raise ValueError(f"{count:g} slices of delta_z {delta_z} for z from {z_origin} to "
+        raise ValueError(f"{count:g} slices of delta_z {delta_z} for z from {zmin} to "
                          f"{zmax}; at most {_MAX_SLICES} are allowed")
-    idx = np.ceil((z - z_origin) / delta_z).astype(np.int64) - 1
-    idx[idx < 0] = 0  # points exactly at the origin belong to bin 0
+    idx = np.ceil((z - zmin) / delta_z).astype(np.int64) - 1
+    idx[idx < 0] = 0  # points exactly at zmin belong to bin 0
     # one stable sort groups the points by bin in their original order,
     # so the work is O(points log points) however many bins there are
     order = np.argsort(idx, kind="stable")

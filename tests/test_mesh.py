@@ -278,46 +278,47 @@ def test_bytes_tokens_match_the_str_tokens(data):
     assert_same_outcome(outcome(_parse_ascii_stl, data), outcome(str_column_parse_ascii, data))
 
 
-def parse_in_blocks(data: bytes, facets: int, byte_range: int):
-    """The outcome of the ASCII parser reading ``facets`` facets and
-    ``byte_range`` bytes at a time."""
+def parse_in_blocks(data: bytes, byte_range: int):
+    """The outcome of the ASCII parser splitting ``byte_range`` bytes at a time."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mesh_module, "_ASCII_BLOCK", facets)
         mp.setattr(mesh_module, "_LOWER_BLOCK", byte_range)
         return outcome(_parse_ascii_stl, data)
 
 
 # a one-byte range is shorter than any token but one-letter ones, so
 # nearly every range ends at the separator after a single token
-BLOCKINGS = [(1, 1), (2, 1), (3, 1), (1, 1 << 16), (2, 7), (3, 40)]
+BLOCKINGS = [1, 2, 3, 5, 7, 40, 1 << 16]
 
 
-@pytest.mark.parametrize("facets, byte_range", BLOCKINGS)
+@pytest.mark.parametrize("byte_range", BLOCKINGS)
 @settings(max_examples=100, deadline=None)
 @given(data=mutated_stl())
-def test_blocks_match_the_token_reader(facets, byte_range, data):
-    assert_same_outcome(parse_in_blocks(data, facets, byte_range),
-                        outcome(reference_parse_ascii, data))
+def test_blocks_match_the_token_reader(byte_range, data):
+    assert_same_outcome(parse_in_blocks(data, byte_range), outcome(reference_parse_ascii, data))
 
 
 def test_block_edges_change_nothing():
     # a name over many ranges, separators 0x1c-0x1f, endsolid right at a
-    # block edge (4 facets in blocks of 1, 2 and 4), junk after endsolid
+    # range edge, junk after endsolid, names holding 'facet' in longer
+    # tokens, a name that ends at a separator 0x1c, and a first 'facet'
+    # at byte 64, a range edge
     base = ascii_text(random_mesh(12, seed=8))
     named = base.replace(b"solid scan", b"solid " + b" ".join([b"long", b"name"] * 30))
+    body = ASCII_TETRA[ASCII_TETRA.index(b"facet"):]
     for data in (ASCII_TETRA, ASCII_TETRA + b"solid junk facet zero", named,
-                 spelled(named, b"\x1c\n\x1f", bytes.upper), b"solid x endsolid x"):
+                 spelled(named, b"\x1c\n\x1f", bytes.upper), b"solid x endsolid x",
+                 b"solid x FACETS xfacet " + body, b"solid\x1c" + body,
+                 b"solid " + b"n" * 57 + b" " + body):
         want = outcome(reference_parse_ascii, data)
-        for facets in (1, 2, 3, 4, 12, 13):
-            for byte_range in (1, 2, 5, 64):
-                assert_same_outcome(parse_in_blocks(data, facets, byte_range), want)
+        for byte_range in (1, 2, 3, 5, 7, 40, 64, 1 << 16):
+            assert_same_outcome(parse_in_blocks(data, byte_range), want)
 
 
-@pytest.mark.parametrize("facets", [1, 2, 3])
-def test_truncation_at_every_byte_in_blocks(facets):
+@pytest.mark.parametrize("byte_range", BLOCKINGS)
+def test_truncation_at_every_byte_in_blocks(byte_range):
     for cut in range(len(ASCII_TETRA)):
         data = ASCII_TETRA[:cut]
-        assert_same_outcome(parse_in_blocks(data, facets, 3), outcome(reference_parse_ascii, data))
+        assert_same_outcome(parse_in_blocks(data, byte_range), outcome(reference_parse_ascii, data))
 
 
 def spelled(data: bytes, sep: bytes, case) -> bytes:
@@ -507,16 +508,6 @@ def test_empty_interior_bins_retained():
     assert s.xy.shape == (2, 2)
 
 
-def test_explicit_origin_below_minimum():
-    s = slice_centroids(cloud_at_z([1.0, 1.4]), 0.5, z_origin=0.0)
-    assert s.bins.tolist() == [0, 1, 1]
-
-
-def test_origin_above_minimum_rejected():
-    with pytest.raises(ValueError):
-        slice_centroids(cloud_at_z([1.0, 2.0]), 0.5, z_origin=1.5)
-
-
 def test_nonpositive_delta_rejected():
     with pytest.raises(ValueError):
         slice_centroids(cloud_at_z([0.0, 1.0]), 0.0)
@@ -564,11 +555,10 @@ def per_slice(s):
     return np.split(s.xy, np.cumsum(s.bins)[:-1])
 
 
-def split_slices(points, delta_z, z_origin=None):
+def split_slices(points, delta_z):
     """The bins as the argsort and ``np.split`` slicer made them."""
     z = points[:, 2]
-    z_origin = float(z.min()) if z_origin is None else z_origin
-    idx = np.ceil((z - z_origin) / delta_z).astype(np.int64) - 1
+    idx = np.ceil((z - z.min()) / delta_z).astype(np.int64) - 1
     idx[idx < 0] = 0
     order = np.argsort(idx, kind="stable")
     cuts = np.searchsorted(idx[order], np.arange(1, int(idx.max()) + 1))
@@ -583,9 +573,9 @@ def test_bins_are_bitwise_the_split_bins(seed):
     zs = rng.choice(rng.uniform(-5, 40, 12), n) + rng.normal(scale=0.3, size=n)
     zs[: n // 10] = np.round(zs[: n // 10], 1)
     points = np.column_stack([rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-5, 5, (n, 2)), zs])
-    for delta_z, z_origin in [(0.1, None), (0.5, None), (0.1, zs.min() - 3.05), (0.25, -7.0)]:
-        s = slice_centroids(points, delta_z, z_origin)
-        want = split_slices(points, delta_z, z_origin)
+    for delta_z in (0.1, 0.5):
+        s = slice_centroids(points, delta_z)
+        want = split_slices(points, delta_z)
         assert s.bins.tolist() == [len(b) for b in want]
         assert any(len(b) == 0 for b in want[1:-1]) or delta_z == 0.5
         assert not s.xy.flags.writeable and not s.bins.flags.writeable
@@ -610,12 +600,12 @@ def test_slice_count_is_bounded(zs):
         slice_centroids(cloud_at_z(zs), 0.1)
 
 
-def test_slice_bound_counts_from_an_explicit_origin():
+def test_slice_bound_names_the_count():
     s = slice_centroids(cloud_at_z([0.0, 1.0]), 0.5)
     assert len(s.bins) == 2
     with pytest.raises(ValueError, match="1.04858e\\+06 slices"):
-        slice_centroids(cloud_at_z([0.0, 1.0]), 1.0, z_origin=-(2.0**20))
+        slice_centroids(cloud_at_z([0.0, 2.0**20 + 1]), 1.0)
     with pytest.raises(ValueError, match="inf slices"):
-        slice_centroids(cloud_at_z([0.0, 1.0]), 0.5, z_origin=-np.inf)
+        slice_centroids(cloud_at_z([0.0, 1.0]), 5e-324)
     with pytest.raises(ValueError, match="nan slices"):
-        slice_centroids(cloud_at_z([0.0, 1.0]), 0.5, z_origin=np.nan)
+        slice_centroids(cloud_at_z([0.0, 1.0]), np.nan)

@@ -13,7 +13,7 @@ from earcanal.acoustics import (
     response_feature,
     simulate_measurement,
 )
-from earcanal.mesh import slice_centroids, triangle_centroids, write_binary_stl
+from earcanal.mesh import SliceSet, slice_centroids, triangle_centroids, write_binary_stl
 from earcanal.shape import shape_center_fn, shape_similarity
 from earcanal.synth import (
     CanalGenerator,
@@ -36,15 +36,24 @@ def tube(centerline=STRAIGHT, radius=(3.0,), length=8.0, **kw):
                           length=length, **kw)
 
 
-def track_of(gen, delta_z=0.1, z_origin=None):
+def band_slices(cloud, delta_z=0.1):
+    """``cloud`` in slices of ``delta_z`` from z = 0, the entrance ring,
+    not from its lowest point as :func:`slice_centroids` slices: each
+    slice of a tube with rings ``delta_z`` apart holds one ring band."""
+    idx = np.ceil(cloud[:, 2] / delta_z).astype(np.int64) - 1
+    order = np.argsort(idx, kind="stable")
+    return SliceSet(delta_z, cloud[order, :2], np.bincount(idx))
+
+
+def track_of(gen, delta_z=0.1, banded=False):
     cloud = triangle_centroids(generate_canal_mesh(gen))
-    return shape_center_fn(slice_centroids(cloud, delta_z, z_origin=z_origin))
+    slices = band_slices(cloud, delta_z) if banded else slice_centroids(cloud, delta_z)
+    return shape_center_fn(slices)
 
 
 def bin_mid_z(gen, n, delta_z=0.1):
-    # with z_origin=0 each bin holds exactly one ring band, whose triangle
-    # centroids cluster at the band thirds; the effective depth is the
-    # band midpoint
+    # a band slice holds exactly one ring band, whose triangle centroids
+    # cluster at the band thirds; the effective depth is the band midpoint
     return (n + 0.5) * delta_z
 
 
@@ -73,11 +82,11 @@ def test_straight_tube_center_track_is_zero():
 def test_every_slice_is_well_populated():
     cloud = triangle_centroids(generate_canal_mesh(tube()))
     # band-aligned slicing: each bin holds exactly both third-clusters
-    slices = slice_centroids(cloud, 0.1, z_origin=0.0)
+    slices = band_slices(cloud)
     counts = slices.bins.tolist()
     assert len(counts) == 80
     assert min(counts) == max(counts) == 60
-    # default origin starts at the first cluster, which puts the lower
+    # slice_centroids starts at the first cluster, which puts the lower
     # clusters exactly on bin edges; they may round down one bin, but every
     # slice keeps at least a full cluster and no point is lost
     slices = slice_centroids(cloud, 0.1)
@@ -90,7 +99,7 @@ def test_every_slice_is_well_populated():
 def test_linear_drift_tracks_the_centerline():
     # the line x = 0.2 z, y = -0.1 z
     gen = tube(centerline=line(np.hypot(0.2, -0.1), np.arctan2(-0.1, 0.2)))
-    fn = track_of(gen, z_origin=0.0)
+    fn = track_of(gen, banded=True)
     n = np.arange(fn.n_slices)
     np.testing.assert_allclose(fn.centers[:, 0], 0.2 * 0.1 * n, rtol=0, atol=1e-6)
     np.testing.assert_allclose(fn.centers[:, 1], -0.1 * 0.1 * n, rtol=0, atol=1e-6)
@@ -99,7 +108,7 @@ def test_linear_drift_tracks_the_centerline():
 def test_spiral_track_matches_centerline_projection():
     gen = tube(centerline={"kind": "spiral", "drift_per_mm": 0.3, "rate": 0.25,
                            "curl": 0.01, "phase": 0.8})
-    fn = track_of(gen, z_origin=0.0)
+    fn = track_of(gen, banded=True)
     mid = np.array([bin_mid_z(gen, n) for n in range(fn.n_slices)])
     cx, cy = gen.centerline_xy(mid)
     cx0, cy0 = gen.centerline_xy(bin_mid_z(gen, 0))
