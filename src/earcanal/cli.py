@@ -48,7 +48,7 @@ from earcanal.acoustics import (
 )
 from earcanal.analysis import SimilarityMatrix, emit_report
 from earcanal.config import MAX_INPUT_BYTES, MAX_LEVEL, PipelineConfig, check_subject_id, json_text
-from earcanal.mesh import parse_stl, slice_centroids, triangle_centroids, write_binary_stl
+from earcanal.mesh import slice_centroids, stl_blocks, triangle_centroids, write_binary_stl
 from earcanal.shape import ShapeCenterFn, shape_center_fn, shape_similarity_matrix
 from earcanal.synth import (
     PlantGenerator,
@@ -78,10 +78,10 @@ log.addHandler(_StderrHandler())
 
 
 def _read_input(path: Path, parse, sid=None):
-    """``parse`` of the bytes of the input file ``path``; every input file
-    is read here.  A file larger than ``MAX_INPUT_BYTES`` is refused
-    before it is read, and whatever ``parse`` rejects is an InputError
-    naming the file and, when ``sid`` is given, its subject."""
+    """``parse`` of the input file ``path``, open for binary reading; every
+    input file is opened here.  A file larger than ``MAX_INPUT_BYTES`` is
+    refused before it is opened, and whatever ``parse`` rejects is an
+    InputError naming the file and, when ``sid`` is given, its subject."""
     whose = "" if sid is None else f" (subject {sid!r})"
     if not path.is_file():
         raise InputError(f"no such file: {path}{whose}")
@@ -90,7 +90,8 @@ def _read_input(path: Path, parse, sid=None):
         raise InputError(f"{path}{whose}: {size} bytes exceed the input limit of "
                          f"{MAX_INPUT_BYTES} bytes")
     try:
-        return parse(path.read_bytes())
+        with path.open("rb") as f:
+            return parse(f)
     # ValueError covers malformed JSON, bad UTF-8 and integers too long
     # to convert; TypeError, a value of the wrong JSON type; OverflowError,
     # an integer too large for a float; RecursionError, nesting too deep
@@ -99,14 +100,14 @@ def _read_input(path: Path, parse, sid=None):
         raise InputError(f"cannot parse {path}{whose}: {exc}") from None
 
 
-def _json(data: bytes):
+def _json(f):
     # UTF-8 only: json.loads would also take bytes in UTF-16 or UTF-32
-    return json.loads(data.decode("utf-8"))
+    return json.loads(f.read().decode("utf-8"))
 
 
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig() if args.config is None else _read_input(
-        Path(args.config), lambda data: PipelineConfig.from_dict(_json(data)))
+        Path(args.config), lambda f: PipelineConfig.from_dict(_json(f)))
     if args.seed is not None:
         try:
             cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -115,11 +116,11 @@ def _load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _manifest_subjects(data: bytes, base: Path, entry) -> dict:
-    """The ``subjects`` object of a manifest's bytes, its ids checked and
+def _manifest_subjects(f, base: Path, entry) -> dict:
+    """The ``subjects`` object of a manifest file ``f``, its ids checked and
     each value resolved by ``entry(base, value)``, ``base`` the manifest's
     directory, so that every entry is checked before any subject is read."""
-    manifest = _json(data)
+    manifest = _json(f)
     subjects = manifest.get("subjects") if isinstance(manifest, dict) else None
     if not isinstance(subjects, dict) or not subjects:
         raise ValueError("manifest must map 'subjects' to a nonempty object")
@@ -216,20 +217,26 @@ def _publish(out: Path, files: dict) -> None:
         shutil.rmtree(holder, ignore_errors=True)
 
 
+def _stl_centroids(f) -> np.ndarray:
+    """The triangle centroids of the STL file ``f``, made a block of facets at a time."""
+    n, meshes = stl_blocks(f)
+    centroids, start = np.empty((n, 3)), 0
+    for block in meshes:
+        centroids[start : start + block.n_triangles] = triangle_centroids(block)
+        start += block.n_triangles
+    return centroids
+
+
 def _center_track(stl_path: Path, sid, cfg: PipelineConfig) -> ShapeCenterFn:
-    """One subject's center track; its mesh is freed before the next is read."""
-    # one expression, so the mesh and the file bytes it views are freed
-    # as soon as the centroids are made
-    slices = slice_centroids(triangle_centroids(_read_input(stl_path, parse_stl, sid)),
-                             cfg.delta_z)
+    """One subject's center track; its centroids are freed before the next are made."""
+    slices = slice_centroids(_read_input(stl_path, _stl_centroids, sid), cfg.delta_z)
     return shape_center_fn(slices, cfg.min_slice_points)
 
 
 def cmd_shape(args) -> dict:
     cfg = _load_config(args)
     manifest = Path(args.manifest)
-    subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
-                                                                     _entry_path))
+    subjects = _read_input(manifest, lambda f: _manifest_subjects(f, manifest.parent, _entry_path))
 
     tracks = []
     failures = []
@@ -335,7 +342,7 @@ def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -
             return correlate_period(noisy_period_mean(steady, cfg.noise_rms, rng, cfg.repeats),
                                     excitation)
         return cfg.takes, response
-    wavs = [_read_input(path, lambda buf: _wav_pcm(buf, cfg.sample_rate), sid)
+    wavs = [_read_input(path, lambda f: _wav_pcm(f.read(), cfg.sample_rate), sid)
             for path in entry]
     return len(wavs), lambda take: (recover_impulse_response(wavs[take], excitation, cfg.repeats)
                                     / 32768.0)
@@ -349,16 +356,16 @@ def cmd_acoustic(args) -> dict:
     except ValueError as exc:
         raise InputError(f"invalid config: {exc}") from None
     manifest = Path(args.manifest)
-    subjects = _read_input(manifest, lambda data: _manifest_subjects(data, manifest.parent,
-                                                                     _acoustic_entry))
+    subjects = _read_input(manifest, lambda f: _manifest_subjects(f, manifest.parent,
+                                                                  _acoustic_entry))
     # every plant is read and checked, and every WAV take's header, before
     # the first take; a WAV's samples are read on its subject's turn
     for sid, entry in subjects.items():
         if isinstance(entry, Path):
-            subjects[sid] = _read_input(entry, lambda data: _plant(_json(data), cfg), sid)
+            subjects[sid] = _read_input(entry, lambda f: _plant(_json(f), cfg), sid)
         else:
             for path in entry:
-                _read_input(path, lambda buf: _wav_pcm(buf, cfg.sample_rate), sid)
+                _read_input(path, lambda f: _wav_pcm(f.read(), cfg.sample_rate), sid)
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
@@ -417,8 +424,8 @@ def cmd_acoustic(args) -> dict:
 
 def cmd_correlate(args) -> dict:
     cfg = _load_config(args)
-    shape_m, acoustic_m = (_read_input(Path(p), lambda data: SimilarityMatrix.from_csv(
-        data.decode("utf-8"))) for p in (args.shape, args.acoustic))
+    shape_m, acoustic_m = (_read_input(Path(p), lambda f: SimilarityMatrix.from_csv(
+        f.read().decode("utf-8"))) for p in (args.shape, args.acoustic))
     if set(shape_m.ids) != set(acoustic_m.ids):
         raise InputError(
             f"matrices cover different subjects: {sorted(shape_m.ids)} vs {sorted(acoustic_m.ids)}"

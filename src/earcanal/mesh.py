@@ -9,8 +9,8 @@ ellipse fits.
 
 from __future__ import annotations
 
+import os
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +19,7 @@ from earcanal.config import readonly_view
 
 _BINARY_HEADER_LEN = 80
 _HEADER = b"earcanal binary STL".ljust(_BINARY_HEADER_LEN, b"\0")
+_CENTROID_BLOCK = 1 << 15  # facets of a binary STL read at a time by stl_blocks
 _MAX_SLICES = 2**20  # most slices of one cloud: 105 m of canal at delta_z 0.1
 _FACET_DTYPE = np.dtype([
     ("normal", "<f4", (3,)),
@@ -227,22 +228,18 @@ def _parse_ascii_stl(data: bytes) -> TriangleMesh:
     return TriangleMesh(vertices[:n], normals[:n])
 
 
-def _parse_binary_stl(data: bytes) -> TriangleMesh:
-    if len(data) < _BINARY_HEADER_LEN + 4:
-        raise StlParseError(
-            f"truncated binary STL: {len(data)} bytes, need at least {_BINARY_HEADER_LEN + 4}"
-        )
-    (count,) = struct.unpack_from("<I", data, _BINARY_HEADER_LEN)
-    expected = _BINARY_HEADER_LEN + 4 + _FACET_DTYPE.itemsize * count
-    if len(data) != expected:
-        raise StlParseError(
-            f"binary STL declares {count} triangles ({expected} bytes) "
-            f"but file holds {len(data)} bytes"
-        )
-    if count == 0:
+def _parse_binary_stl(records) -> TriangleMesh:
+    """Read-only float32 views of the whole 50-byte binary STL facets ``records``."""
+    if not records:
         raise StlParseError("binary STL contains no facets")
-    rec = np.frombuffer(data, dtype=_FACET_DTYPE, count=count, offset=_BINARY_HEADER_LEN + 4)
+    rec = np.frombuffer(records, dtype=_FACET_DTYPE)
     return TriangleMesh(rec["vertices"], rec["normal"])
+
+
+def _binary_size(head: bytes) -> tuple:
+    """``(n, 84 + 50·n)`` of an STL file that starts with ``head``, n the count at byte 80."""
+    n = int.from_bytes(head[80:84], "little")
+    return n, _BINARY_HEADER_LEN + 4 + _FACET_DTYPE.itemsize * n
 
 
 def parse_stl(data: bytes) -> TriangleMesh:
@@ -257,13 +254,39 @@ def parse_stl(data: bytes) -> TriangleMesh:
     if not isinstance(data, (bytes, bytearray)):
         raise TypeError("parse_stl expects raw file bytes")
     data = bytes(data)
-    facets = len(data) - _BINARY_HEADER_LEN - 4  # bytes after the header and the count
-    if facets >= 0 and facets == _FACET_DTYPE.itemsize * int.from_bytes(data[80:84], "little"):
-        return _parse_binary_stl(data)
-    start = _LEADING_SPACE.match(data).end()
-    if data[start : start + 5].lower() == b"solid":
-        return _parse_ascii_stl(data)
-    return _parse_binary_stl(data)
+    count, size = _binary_size(data)
+    if len(data) != size:
+        start = _LEADING_SPACE.match(data).end()
+        if data[start : start + 5].lower() == b"solid":
+            return _parse_ascii_stl(data)
+        if len(data) < _BINARY_HEADER_LEN + 4:
+            raise StlParseError(f"truncated binary STL: {len(data)} bytes, need at least "
+                                f"{_BINARY_HEADER_LEN + 4}")
+        raise StlParseError(f"binary STL declares {count} triangles ({size} bytes) "
+                            f"but file holds {len(data)} bytes")
+    return _parse_binary_stl(memoryview(data)[_BINARY_HEADER_LEN + 4 :])
+
+
+def _binary_blocks(f, count: int):
+    """The ``count`` facets of the binary STL file ``f``, one mesh a block."""
+    for first in range(0, count, _CENTROID_BLOCK):
+        size = _FACET_DTYPE.itemsize * min(_CENTROID_BLOCK, count - first)
+        if len(records := f.read(size)) < size:
+            raise StlParseError(f"truncated binary STL: the file ends in facet "
+                                f"{first + len(records) // _FACET_DTYPE.itemsize + 1} of {count}")
+        yield _parse_binary_stl(records)
+
+
+def stl_blocks(f) -> tuple:
+    """``(n, meshes)`` of the STL file ``f``, open for binary reading: n triangles, in file
+    order in the iterator ``meshes``, one mesh a ``_CENTROID_BLOCK`` facets of a binary
+    file, and any other file whole as :func:`parse_stl` reads it, errors included."""
+    count, size = _binary_size(f.read(_BINARY_HEADER_LEN + 4))
+    if count == 0 or size != os.fstat(f.fileno()).st_size:
+        f.seek(0)
+        mesh = parse_stl(f.read())
+        return mesh.n_triangles, iter([mesh])
+    return count, _binary_blocks(f, count)
 
 
 def write_binary_stl(mesh: TriangleMesh) -> bytes:
@@ -277,7 +300,7 @@ def write_binary_stl(mesh: TriangleMesh) -> bytes:
     rec = np.zeros(mesh.n_triangles, dtype=_FACET_DTYPE)
     rec["normal"] = mesh.normals.astype("<f4")
     rec["vertices"] = mesh.vertices.astype("<f4")
-    return _HEADER + struct.pack("<I", mesh.n_triangles) + rec.tobytes()
+    return _HEADER + mesh.n_triangles.to_bytes(4, "little") + rec.tobytes()
 
 
 def triangle_centroids(mesh: TriangleMesh) -> np.ndarray:
@@ -320,14 +343,16 @@ def slice_centroids(points, delta_z: float) -> SliceSet:
     if not count <= _MAX_SLICES:
         raise ValueError(f"{count:g} slices of delta_z {delta_z} for z from {zmin} to "
                          f"{zmax}; at most {_MAX_SLICES} are allowed")
-    idx = np.ceil((z - zmin) / delta_z).astype(np.int64) - 1
+    idx = z - zmin  # ceil((z - zmin) / delta_z) - 1, in place until the cast
+    idx = np.ceil(np.divide(idx, delta_z, out=idx), out=idx).astype(np.int64) - 1
     idx[idx < 0] = 0  # points exactly at zmin belong to bin 0
     # one stable sort groups the points by bin in their original order,
     # so the work is O(points log points) however many bins there are
     order = np.argsort(idx, kind="stable")
+    bins = np.bincount(idx)
+    del idx  # freed before the gather, which is the peak of slicing
     # each xy pair gathered as one 16-byte complex item, a plain copy:
     # z is not gathered, and the pairs move at whole-row speed
     xy = points[:, :2].view(np.complex128)[order].view(np.float64)
-    bins = np.bincount(idx)
     xy.flags.writeable = bins.flags.writeable = False
     return SliceSet(float(delta_z), xy, bins)

@@ -27,6 +27,8 @@ from earcanal.config import DEFAULTS, readonly_view
 from earcanal.ellipse import EllipseFitError, fit_conics, fit_ellipse  # noqa: F401
 from earcanal.mesh import SliceSet
 
+_FIT_POINTS = 1 << 16  # most points of the slices fitted as one batch
+
 
 @dataclass(frozen=True)
 class ShapeCenterFn:
@@ -95,14 +97,20 @@ def shape_center_fn(
     configuration) are filled by linear interpolation between the nearest
     fitted neighbors and flagged in ``interpolated``, preserving the
     index-to-depth correspondence.  An unfittable tail is truncated since
-    it has no later neighbor to interpolate toward.  The points of the
-    slices to fit are copied once, into one array fitted as one batch.
+    it has no later neighbor to interpolate toward.  Runs of slices of at
+    most ``_FIT_POINTS`` points, or one bigger slice, are fitted as batches,
+    copied only to leave a slice out; a fit depends on its slice alone.
     """
-    fittable = slices.bins >= min_points
-    track = np.full((len(slices.bins), 2), np.nan)
-    # one expression, so fit_conics frees the copy; np.compress beats a 2-D boolean index
-    track[fittable] = fit_conics(
-        np.compress(np.repeat(fittable, slices.bins), slices.xy, axis=0), slices.bins[fittable])[1]
+    bins, fittable = slices.bins, slices.bins >= min_points
+    edges = np.concatenate([[0], np.cumsum(bins)])  # slice n is rows edges[n]:edges[n + 1]
+    track, lo = np.full((len(bins), 2), np.nan), 0
+    while lo < len(bins):
+        hi = max(lo + 1, np.searchsorted(edges, edges[lo] + _FIT_POINTS, "right") - 1)
+        xy, keep = slices.xy[edges[lo] : edges[hi]], fittable[lo:hi]
+        if not keep.all():  # np.compress beats a 2-D boolean index
+            xy = np.compress(np.repeat(keep, bins[lo:hi]), xy, axis=0)
+        track[lo:hi][keep] = fit_conics(xy, bins[lo:hi][keep])[1]
+        lo = hi
     fitted = np.flatnonzero(~np.isnan(track[:, 0]))
     if fitted.size == 0 or fitted[0] != 0:
         raise EllipseFitError(

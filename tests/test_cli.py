@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, reproducibility."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -23,6 +24,7 @@ from scipy.io import wavfile
 
 import earcanal
 from earcanal import cli
+from earcanal import mesh as mesh_module
 from earcanal.acoustics import (
     acoustic_similarity_matrix,
     add_noise,
@@ -35,9 +37,16 @@ from earcanal.acoustics import (
 from earcanal.analysis import SimilarityMatrix
 from earcanal.cli import main
 from earcanal.config import MAX_LEVEL, PipelineConfig
-from earcanal.mesh import TriangleMesh, parse_stl, write_binary_stl
-from earcanal.synth import PlantGenerator, generate_plant
-from stl_cases import mutated_stl
+from earcanal.mesh import (
+    StlParseError,
+    TriangleMesh,
+    parse_stl,
+    stl_blocks,
+    triangle_centroids,
+    write_binary_stl,
+)
+from earcanal.synth import PlantGenerator, generate_canal_mesh, generate_plant, make_subject_family
+from stl_cases import ascii_text, mutated_stl, random_mesh
 
 # small but structurally complete: MLS period 4095 still covers the
 # 2048-tap synthetic plants
@@ -845,19 +854,103 @@ def test_shape_reads_ascii_stl_in_any_letter_case(tmp_path, fast_cfg, corpus, sh
 
 
 def test_shape_holds_one_mesh_at_a_time(tmp_path, fast_cfg, corpus, monkeypatch):
-    meshes, alive = [], []
+    blocks, alive = [], []
 
-    def tracking_parse(data):
-        # which earlier meshes are still alive as the next file is parsed
-        alive.append([ref() is not None for ref in meshes])
-        mesh = parse_stl(data)
-        meshes.append(weakref.ref(mesh))
-        return mesh
+    def tracking_centroids(block):
+        # how many earlier blocks are still alive as the next is used
+        alive.append(sum(ref() is not None for ref in blocks))
+        blocks.append(weakref.ref(block))
+        return triangle_centroids(block)
 
-    monkeypatch.setattr(cli, "parse_stl", tracking_parse)
+    monkeypatch.setattr(mesh_module, "_CENTROID_BLOCK", 1000)
+    monkeypatch.setattr(cli, "triangle_centroids", tracking_centroids)
     assert main(["shape", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(corpus / "shape_manifest.json")]) == 0
-    assert alive == [[False] * k for k in range(4)]
+    assert alive == [0] * 20  # 4 meshes of 4,800 facets, 5 blocks each
+
+
+BLOCK = 8  # facets a block in the block reader's tests
+BLOCK_FILES = {
+    **{f"binary_{n}": (lambda n=n: write_binary_stl(random_mesh(n, seed=n)))
+       for n in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7)},
+    "binary_solid_header": lambda: (b"solid scan facet".ljust(80, b"\0")
+                                    + write_binary_stl(random_mesh(3 * BLOCK + 7, seed=5))[80:]),
+    "ascii": lambda: ascii_text(random_mesh(3 * BLOCK + 7, seed=6)),
+}
+
+
+@pytest.mark.parametrize("make", BLOCK_FILES.values(), ids=BLOCK_FILES.keys())
+def test_block_reader_gives_the_whole_file_centroids(tmp_path, monkeypatch, make):
+    data = make()
+    want = triangle_centroids(parse_stl(data))
+    sizes = []
+
+    def counting_centroids(block):
+        sizes.append(block.n_triangles)
+        return triangle_centroids(block)
+
+    monkeypatch.setattr(mesh_module, "_CENTROID_BLOCK", BLOCK)
+    monkeypatch.setattr(cli, "triangle_centroids", counting_centroids)
+    (tmp_path / "scan.stl").write_bytes(data)
+    with open(tmp_path / "scan.stl", "rb") as f:
+        got = cli._stl_centroids(f)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a binary file a block at a time, any other file whole
+    n = len(want)
+    binary = len(data) == 84 + 50 * n
+    assert sizes == ([BLOCK] * (n // BLOCK) + [n % BLOCK] * (n % BLOCK > 0) if binary else [n])
+
+
+def test_nan_vertex_in_the_last_block_exits_two(tmp_path, corpus, capsys, monkeypatch):
+    n = 3 * BLOCK + 7
+    data = bytearray(write_binary_stl(random_mesh(n, seed=7)))
+    at = 84 + 50 * (n - 1) + 12  # the last facet's first vertex x, after its normal
+    data[at : at + 4] = struct.pack("<f", np.nan)
+    (tmp_path / "bad.stl").write_bytes(data)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"intact": str(corpus / "twin_b.stl"),
+                                                 "bad": "bad.stl"}}))
+    monkeypatch.setattr(mesh_module, "_CENTROID_BLOCK", BLOCK)
+    code = main(["shape", "--out", str(tmp_path / "o"), "--manifest", str(manifest)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {(tmp_path / 'bad.stl').resolve()} (subject 'bad'): "
+        "mesh contains non-finite vertex coordinates\n")
+
+
+def test_binary_file_that_shrinks_as_it_is_read_is_truncated(tmp_path, monkeypatch):
+    # blocks larger than the file buffer, so the cut is not read from it
+    block = 1000
+    monkeypatch.setattr(mesh_module, "_CENTROID_BLOCK", block)
+    path = tmp_path / "scan.stl"
+    path.write_bytes(write_binary_stl(random_mesh(3 * block + 7, seed=8)))
+    with open(path, "rb") as f:
+        n, meshes = stl_blocks(f)
+        os.truncate(path, 84 + 50 * 2 * block + 20)  # 20 bytes into the third block
+        assert n == 3 * block + 7
+        assert next(meshes).n_triangles == block
+        with pytest.raises(StlParseError, match="^truncated binary STL: the file ends in "
+                                                "facet 2001 of 3007$"):
+            list(meshes)
+
+
+def test_center_track_peaks_near_twice_its_centroids(tmp_path):
+    canal = dataclasses.replace(next(iter(make_subject_family(0))).canal,
+                                facets_per_ring=250, rings=400)
+    path = tmp_path / "scan.stl"
+    path.write_bytes(write_binary_stl(generate_canal_mesh(canal)))
+    centroid_bytes = 2 * 250 * 400 * 3 * 8
+    tracemalloc.start()
+    try:
+        track = cli._center_track(path, "scan", PipelineConfig(delta_z=canal.length / 400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert track.n_slices == 400
+    # the centroids, their slicing order and the gathered xy pairs; a
+    # whole file beside the centroids would add 50 bytes a facet
+    assert peak < 2.2 * centroid_bytes
 
 
 def test_outlier_vertex_exits_one_without_a_traceback(tmp_path, corpus):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from earcanal import shape as shape_module
 from earcanal.ellipse import EllipseFitError, fit_conics, fit_ellipse
 from earcanal.mesh import (
     SliceSet,
@@ -369,6 +370,43 @@ def test_array_slices_give_the_tuple_slices_track(case):
     if case == "truncated_tail":
         assert fn.n_slices == 35 < len(slices.bins)
         assert {12, 13, 14} <= set(fn.interpolated)
+
+
+def batched_slices():
+    """Slices to fit 7 points a batch at most: slices too small to fit at
+    the edges of batches, a collinear slice, slices of more than 7 points
+    and an unfittable tail."""
+    rng = np.random.default_rng(9)
+    arrays = noisy_circles(rng, [6, 2, 5, 0, 7, 12, 3, 5, 9, 1, 6, 6, 4, 30, 5, 7, 2, 0, 3])
+    arrays[10] = np.column_stack([np.arange(6.0), np.arange(6.0) * 0.5])
+    return arrays
+
+
+def test_batches_of_slices_fit_as_one_batch(monkeypatch):
+    arrays = batched_slices()
+    slices = slice_set(arrays)
+    whole = shape_center_fn(slices)
+    batches = []
+
+    def recording(xy, counts):
+        batches.append((len(xy), len(counts), np.shares_memory(xy, slices.xy)))
+        return fit_conics(xy, counts)
+
+    monkeypatch.setattr(shape_module, "_FIT_POINTS", 7)
+    monkeypatch.setattr(shape_module, "fit_conics", recording)
+    fn = shape_center_fn(slices)
+    want = list_center_track(arrays, 0.1)
+    for got in (fn, whole):
+        np.testing.assert_array_equal(bits(got.centers), bits(want.centers))
+        np.testing.assert_array_equal(bits(got.raw_centers), bits(want.raw_centers))
+        assert got.interpolated.tolist() == want.interpolated.tolist()
+    assert fn.n_slices == 16 and {3, 6, 9, 10, 12} <= set(fn.interpolated)
+    # a batch of more than 7 points is one slice, and there are several of each
+    assert all(points <= 7 or n == 1 for points, n, _ in batches)
+    assert sum(points > 7 for points, _, _ in batches) == 3
+    assert len(batches) > 8
+    # copied only to leave out a slice too small to fit
+    assert 0 < sum(view for _, _, view in batches) < len(batches)
 
 
 def test_unfittable_tail_is_truncated():
