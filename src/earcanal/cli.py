@@ -95,8 +95,8 @@ def _read_input(path: Path, parse, sid=None):
     # ValueError covers malformed JSON, bad UTF-8 and integers too long
     # to convert; TypeError, a value of the wrong JSON type; OverflowError,
     # an integer too large for a float; RecursionError, nesting too deep
-    # for the JSON parser
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+    # for the JSON parser; struct.error, a file cut short as it is read
+    except (TypeError, ValueError, OverflowError, RecursionError, struct.error) as exc:
         raise InputError(f"cannot parse {path}{whose}: {exc}") from None
 
 
@@ -148,28 +148,31 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _SUBFORMAT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _wav_pcm(buf: bytes, expected_rate: int) -> np.ndarray:
-    """The 16-bit samples, a view of ``buf``, of the first data chunk of
-    a mono 16-bit PCM RIFF/WAVE file recorded at ``expected_rate``.
+def _wav_pcm(f, cfg: PipelineConfig) -> tuple:
+    """``(offset, count)`` of the 16-bit samples of the first data chunk
+    of the RIFF/WAVE file ``f``, judged from its chunk headers alone: mono
+    16-bit PCM at ``cfg.sample_rate``, holding ``cfg.repeats + 1`` periods.
 
-    Chunks other than ``fmt `` and ``data`` are skipped, together with
-    the pad byte that follows a chunk of odd size.  A
+    Chunks other than ``fmt `` and ``data`` are sought past, together
+    with the pad byte that follows a chunk of odd size.  A
     WAVE_FORMAT_EXTENSIBLE header reports the tag of its sub-format.
     Raises ValueError on anything it cannot read or does not take.
     """
-    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+    head = f.read(12)
+    if head[:4] != b"RIFF" or head[8:12] != b"WAVE":
         raise ValueError("not a RIFF/WAVE file")
-    view = memoryview(buf)
+    end = f.seek(0, os.SEEK_END)
     fmt = None
     pos = 12
-    while pos + 8 <= len(buf):
-        chunk_id, size = struct.unpack_from("<4sI", buf, pos)
-        body = view[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise ValueError(f"{chunk_id!r} chunk holds {len(body)} of its {size} bytes")
+    while pos + 8 <= end:
+        f.seek(pos)
+        chunk_id, size = struct.unpack("<4sI", f.read(8))
+        if end - pos - 8 < size:
+            raise ValueError(f"{chunk_id!r} chunk holds {end - pos - 8} of its {size} bytes")
         if chunk_id == b"fmt ":
             if size < 16:
                 raise ValueError(f"fmt chunk of {size} bytes, need at least 16")
+            body = f.read(min(size, 40))
             tag, channels, rate, _byte_rate, align, bits = struct.unpack_from("<HHIIHH", body)
             if tag == _WAVE_FORMAT_EXTENSIBLE:
                 if size < 40 or body[26:40] != _SUBFORMAT_GUID_TAIL:
@@ -184,15 +187,18 @@ def _wav_pcm(buf: bytes, expected_rate: int) -> np.ndarray:
     else:
         raise ValueError("no data chunk")
     tag, channels, rate, bits, align = fmt
-    if rate != expected_rate:
-        raise ValueError(f"expected {expected_rate} Hz, got {rate} Hz (no resampling)")
+    if rate != cfg.sample_rate:
+        raise ValueError(f"expected {cfg.sample_rate} Hz, got {rate} Hz (no resampling)")
     if channels != 1:
         raise ValueError(f"expected mono audio, got {channels} channels")
     if tag != _WAVE_FORMAT_PCM or bits != 16 or align != 2:
         raise ValueError(
             f"expected 16-bit PCM, got format {tag:#06x}, {bits} bits in {align}-byte blocks"
         )
-    return np.frombuffer(body, "<i2", count=len(body) // 2)
+    count, need = size // 2, (cfg.repeats + 1) * (2**cfg.mls_order - 1)
+    if count < need:
+        raise ValueError(f"recording holds {count} samples, need at least {need}")
+    return pos + 8, count
 
 
 def _publish(out: Path, files: dict) -> None:
@@ -328,12 +334,12 @@ def _acoustic_entry(base: Path, entry):
 
 def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -> tuple:
     """``(n_takes, response)`` of one subject whose ``entry`` is its
-    checked plant taps or its WAV paths, ``response`` mapping a take
-    index to its impulse response.  A plant's steady period is simulated
-    once; each take averages its own seeded noise onto it.  WAV takes,
-    headers checked already, are read here as 16-bit samples, which each
-    take averages one period at a time; its response is divided by
-    32768, a power of two, so it is exactly that of the samples / 32768."""
+    checked plant taps or the ``(path, offset, count)`` of each checked
+    WAV take, ``response`` mapping a take index to its impulse response.
+    A plant's steady period is simulated once; each take averages its own
+    seeded noise onto it.  A WAV take's samples alone are read here, and
+    averaged one period at a time; its response is divided by 32768, a
+    power of two, so it is exactly that of the samples / 32768."""
     if isinstance(entry, np.ndarray):
         steady = simulate_measurement(excitation, entry, 1)[excitation.length:]
 
@@ -342,8 +348,11 @@ def _subject_responses(sidx: int, sid, entry, cfg: PipelineConfig, excitation) -
             return correlate_period(noisy_period_mean(steady, cfg.noise_rms, rng, cfg.repeats),
                                     excitation)
         return cfg.takes, response
-    wavs = [_read_input(path, lambda f: _wav_pcm(f.read(), cfg.sample_rate), sid)
-            for path in entry]
+    def samples(f, offset, count):  # a file cut short since its check is refused
+        f.seek(offset)
+        return np.frombuffer(f.read(2 * count), "<i2", count)
+    wavs = [_read_input(path, lambda f: samples(f, offset, count), sid)
+            for path, offset, count in entry]
     return len(wavs), lambda take: (recover_impulse_response(wavs[take], excitation, cfg.repeats)
                                     / 32768.0)
 
@@ -358,14 +367,14 @@ def cmd_acoustic(args) -> dict:
     manifest = Path(args.manifest)
     subjects = _read_input(manifest, lambda f: _manifest_subjects(f, manifest.parent,
                                                                   _acoustic_entry))
-    # every plant is read and checked, and every WAV take's header, before
-    # the first take; a WAV's samples are read on its subject's turn
+    # every plant is read and checked, and every WAV take's headers, before
+    # the first take; a WAV take keeps where its samples lie, to read them on its subject's turn
     for sid, entry in subjects.items():
         if isinstance(entry, Path):
             subjects[sid] = _read_input(entry, lambda f: _plant(_json(f), cfg), sid)
         else:
-            for path in entry:
-                _read_input(path, lambda f: _wav_pcm(f.read(), cfg.sample_rate), sid)
+            subjects[sid] = [(path, *_read_input(path, lambda f: _wav_pcm(f, cfg), sid))
+                             for path in entry]
     excitation = generate_mls(cfg.mls_order)
 
     all_feats = []
@@ -375,7 +384,12 @@ def cmd_acoustic(args) -> dict:
     # subject's are made while they run, so the pool never waits for a
     # subject to be read and at most one subject is ahead.  Results are
     # collected in subject and take order, so the first failing take's
-    # error is the one raised, and the takes not yet started are dropped.
+    # error, named by subject and take, is raised; takes not started are dropped.
+    def result(sid, take, future):
+        try:
+            return sid, take, future.result()
+        except ValueError as exc:
+            raise ValueError(f"{sid} take {take}: {exc}") from None
     pool = ThreadPoolExecutor(_workers())
     try:
         running = []
@@ -383,9 +397,9 @@ def cmd_acoustic(args) -> dict:
             n_takes, response = _subject_responses(sidx, sid, entry, cfg, excitation)
             submitted = [(sid, take, pool.submit(_take_feature, cfg, response, take))
                          for take in range(n_takes)]
-            all_feats.extend((s, take, f.result()) for s, take, f in running)
+            all_feats.extend(result(*r) for r in running)
             running = submitted
-        all_feats.extend((s, take, f.result()) for s, take, f in running)
+        all_feats.extend(result(*r) for r in running)
     finally:
         pool.shutdown(cancel_futures=True)
 

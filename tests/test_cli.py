@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -509,6 +511,12 @@ def test_simulated_takes_are_bitwise_the_whole_recording_path(order):
                                                                     noise_rms, seed, take)
 
 
+def checked_takes(paths, cfg):
+    """A WAV subject's manifest entry as ``cmd_acoustic`` checks it:
+    each take's ``(path, offset, count)``."""
+    return [(path, *cli._read_input(path, lambda f: cli._wav_pcm(f, cfg))) for path in paths]
+
+
 def extreme_pcm(rng, n):
     """``n`` random int16 samples, about 3 in 8 of them -32768, 32767 or 0."""
     pcm = rng.integers(-32768, 32768, size=n).astype(np.int16)
@@ -538,7 +546,8 @@ def test_wav_takes_are_bitwise_the_whole_recording_path(tmp_path, order):
             paths.append(tmp_path / f"o{order}_r{repeats}_{take}.wav")
             wavfile.write(paths[-1], 44100, pcm)
         cfg = PipelineConfig(mls_order=order, repeats=repeats)
-        n_takes, response = cli._subject_responses(0, "s", paths, cfg, excitation)
+        n_takes, response = cli._subject_responses(0, "s", checked_takes(paths, cfg), cfg,
+                                                   excitation)
         assert n_takes == len(takes)
         for take, pcm in enumerate(takes):
             want = whole_recording_response(pcm.astype(np.float64) / 32768.0, excitation,
@@ -556,9 +565,10 @@ def test_wav_subject_peaks_below_half_its_float_recordings(tmp_path):
         paths.append(tmp_path / f"take{take}.wav")
         wavfile.write(paths[-1], 44100, extreme_pcm(rng, recording))
     excitation._hadamard_permutations  # built once a run, untraced
+    entry = checked_takes(paths, cfg)
     tracemalloc.start()
     try:
-        n_takes, response = cli._subject_responses(0, "s", paths, cfg, excitation)
+        n_takes, response = cli._subject_responses(0, "s", entry, cfg, excitation)
         response(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -601,20 +611,19 @@ def test_failing_take_exits_one_and_writes_nothing(tmp_path, fast_cfg, workers, 
     excitation = generate_mls(FAST["mls_order"])
     good = simulate_measurement(excitation, 0.5 ** np.arange(8), FAST["repeats"])
     write_wav(tmp_path / "good.wav", good)
-    # a silent take recovers an all-zero response; a short one cannot be recovered
+    # a silent take recovers an all-zero response
     wavfile.write(tmp_path / "silent.wav", 44100, np.zeros(good.shape[0], dtype=np.int16))
-    write_wav(tmp_path / "short.wav", good[:1000])
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"subjects": {
         "a": {"takes": ["good.wav", "good.wav"]},
-        "b": {"takes": ["good.wav", "silent.wav", "short.wav", "good.wav"]},
+        "b": {"takes": ["good.wav", "silent.wav", "silent.wav", "good.wav"]},
     }}))
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
     assert code == 1
     err = capsys.readouterr().err
-    # the first failing take in take order is the one reported
-    assert err == "error: cannot trim an all-zero response\n"
+    # the first failing take in take order is the one reported, by subject and take
+    assert err == "error: b take 1: cannot trim an all-zero response\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -680,6 +689,77 @@ def test_truncated_wav_exits_two(tmp_path, fast_cfg, capsys, cut):
     assert not (tmp_path / "o").exists()
 
 
+def test_each_wav_is_read_once(tmp_path, fast_cfg, monkeypatch):
+    excitation = generate_mls(FAST["mls_order"])
+    rec = simulate_measurement(excitation, 0.5 ** np.arange(8), FAST["repeats"])
+    rng = np.random.default_rng(3)
+    subjects = {}
+    for sid in ("a", "b", "c"):
+        names = [f"{sid}{take}.wav" for take in range(FAST["takes"])]
+        for name in names:
+            write_wav(tmp_path / name, rec + rng.normal(scale=0.01, size=rec.shape))
+        subjects[sid] = {"takes": names}
+    (tmp_path / "m.json").write_text(json.dumps({"subjects": subjects}))
+    returned = dict.fromkeys((p.resolve() for p in tmp_path.glob("*.wav")), 0)
+    path_open = Path.open
+
+    class Counted:
+        """An open WAV whose reads are counted; it has no ``fileno``, so no
+        read can go around it."""
+
+        def __init__(self, f, path):
+            self.f, self.path = f, path
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def read(self, n=-1):
+            data = self.f.read(n)
+            returned[self.path] += len(data)
+            return data
+
+        def seek(self, *args):
+            return self.f.seek(*args)
+
+    def counted_open(self, *args, **kwargs):
+        f = path_open(self, *args, **kwargs)
+        return Counted(f, self) if self.suffix == ".wav" else f
+
+    monkeypatch.setattr(Path, "open", counted_open)
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(tmp_path / "m.json")])
+    assert code == 0
+    for path, n in returned.items():
+        size = path.stat().st_size
+        # the 44-byte header is read to check it, the samples to use them
+        assert size - 44 <= n <= size, (path.name, n, size)
+
+
+def test_wav_cut_short_after_its_check_exits_two(tmp_path, fast_cfg, capsys, monkeypatch):
+    need = (FAST["repeats"] + 1) * (2 ** FAST["mls_order"] - 1)
+    write_wav(tmp_path / "t.wav", np.random.default_rng(4).normal(size=need))
+    path = (tmp_path / "t.wav").resolve()
+    wav_pcm = cli._wav_pcm
+
+    def check_then_cut(f, cfg):
+        checked = wav_pcm(f, cfg)
+        os.truncate(path, path.stat().st_size - 2)
+        return checked
+
+    monkeypatch.setattr(cli, "_wav_pcm", check_then_cut)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"subjects": {"s": {"takes": ["t.wav"]}}}))
+    code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+                 "--manifest", str(manifest)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {path} (subject 's'): ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def small_wav_bytes():
     """A valid 16-bit mono WAV of two order-5 MLS periods through a plant."""
     rec = simulate_measurement(generate_mls(5), 0.6 ** np.arange(6), repeats=1)
@@ -690,6 +770,25 @@ def small_wav_bytes():
 
 SMALL_WAV = small_wav_bytes()
 SMALL_WAV_CFG = {"mls_order": 5, "repeats": 1, "feature_length": 32}
+
+
+@pytest.mark.parametrize("cut", [14, 24, 40])
+def test_wav_cut_short_while_its_headers_are_read_is_an_input_error(tmp_path, cut):
+    class Shrinking(io.BytesIO):
+        """A file that loses all but its first ``cut`` bytes once its size is taken."""
+
+        def seek(self, pos, whence=os.SEEK_SET):
+            at = super().seek(pos, whence)
+            if whence == os.SEEK_END:
+                self.truncate(cut)
+            return at
+
+    path = tmp_path / "t.wav"
+    path.write_bytes(SMALL_WAV)
+    cfg = PipelineConfig(**SMALL_WAV_CFG)
+    # cut inside the fmt chunk's header, its body, and the data chunk's header
+    with pytest.raises(cli.InputError, match=f"^cannot parse {re.escape(str(path))}: "):
+        cli._read_input(path, lambda f: cli._wav_pcm(Shrinking(f.read()), cfg))
 
 
 @settings(max_examples=150, deadline=None)
@@ -710,22 +809,35 @@ def test_damaged_wav_exits_with_a_code(cut, edits):
         (root / "cfg.json").write_text(json.dumps(SMALL_WAV_CFG))
         (root / "m.json").write_text(json.dumps(
             {"subjects": {"a": {"takes": ["take.wav"]}, "b": {"takes": ["take.wav"]}}}))
-        code = check_exit_contract(["acoustic", "--config", str(root / "cfg.json"),
-                                    "--manifest", str(root / "m.json")], root / "room")
+        with mock.patch.object(cli, "_take_feature", wraps=cli._take_feature) as take_feature:
+            code = check_exit_contract(["acoustic", "--config", str(root / "cfg.json"),
+                                        "--manifest", str(root / "m.json")], root / "room")
+    # an input fault is found before the first take
+    assert code != 2 or not take_feature.called
     if not edits and cut == len(SMALL_WAV):
         assert code == 0
 
 
-def test_short_recording_exits_one(tmp_path, fast_cfg, capsys):
-    path = tmp_path / "short.wav"
+def test_short_recording_exits_two_before_any_take(tmp_path, fast_cfg, capsys, monkeypatch):
+    taken = []
+    monkeypatch.setattr(cli, "_take_feature", lambda *a: taken.append(a))
+    need = (FAST["repeats"] + 1) * (2 ** FAST["mls_order"] - 1)
     rng = np.random.default_rng(0)
-    write_wav(path, rng.normal(size=1000))
+    write_wav(tmp_path / "long.wav", rng.normal(size=need))
+    path = tmp_path / "short.wav"
+    write_wav(path, rng.normal(size=need - 1))
     manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"subjects": {"s": {"takes": [path.name]}}}))
+    # the short take is the last subject's, so any take of the first would run first
+    manifest.write_text(json.dumps({"subjects": {"a": {"takes": ["long.wav"]},
+                                                 "s": {"takes": ["long.wav", path.name]}}}))
     code = main(["acoustic", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(manifest)])
-    assert code == 1
-    assert "need at least" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot parse {path.resolve()} (subject 's'): recording holds {need - 1} "
+        f"samples, need at least {need}\n")
+    assert taken == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_unfittable_mesh_exits_one(tmp_path, capsys):
@@ -1202,7 +1314,7 @@ def test_subnormal_plant_exits_one_without_a_warning(tmp_path, capsys):
                  "--manifest", str(manifest)])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot take the minimum phase") and "too small" in err
+    assert err.startswith("error: a take 0: cannot take the minimum phase") and "too small" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -1401,7 +1513,9 @@ def test_malformed_last_wav_exits_two_before_any_take(tmp_path, corpus, capsys, 
     subjects = json.loads((corpus / "acoustic_manifest.json").read_text())["subjects"]
     assert list(subjects)[-1] == "twin_b"
     subjects = {sid: {"plant": str(corpus / entry["plant"])} for sid, entry in subjects.items()}
-    wavfile.write(tmp_path / "good.wav", 44100, np.zeros(64, dtype=np.int16))
+    # the (repeats + 1) periods the default config takes
+    need = (PipelineConfig().repeats + 1) * (2 ** PipelineConfig().mls_order - 1)
+    wavfile.write(tmp_path / "good.wav", 44100, np.zeros(need, dtype=np.int16))
     (tmp_path / "bad.wav").write_bytes(MALFORMED_WAVS[case])
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"subjects": {
@@ -1553,15 +1667,16 @@ def test_input_past_the_size_limit_exits_two_before_it_is_read(tmp_path, shape_o
                 "--acoustic", str(big)]
     else:
         argv = ["shape" if route == "stl" else "acoustic", "--manifest", str(manifest)]
-    read = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: read.append(self) or read_bytes(self))
+    opened = []
+    path_open = Path.open
+    monkeypatch.setattr(Path, "open",
+                        lambda self, *a, **k: opened.append(self) or path_open(self, *a, **k))
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     whose = " (subject 's')" if route in ("stl", "plant", "wav") else ""
     assert capsys.readouterr().err == (
         f"error: {big}{whose}: {limit + 1} bytes exceed the input limit of {limit} bytes\n")
-    assert big not in read
+    assert big not in opened
     assert not (tmp_path / "o").exists()
 
 
@@ -1639,9 +1754,12 @@ def test_any_json_input_exits_with_a_code(config, manifest, plants):
         unsafe = isinstance(subjects, dict) and any(
             sid in ("", ".", "..") or any(c in sid for c in "/\\\0") for sid in subjects)
         for command in ("acoustic", "shape"):
-            code = check_exit_contract([command, "--config", str(root / "cfg.json"),
-                                        "--manifest", str(root / "m.json")], root / command)
+            with mock.patch.object(cli, "_take_feature", wraps=cli._take_feature) as take_feature:
+                code = check_exit_contract([command, "--config", str(root / "cfg.json"),
+                                            "--manifest", str(root / "m.json")], root / command)
             assert code == 2 or not unsafe
+            # an input fault is found before the first take
+            assert code != 2 or not take_feature.called
 
 
 def small_csvs():

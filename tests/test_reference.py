@@ -10,6 +10,7 @@ to copies of the tiled FFT simulation and odd-length FFT correlation
 they replaced.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -237,7 +238,9 @@ def test_wav_reader_is_sample_equal_to_scipy(tmp_path):
         rate, want = wavfile.read(path)
         assert rate == 44100 and want.dtype == np.int16
         np.testing.assert_array_equal(want, pcm)
-        got = cli._wav_pcm(path.read_bytes(), 44100) / 32768.0
+        with path.open("rb") as f:
+            offset, count = cli._wav_pcm(f, dataclasses.replace(DEFAULTS, mls_order=2))
+        got = np.frombuffer(path.read_bytes(), "<i2", count, offset) / 32768.0
         np.testing.assert_array_equal(got, want.astype(np.float64) / 32768.0)
 
 
