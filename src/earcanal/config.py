@@ -37,6 +37,10 @@ import numpy as np
 # stays below 1e306.
 MAX_LEVEL = 1e100
 
+# The largest filter_order: the bandpass gain, a power of the order,
+# overflows at 256 on the default band.
+MAX_FILTER_ORDER = 64
+
 # The largest input file the CLI reads, in bytes, checked before the
 # file is read.  A million-facet ASCII STL written at 17 significant
 # digits is about 300 MB (the benchmark's 32k-facet one is 9.7 MB).
@@ -171,6 +175,8 @@ class PipelineConfig(Record):
             raise ValueError(f"noise_rms must be in [0, {MAX_LEVEL:g}]")
         if not (0.0 < self.trim_threshold < 1.0):
             raise ValueError("trim_threshold must be in (0, 1)")
+        if self.filter_order > MAX_FILTER_ORDER:
+            raise ValueError(f"filter_order must be at most {MAX_FILTER_ORDER}")
         if self.feature_length < 1:
             raise ValueError("feature_length must be positive")
         if self.sample_rate <= 0:

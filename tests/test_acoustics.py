@@ -24,7 +24,8 @@ from earcanal.acoustics import (
     response_feature,
     simulate_measurement,
     trim_pre_rise,
-    _butter_bandpass,
+    _bandpass_impulse_response,
+    _butter_sections,
 )
 from earcanal.config import DEFAULTS
 from earcanal.synth import generate_plant, make_subject_family
@@ -439,20 +440,46 @@ def test_bandpass_frequency_response():
 
 
 def test_bandpass_order_is_total_pole_count():
-    for total in (2, 4, 8):
-        b, a = _butter_bandpass(44100, 400.0, 4000.0, total)
-        assert len(a) - 1 == total
-        assert len(b) - 1 == total
+    # one section of two poles each; an odd half order on the wide band
+    # leaves two real poles, which share a section
+    for band in ((400.0, 4000.0), (100.0, 21829.5), (20.0, 1000.0)):
+        for total in (2, 4, 6, 8, 40, 64):
+            _k, sections = _butter_sections(44100, *band, total)
+            assert 2 * len(sections) == total
 
 
 def test_unstable_bandpass_design_is_rejected():
-    # rounding in the expanded denominator puts a pole of this design at
-    # modulus 1.00009, so its recursion would grow without bound
-    with pytest.raises(ValueError, match=r"order-8 bandpass over \(20, 1000\) Hz"):
-        butterworth_bandpass(ir(np.ones(64)), 20.0, 1000.0, 8)
-    # the same order on the default band keeps every pole inside
-    out = butterworth_bandpass(ir(np.ones(64)), filter_order=8)
-    assert np.isfinite(out).all()
+    # the poles of orders 8 and 12 over (20, 1000) Hz lie within 0.0011
+    # of the unit circle, and the responses decay: the tail below 2**-60
+    # of the peak is cut before 2**17 samples
+    for total in (8, 12):
+        h = _bandpass_impulse_response(44100, 20.0, 1000.0, total, 1 << 17)
+        assert h.shape[0] < 1 << 17 and np.isfinite(h).all()
+    # a low edge of 1e-30 Hz rounds a pole onto the unit circle
+    with pytest.raises(ValueError, match=r"order-4 bandpass over \(1e-30, 21829.5\) Hz at fs "
+                                         r"44100 is unstable \(pole modulus 1.000000\)"):
+        butterworth_bandpass(ir(np.ones(64)), 1e-30)
+
+
+def test_bandpass_tail_cut_is_below_rounding():
+    low, high, _clamped = applied_band(44100, DEFAULTS.band_low_hz, DEFAULTS.band_high_hz)
+    # however long the input, the default design keeps a few thousand samples
+    h = _bandpass_impulse_response(44100, low, high, DEFAULTS.filter_order, 1 << 17)
+    assert 3000 < h.shape[0] < 6000
+    # the uncut response over 2**14 samples, the sections run one after another
+    n = 1 << 14
+    k, sections = _butter_sections(44100, low, high, DEFAULTS.filter_order)
+    uncut = [k] + [0.0] * (n - 1)
+    for b1, b2, a1, a2 in sections:
+        x1 = x2 = y1 = y2 = 0.0
+        for i, x in enumerate(uncut):
+            uncut[i] = y = x + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
+            x1, x2, y1, y2 = x, x1, y, y1
+    np.testing.assert_array_equal(h, uncut[: h.shape[0]])
+    x = np.random.default_rng(5).normal(size=n) * 0.9995 ** np.arange(n)
+    want = np.convolve(x, uncut)[:n]
+    # 1.2e-17 of the peak measured
+    assert float(np.abs(butterworth_bandpass(x) - want).max()) <= 1e-16 * np.abs(want).max()
 
 
 def test_bandpass_validation():

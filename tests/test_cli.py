@@ -1413,22 +1413,30 @@ def test_unparseable_json_exits_two_and_names_the_file(tmp_path, fast_cfg, capsy
     assert not (tmp_path / "o").exists()
 
 
+# each fault's one error line, after "error: "
 BAND_FAULTS = {
-    "odd_order": ({"filter_order": 3}, "filter_order must be a positive even integer, got 3"),
-    "high_edge_beyond_nyquist": ({"band_high_hz": 30000}, "is at or beyond Nyquist (22050.0 Hz)"),
-    "edges_out_of_order": ({"band_low_hz": 23000}, "band edges out of order"),
-    "order_40_unstable": ({"filter_order": 40}, "the order-40 bandpass over"),
-    "order_8_narrow_band_unstable": ({"filter_order": 8, "band_low_hz": 20.0,
-                                      "band_high_hz": 1000.0},
-                                     "the order-8 bandpass over (20, 1000) Hz at fs 44100 is "
-                                     "unstable"),
+    "odd_order": ({"filter_order": 3},
+                  "invalid config: filter_order must be a positive even integer, got 3"),
+    "high_edge_beyond_nyquist": ({"band_high_hz": 30000},
+                                 "invalid config: high edge 30000 Hz is at or beyond Nyquist "
+                                 "(22050.0 Hz)"),
+    "edges_out_of_order": ({"band_low_hz": 23000},
+                           "invalid config: band edges out of order: (23000, 22000.0) at fs "
+                           "44100"),
+    # the low edge rounds a pole onto the unit circle
+    "pole_on_the_unit_circle": ({"band_low_hz": 1e-30},
+                                "invalid config: the order-4 bandpass over (1e-30, 21829.5) Hz "
+                                "at fs 44100 is unstable (pole modulus 1.000000); lower "
+                                "filter_order or widen the band"),
+    "order_past_the_bound": ({"filter_order": 2000},
+                             "cannot parse {cfg}: filter_order must be at most 64"),
 }
 
 
 @pytest.mark.parametrize("fault", BAND_FAULTS.values(), ids=BAND_FAULTS.keys())
 def test_band_and_filter_faults_exit_two_before_any_take(tmp_path, corpus, capsys, monkeypatch,
                                                          fault):
-    fields, needle = fault
+    fields, message = fault
     simulated = []
     monkeypatch.setattr(cli, "simulate_measurement", lambda *a: simulated.append(a))
     cfg = tmp_path / "cfg.json"
@@ -1436,8 +1444,7 @@ def test_band_and_filter_faults_exit_two_before_any_take(tmp_path, corpus, capsy
     code = main(["acoustic", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--manifest", str(corpus / "acoustic_manifest.json")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid config: ") and needle in err, err
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
     assert simulated == []
     assert not (tmp_path / "o").exists()
 
@@ -1714,7 +1721,8 @@ CONFIGS = spoiled(st.fixed_dictionaries(
         "min_slice_points": st.integers(5, 9), "sample_rate": st.sampled_from([8000, 44100]),
         "repeats": st.integers(1, 3), "noise_rms": st.floats(0, 1),
         "trim_threshold": st.floats(0.01, 0.99), "band_low_hz": st.floats(1, 5000),
-        "band_high_hz": st.floats(100, 25_000), "filter_order": st.sampled_from([2, 4, 8]),
+        "band_high_hz": st.floats(100, 25_000),
+        "filter_order": st.sampled_from([2, 4, 8, 40, 2000]),
         "feature_length": st.integers(1, 64), "seed": st.integers(0, 3),
     },
 ))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from earcanal import acoustics, analysis, ellipse, mesh, shape, synth
-from earcanal.config import PipelineConfig
+from earcanal.config import MAX_FILTER_ORDER, PipelineConfig
 from earcanal.synth import CanalGenerator, PlantGenerator
 
 # stage keyword -> the PipelineConfig field whose default it mirrors
@@ -53,6 +53,12 @@ def test_field_types_are_checked():
                          ("theta_samples", 3600.0)):
         with pytest.raises(TypeError, match=field):
             PipelineConfig(**{field: value})
+
+
+def test_filter_order_is_bounded():
+    assert PipelineConfig(filter_order=MAX_FILTER_ORDER).filter_order == MAX_FILTER_ORDER
+    with pytest.raises(ValueError, match=f"filter_order must be at most {MAX_FILTER_ORDER}"):
+        PipelineConfig(filter_order=MAX_FILTER_ORDER + 2)
 
 
 @pytest.mark.parametrize("record, schema", [

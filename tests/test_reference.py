@@ -53,26 +53,37 @@ def test_mls_is_scipy_max_len_seq_for_every_order():
 BANDS = [(400.0, 4000.0), (DEFAULTS.band_low_hz, DEFAULTS.band_high_hz), (20.0, 1000.0)]
 
 
-@pytest.mark.parametrize("total", [2, 4, 6, 8])
+# the zeros of each section's numerator (b1, b2)
+SECTION_ZEROS = {(-2.0, 1.0): [1.0, 1.0], (0.0, -1.0): [1.0, -1.0], (2.0, 1.0): [-1.0, -1.0]}
+
+
+@pytest.mark.parametrize("total", [2, 4, 6, 8, 12, 40])
 def test_butterworth_design_matches_scipy_butter(total):
     for low_hz, high_hz in BANDS:
         low, high, _clamped = applied_band(44100, low_hz, high_hz)
-        b, a = acoustics._butter_bandpass(44100, low, high, total)
-        want_b, want_a = signal.butter(total // 2, [low, high], btype="bandpass", fs=44100)
-        assert relative_to_peak(b, want_b) <= 1e-13
-        assert relative_to_peak(a, want_a) <= 1e-13
+        k, sections = acoustics._butter_sections(44100, low, high, total)
+        z, p, want_k = signal.butter(total // 2, [low, high], btype="bandpass", fs=44100,
+                                     output="zpk")
+        assert k == pytest.approx(want_k, rel=1e-15)
+        assert sorted(sum((SECTION_ZEROS[s[:2]] for s in sections), [])) == sorted(z)
+        # each section's poles, the roots of z**2 + a1 z + a2, lie within
+        # 4.2e-13 of scipy's (order 40 over (20, 1000) Hz), one to one
+        poles = np.concatenate([np.roots([1.0, a1, a2]) for _b1, _b2, a1, a2 in sections])
+        dist = np.abs(poles[:, None] - p[None, :])
+        assert dist.min(axis=0).max() <= 1e-12 and dist.min(axis=1).max() <= 1e-12
     assert applied_band(44100, DEFAULTS.band_low_hz, DEFAULTS.band_high_hz)[2]
 
 
-# Above total order 4 the (b, a) recursion itself is ill-conditioned:
-# on the default band at order 8, lfilter and this filter each deviate
-# from an extended-precision run of that recursion by 1.4e-11 of the
-# peak, and at order 8 on (20, 1000) Hz the design has a root of ``a``
-# outside the unit circle.  So orders 6 and 8 are compared on the
-# default band, order 8 to 1e-10.
+# The (b, a) form the filter took before it ran as sections, through
+# lfilter.  Above total order 4 that recursion is ill-conditioned: on the
+# default band, lfilter deviates from sosfilt, and from this filter, by
+# up to 2.5e-12 of the peak at order 6 and 7.7e-11 at order 8, and at
+# order 8 on (20, 1000) Hz its ``a`` has a root outside the unit circle.
+# So orders 6 and 8 are compared on the default band only, to 5e-12 and
+# 1e-10; the sosfilt test below takes every band.
 @pytest.mark.parametrize("total, band, tolerance", [
     *[(total, band, 1e-12) for total in (2, 4) for band in BANDS[:2] + [(50.0, 10000.0)]],
-    (6, BANDS[1], 1e-12),
+    (6, BANDS[1], 5e-12),
     (8, BANDS[1], 1e-10),
 ])
 def test_bandpass_matches_scipy_lfilter(total, band, tolerance):
@@ -83,6 +94,24 @@ def test_bandpass_matches_scipy_lfilter(total, band, tolerance):
     for x in (rng.normal(size=2048) * 0.998 ** np.arange(2048), rng.normal(size=700)):
         got = butterworth_bandpass(x, *band, total)
         assert relative_to_peak(got, signal.lfilter(b, a, x)) <= tolerance
+
+
+# Each tolerance is about twice the largest deviation measured for its
+# case, over both inputs.
+@pytest.mark.parametrize("total, band, tolerance", [
+    (2, BANDS[0], 3e-15), (2, BANDS[1], 1e-15), (2, BANDS[2], 1e-14),
+    (4, BANDS[0], 2e-14), (4, BANDS[1], 5e-14), (4, BANDS[2], 2e-12),
+    (6, BANDS[1], 2e-13), (8, BANDS[1], 1e-13), (8, BANDS[2], 2e-12),
+    (12, BANDS[2], 3e-12), (40, BANDS[1], 5e-13),
+])
+def test_bandpass_matches_scipy_sosfilt(total, band, tolerance):
+    rng = np.random.default_rng(total)
+    low, high, _clamped = applied_band(44100, *band)
+    sos = signal.butter(total // 2, [low, high], btype="bandpass", fs=44100, output="sos")
+    # a decaying response like the feature chain's, and plain noise
+    for x in (rng.normal(size=2048) * 0.998 ** np.arange(2048), rng.normal(size=700)):
+        got = butterworth_bandpass(x, *band, total)
+        assert relative_to_peak(got, signal.sosfilt(sos, x)) <= tolerance
 
 
 @pytest.mark.parametrize("order, taps, repeats", [(8, 1, 1), (12, 2048, 2), (16, 2048, 5)])
@@ -125,7 +154,8 @@ def test_criterion_7_features_match_the_scipy_chain():
         x = np.tile(scipy_excitation.samples, DEFAULTS.repeats + 1)
         recording = add_noise(signal.fftconvolve(x, plant)[: x.shape[0]], noise, rng)
         want = scipy_feature(recording, scipy_excitation)
-        assert float(np.max(np.abs(got - want))) <= 1e-12
+        # 4.2e-15 measured; the features' peak is about 0.35
+        assert float(np.max(np.abs(got - want))) <= 1e-14
 
 
 # The measurement chain as it ran before the period was used: every
